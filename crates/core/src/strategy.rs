@@ -19,7 +19,8 @@ use psep_graph::view::{GraphRef, NodeMask, SubgraphView};
 use psep_planar::cycle::{root_path_separator, CycleSearch};
 use psep_planar::sptree::SpTree;
 use psep_treedec::center::center_bag;
-use psep_treedec::elimination::min_degree_decomposition;
+use psep_treedec::decomposition::TreeDecomposition;
+use psep_treedec::elimination::{min_degree_decomposition, min_degree_decomposition_within};
 
 use crate::separator::{PathGroup, PathSeparator, SepPath};
 
@@ -127,21 +128,19 @@ impl SeparatorStrategy for TreewidthStrategy {
     fn separate(&self, g: &Graph, component: &[NodeId]) -> PathSeparator {
         let mask = NodeMask::from_nodes(g.num_nodes(), component.iter().copied());
         let view = SubgraphView::new(g, &mask);
-        let dec = min_degree_decomposition(&view);
-        let c = center_bag(&view, &dec);
-        let paths: Vec<SepPath> = dec
-            .bag(c)
-            .iter()
-            .copied()
-            .filter(|&v| mask.contains(v))
-            .map(SepPath::singleton)
-            .collect();
-        PathSeparator::strong(paths)
+        center_bag_separator(&view, &min_degree_decomposition(&view))
     }
 
     fn name(&self) -> &'static str {
         "treewidth-center-bag"
     }
+}
+
+/// The strong separator of Lemma 1: the center bag of `dec`, a
+/// decomposition of `view`, with each bag vertex as a trivial path.
+fn center_bag_separator(view: &SubgraphView<'_>, dec: &TreeDecomposition) -> PathSeparator {
+    let c = center_bag(view, dec);
+    PathSeparator::strong(dec.bag(c).iter().copied().map(SepPath::singleton).collect())
 }
 
 /// Strong ≤3-root-path separator in the style of Thorup (guaranteed on
@@ -298,10 +297,15 @@ impl SeparatorStrategy for IterativeStrategy {
 /// * heuristic treewidth ≤ `max_width` (on components up to
 ///   `width_probe_limit` vertices) → [`TreewidthStrategy`];
 /// * otherwise → [`IterativeStrategy`].
+///
+/// The width probe is a min-degree elimination under the budget
+/// `max_width` ([`min_degree_decomposition_within`]): it stops at the
+/// first pick of degree above `max_width`, so a component that is too
+/// wide costs only the part of the elimination before that pick.
 #[derive(Clone, Debug)]
 pub struct AutoStrategy {
     /// Use the center-bag separator when the heuristic width is at most
-    /// this bound.
+    /// this bound; also the budget the width probe stops at.
     pub max_width: usize,
     /// Skip the width probe on components larger than this.
     pub width_probe_limit: usize,
@@ -334,18 +338,9 @@ impl SeparatorStrategy for AutoStrategy {
             return TreeCenterStrategy.separate(g, component);
         }
         if n <= self.width_probe_limit {
-            let dec = min_degree_decomposition(&view);
-            if dec.width() <= self.max_width {
+            if let Some(dec) = min_degree_decomposition_within(&view, self.max_width) {
                 psep_obs::counter!("core.strategy.auto.center_bag").incr();
-                let c = center_bag(&view, &dec);
-                let paths: Vec<SepPath> = dec
-                    .bag(c)
-                    .iter()
-                    .copied()
-                    .filter(|&v| mask.contains(v))
-                    .map(SepPath::singleton)
-                    .collect();
-                return PathSeparator::strong(paths);
+                return center_bag_separator(&view, &dec);
             }
         }
         psep_obs::counter!("core.strategy.auto.iterative").incr();

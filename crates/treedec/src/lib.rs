@@ -30,7 +30,9 @@ pub mod vortexpath;
 pub use center::center_bag;
 pub use cliqueweight::CliqueWeight;
 pub use decomposition::TreeDecomposition;
-pub use elimination::{min_degree_decomposition, min_fill_decomposition};
+pub use elimination::{
+    min_degree_decomposition, min_degree_decomposition_within, min_fill_decomposition,
+};
 pub use exact::{exact_decomposition, exact_treewidth, treewidth_lower_bound};
 pub use pathdec::{PathDecomposition, Vortex};
 pub use vortexpath::VortexPath;
