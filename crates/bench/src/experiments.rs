@@ -15,6 +15,7 @@ use psep_graph::generators::{grids, ktree, randomize_weights, special};
 use psep_graph::graph::NodeId;
 use psep_graph::metrics::aspect_ratio_estimate;
 use psep_oracle::oracle::{build_oracle, OracleParams};
+use psep_routing::wire::{decode_tables, encode_tables};
 use psep_routing::{OracleGreedyRouter, Router, RoutingTables};
 use psep_smallworld::baselines::{KleinbergGrid, UniformAugmentation};
 use psep_smallworld::sim::{ContactRule, GreedySim};
@@ -671,16 +672,12 @@ pub fn e6t_routing_serving(families: &[Family], n: usize, pair_count: usize) -> 
 
         // every thread count must serialize to the sequential build's
         // exact psep-routing/v1 bytes, and the round-trip is bit-exact
-        let mut bytes = Vec::new();
-        tables.save(&mut bytes).expect("writing to a Vec");
+        let bytes = encode_tables(tables.flat());
         for threads in [2usize, 4] {
-            let mut par_bytes = Vec::new();
-            RoutingTables::build_with(&g, &tree, threads)
-                .save(&mut par_bytes)
-                .expect("writing to a Vec");
+            let par_bytes = encode_tables(RoutingTables::build_with(&g, &tree, threads).flat());
             assert_eq!(par_bytes, bytes, "parallel build diverged at t={threads}");
         }
-        let loaded = RoutingTables::load(&bytes[..]).expect("own artifact decodes");
+        let loaded = RoutingTables::from_flat(decode_tables(&bytes).expect("own artifact decodes"));
         assert!(loaded == tables, "wire round-trip is not bit-exact");
 
         let bytes_per_vertex = bytes.len() as f64 / nn as f64;

@@ -389,14 +389,13 @@ pub fn run_against(
     out
 }
 
-/// Measures cold-start time-to-first-response for the same service
-/// shipped three ways: a zero-copy v2 map, an owned v2 load, and an
-/// owned v1 load. Each clock covers open-to-first-answer (validate /
-/// decode, then one distance query), the number a restarting replica
-/// cares about. Reported as `serve.loadgen.coldstart.*_ns` gauges.
-fn measure_cold_start(svc: &LocationService, pair: (NodeId, NodeId)) -> (u64, u64, u64) {
+/// Measures cold-start time-to-first-response for the same v2 bundle
+/// opened two ways: a zero-copy map and an owned load. Each clock covers
+/// open-to-first-answer (validate / decode, then one distance query),
+/// the number a restarting replica cares about. Reported as
+/// `serve.loadgen.coldstart.*_ns` gauges.
+fn measure_cold_start(svc: &LocationService, pair: (NodeId, NodeId)) -> (u64, u64) {
     let v2 = svc.to_bytes();
-    let v1 = svc.to_bytes_v1();
     let buf = path_separators::core::wire::AlignedBytes::from_slice(&v2);
     let expected = svc.query(pair.0, pair.1);
 
@@ -425,17 +424,12 @@ fn measure_cold_start(svc: &LocationService, pair: (NodeId, NodeId)) -> (u64, u6
         let loaded = LocationService::from_bytes(&v2).expect("loading own v2 bytes");
         assert_eq!(loaded.query(pair.0, pair.1), expected);
     });
-    let load_v1_ns = best(&|| {
-        let legacy = LocationService::from_bytes(&v1).expect("loading own v1 bytes");
-        assert_eq!(legacy.query(pair.0, pair.1), expected);
-    });
 
     if psep_obs::enabled() {
         psep_obs::gauge!("serve.loadgen.coldstart.map_v2_ns").set(map_v2_ns as f64);
         psep_obs::gauge!("serve.loadgen.coldstart.load_v2_ns").set(load_v2_ns as f64);
-        psep_obs::gauge!("serve.loadgen.coldstart.load_v1_ns").set(load_v1_ns as f64);
     }
-    (map_v2_ns, load_v2_ns, load_v1_ns)
+    (map_v2_ns, load_v2_ns)
 }
 
 /// Builds `family`/`n`, spawns a real daemon on an ephemeral loopback
@@ -470,13 +464,12 @@ pub fn self_contained(
         cfg.skew,
     );
     let pair = random_pairs(num_nodes, 1, cfg.seed)[0];
-    let (map_v2_ns, load_v2_ns, load_v1_ns) = measure_cold_start(&svc, pair);
+    let (map_v2_ns, load_v2_ns) = measure_cold_start(&svc, pair);
     let _ = writeln!(
         out,
-        "cold start to first response: v2 map {:.1} µs · v2 load {:.1} µs · v1 load {:.1} µs\n",
+        "cold start to first response: v2 map {:.1} µs · v2 load {:.1} µs\n",
         map_v2_ns as f64 / 1e3,
         load_v2_ns as f64 / 1e3,
-        load_v1_ns as f64 / 1e3,
     );
     out.push_str(&run_against(addr, Some(&svc), num_nodes, cfg));
     handle.shutdown();

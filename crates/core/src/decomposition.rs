@@ -635,30 +635,6 @@ impl DecompositionTree {
             removal_group,
         })
     }
-
-    /// Writes the tree as one `psep-tree/v1` artifact.
-    pub fn save<W: std::io::Write>(&self, mut w: W) -> Result<(), WireError> {
-        w.write_all(&self.encode())?;
-        Ok(())
-    }
-
-    /// Reads a `psep-tree/v1` artifact back, verifying magic, version,
-    /// checksum, and structure.
-    pub fn load<R: std::io::Read>(mut r: R) -> Result<Self, WireError> {
-        let mut data = Vec::new();
-        r.read_to_end(&mut data)?;
-        Self::decode(&data)
-    }
-
-    /// [`Self::save`] to a filesystem path.
-    pub fn save_to_path<P: AsRef<std::path::Path>>(&self, path: P) -> Result<(), WireError> {
-        self.save(std::io::BufWriter::new(std::fs::File::create(path)?))
-    }
-
-    /// [`Self::load`] from a filesystem path.
-    pub fn load_from_path<P: AsRef<std::path::Path>>(path: P) -> Result<Self, WireError> {
-        Self::load(std::io::BufReader::new(std::fs::File::open(path)?))
-    }
 }
 
 /// Expands one component: computes its separator and the connected
@@ -823,10 +799,10 @@ mod tests {
         ];
         for g in cases {
             let t = DecompositionTree::build(&g, &AutoStrategy::default());
-            let mut buf = Vec::new();
-            t.save(&mut buf).unwrap();
-            let back = DecompositionTree::load(&buf[..]).unwrap();
+            let buf = t.encode();
+            let back = DecompositionTree::decode(&buf).unwrap();
             assert_eq!(back, t);
+            assert_eq!(back.encode(), buf);
             check_tree(&g, &back).unwrap();
         }
     }

@@ -7,6 +7,10 @@
 //! psep-inspect diff <base.json> <fresh.json> [--threshold 0.3] [--quantile-factor 4.0] [--json]
 //! ```
 //!
+//! `upgrade` rewrites a `psep-bundle/v2` with delta-coded label and
+//! table sections (`--compress`) or raw zero-copy ones (`--raw`, the
+//! default); the answers are bit-identical either way.
+//!
 //! Exit codes: `0` success / clean diff, `1` regression detected (diff
 //! only), `2` usage or parse error.
 
@@ -25,6 +29,7 @@ fn main() {
             eprintln!(
                 "usage: psep-inspect bundle <path> [--json]\n\
                  \x20      psep-inspect upgrade <in-bundle> <out-bundle> [--compress|--raw]\n\
+                 \x20          (rewrite a v2 bundle with delta or raw label/table sections)\n\
                  \x20      psep-inspect report <path> [--json]\n\
                  \x20      psep-inspect diff <base.json> <fresh.json> \
                  [--threshold X] [--quantile-factor Y] [--json]"
@@ -93,7 +98,7 @@ fn cmd_upgrade(args: &[String]) -> i32 {
         Ok(d) => d,
         Err(e) => return usage_err(&format!("cannot read {input}: {e}")),
     };
-    let (version, upgraded) = match upgrade_bundle(&data, compress) {
+    let upgraded = match upgrade_bundle(&data, compress) {
         Ok(out) => out,
         Err(e) => return usage_err(&format!("{input}: {e}")),
     };
@@ -101,7 +106,7 @@ fn cmd_upgrade(args: &[String]) -> i32 {
         return usage_err(&format!("cannot write {output}: {e}"));
     }
     println!(
-        "upgraded {input} (v{version}, {} bytes) -> {output} (v2 {}, {} bytes)",
+        "rewrote {input} ({} bytes) -> {output} (v2 {}, {} bytes)",
         data.len(),
         if compress { "delta" } else { "raw" },
         upgraded.len()

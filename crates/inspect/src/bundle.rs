@@ -1,8 +1,8 @@
-//! Inspection of sealed `psep-bundle` artifacts (v1 and v2).
+//! Inspection of sealed `psep-bundle/v2` artifacts.
 //!
 //! Walks the envelope without deserializing (section sizes and
 //! per-section CRCs via [`bundle_sections`]), probes the zero-copy
-//! storage mode of a v2 bundle, then loads the bundle through
+//! storage mode of the bundle, then loads the bundle through
 //! [`LocationService::from_bytes`] — which re-validates every inner
 //! format — and summarizes per-vertex label and routing-table entry
 //! counts as [`HistogramStat`]s.
@@ -58,7 +58,8 @@ pub struct BundleStats {
     /// Total artifact size in bytes (envelope included).
     pub total_bytes: usize,
     /// `"borrowed"` when an aligned map of this bundle serves the
-    /// arenas zero-copy (v2 on little-endian); `"owned"` otherwise.
+    /// arenas zero-copy (raw sections on little-endian); `"owned"`
+    /// otherwise.
     pub storage: &'static str,
     /// Per-section sizes and checksums, wire order.
     pub sections: Vec<SectionStat>,
@@ -124,11 +125,10 @@ impl BundleStats {
             svc.oracle().flat_labels(),
             svc.oracle().epsilon(),
         );
-        let mut delta_labels = Vec::new();
-        svc.oracle().save(&mut delta_labels).unwrap();
+        let delta_labels =
+            psep_oracle::wire::encode_labels(svc.oracle().flat_labels(), svc.oracle().epsilon());
         let flat_tables = psep_routing::wire::encode_tables_flat(svc.router().tables().flat());
-        let mut delta_tables = Vec::new();
-        svc.router().tables().save(&mut delta_tables).unwrap();
+        let delta_tables = psep_routing::wire::encode_tables(svc.router().tables().flat());
         let compression = vec![
             CompressionStat {
                 name: "labels",
@@ -256,24 +256,19 @@ impl BundleStats {
     }
 }
 
-/// Rewrites a bundle as `psep-bundle/v2`, returning `(version_before,
-/// bytes_after)`; the backing logic of `psep-inspect upgrade`. With
-/// `compress` the label and table sections are written varint/delta
-/// coded, otherwise in the raw zero-copy column layout — converting
-/// between the two forms either way. The rewritten bundle answers
-/// bit-identically to the input (same graph, tree, labels, and tables —
-/// only the container changes).
-pub fn upgrade_bundle(data: &[u8], compress: bool) -> Result<(u64, Vec<u8>), String> {
-    let (version, _) = bundle_sections(data).map_err(|e| e.to_string())?;
+/// Rewrites a bundle with delta-coded label and table sections
+/// (`compress`) or raw zero-copy ones; the backing logic of
+/// `psep-inspect upgrade`. Both encodings are canonical, so the output
+/// answers bit-identically to the input (same graph, tree, labels, and
+/// tables — only the section encoding changes) and rewriting a bundle in
+/// its own encoding is the identity.
+pub fn upgrade_bundle(data: &[u8], compress: bool) -> Result<Vec<u8>, String> {
     let svc = LocationService::from_bytes(data).map_err(|e| e.to_string())?;
-    Ok((
-        version,
-        if compress {
-            svc.to_bytes_compressed()
-        } else {
-            svc.to_bytes()
-        },
-    ))
+    Ok(if compress {
+        svc.to_bytes_compressed()
+    } else {
+        svc.to_bytes()
+    })
 }
 
 #[cfg(test)]
@@ -307,22 +302,13 @@ mod tests {
     }
 
     #[test]
-    fn v1_bundles_report_owned_storage() {
+    fn delta_bundles_report_owned_storage() {
         let g = grids::grid2d(5, 5, 1);
         let svc = LocationService::build(&g, ServiceParams::default());
-        let stats = BundleStats::from_bytes(&svc.to_bytes_v1()).unwrap();
-        assert_eq!(stats.version, 1);
+        let stats = BundleStats::from_bytes(&svc.to_bytes_compressed()).unwrap();
+        assert_eq!(stats.version, BUNDLE_VERSION);
         assert_eq!(stats.storage, "owned");
         assert_eq!(stats.num_nodes, 25);
-    }
-
-    #[test]
-    fn upgrade_rewrites_v1_as_v2() {
-        let g = grids::grid2d(5, 5, 1);
-        let svc = LocationService::build(&g, ServiceParams::default());
-        let (version, upgraded) = upgrade_bundle(&svc.to_bytes_v1(), false).unwrap();
-        assert_eq!(version, 1);
-        assert_eq!(upgraded, svc.to_bytes());
     }
 
     #[test]
@@ -330,12 +316,14 @@ mod tests {
         let g = grids::grid2d(5, 5, 1);
         let svc = LocationService::build(&g, ServiceParams::default());
         let raw = svc.to_bytes();
-        let (_, compressed) = upgrade_bundle(&raw, true).unwrap();
+        let compressed = upgrade_bundle(&raw, true).unwrap();
         assert_eq!(compressed, svc.to_bytes_compressed());
         assert!(compressed.len() < raw.len());
         // ...and back, bit-identically
-        let (_, raw_again) = upgrade_bundle(&compressed, false).unwrap();
-        assert_eq!(raw_again, raw);
+        assert_eq!(upgrade_bundle(&compressed, false).unwrap(), raw);
+        // rewriting a bundle in its own encoding is the identity
+        assert_eq!(upgrade_bundle(&raw, false).unwrap(), raw);
+        assert_eq!(upgrade_bundle(&compressed, true).unwrap(), compressed);
     }
 
     #[test]

@@ -4,9 +4,9 @@
 //! Three capabilities, shared by the `psep-inspect` binary and the CI
 //! perf gate:
 //!
-//! - [`bundle`]: open a sealed `psep-bundle/v1` artifact and report
+//! - [`bundle`]: open a sealed `psep-bundle/v2` artifact and report
 //!   section sizes, per-section checksums, and per-vertex label/table
-//!   entry-count histograms.
+//!   entry-count histograms; rewrite it with raw or delta sections.
 //! - [`report`]: parse `psep-bench-report/v1` and `/v2` JSON reports
 //!   (the harness's `--json` output), including the CRC'd
 //!   `psep-metrics/v1` envelopes introduced in v2.

@@ -1,8 +1,9 @@
 //! `psep-inspect upgrade` round-trip guarantees on every graph family:
-//! upgrading a v1 bundle yields the canonical v2 encoding of the same
-//! service, upgrading a v2 bundle is the identity, and the upgraded
-//! bundle answers every query and route bit-identically to the
-//! original — the container changes, the answers must not.
+//! rewriting a bundle in its own encoding is the identity, raw ↔ delta
+//! conversion lands on the canonical encoding of the same service in
+//! both directions, and the converted bundle answers every query and
+//! route bit-identically to the original — the section encoding
+//! changes, the answers must not.
 
 use path_separators::{LocationService, ServiceParams};
 use psep_inspect::upgrade_bundle;
@@ -16,23 +17,21 @@ fn upgrade_is_canonical_and_bit_identity_preserving_on_every_family() {
     for fam in ALL_FAMILIES {
         let g = fam.make(80, SEED);
         let svc = LocationService::build(&g, ServiceParams::default());
-        let v1 = svc.to_bytes_v1();
-        let v2 = svc.to_bytes();
+        let raw = svc.to_bytes();
 
-        // v1 -> v2 lands on the canonical encoding.
-        let (version, upgraded) = upgrade_bundle(&v1, false).unwrap_or_else(|e| {
+        // raw -> raw is the identity.
+        let again = upgrade_bundle(&raw, false).unwrap_or_else(|e| {
             panic!("{}: upgrade failed: {e}", fam.name());
         });
-        assert_eq!(version, 1, "{}", fam.name());
-        assert_eq!(upgraded, v2, "{}: upgrade is not canonical", fam.name());
+        assert_eq!(
+            again,
+            raw,
+            "{}: raw rewrite is not the identity",
+            fam.name()
+        );
 
-        // v2 -> v2 is the identity.
-        let (version, again) = upgrade_bundle(&v2, false).unwrap();
-        assert_eq!(version, 2, "{}", fam.name());
-        assert_eq!(again, v2, "{}: v2 upgrade is not the identity", fam.name());
-
-        // raw -> compressed -> raw round-trips losslessly and shrinks.
-        let (_, compressed) = upgrade_bundle(&v2, true).unwrap();
+        // raw -> delta lands on the canonical delta encoding and shrinks.
+        let compressed = upgrade_bundle(&raw, true).unwrap();
         assert_eq!(
             compressed,
             svc.to_bytes_compressed(),
@@ -40,22 +39,28 @@ fn upgrade_is_canonical_and_bit_identity_preserving_on_every_family() {
             fam.name()
         );
         assert!(
-            compressed.len() < v2.len(),
+            compressed.len() < raw.len(),
             "{}: compressed {} >= raw {}",
             fam.name(),
             compressed.len(),
-            v2.len()
+            raw.len()
         );
-        let (_, raw_again) = upgrade_bundle(&compressed, false).unwrap();
+        // delta -> delta is the identity, delta -> raw is lossless.
         assert_eq!(
-            raw_again,
-            v2,
+            upgrade_bundle(&compressed, true).unwrap(),
+            compressed,
+            "{}: delta rewrite is not the identity",
+            fam.name()
+        );
+        assert_eq!(
+            upgrade_bundle(&compressed, false).unwrap(),
+            raw,
             "{}: compressed round-trip is lossy",
             fam.name()
         );
 
-        // Same answers out of the upgraded container.
-        let back = LocationService::from_bytes(&upgraded).unwrap();
+        // Same answers out of the converted container.
+        let back = LocationService::from_bytes(&compressed).unwrap();
         let pairs = random_pairs(svc.num_nodes(), 200, SEED ^ 3);
         assert_eq!(
             svc.query_many(&pairs),

@@ -22,8 +22,6 @@ pub enum Error {
     /// A wire-format decode failure (bad magic, checksum mismatch,
     /// truncation, or a structurally invalid payload).
     Wire(WireError),
-    /// An I/O failure while reading or writing a wire artifact.
-    Io(std::io::Error),
 }
 
 impl Error {
@@ -46,7 +44,6 @@ impl std::fmt::Display for Error {
                 write!(f, "epsilon must be positive and finite, got {eps}")
             }
             Error::Wire(e) => write!(f, "wire format: {e}"),
-            Error::Io(e) => write!(f, "i/o: {e}"),
         }
     }
 }
@@ -55,7 +52,6 @@ impl std::error::Error for Error {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             Error::Wire(e) => Some(e),
-            Error::Io(e) => Some(e),
             _ => None,
         }
     }
@@ -64,11 +60,5 @@ impl std::error::Error for Error {
 impl From<WireError> for Error {
     fn from(e: WireError) -> Self {
         Error::Wire(e)
-    }
-}
-
-impl From<std::io::Error> for Error {
-    fn from(e: std::io::Error) -> Self {
-        Error::Io(e)
     }
 }

@@ -16,14 +16,13 @@
 //!
 //! so the merge-join of a query walks two contiguous key slices and the
 //! portal arena linearly. Construction is one pass and queries borrow
-//! [`LabelRef`] views; [`FlatLabels::to_labels`] converts back whenever
-//! the nested form is wanted (round-trips exactly).
+//! [`LabelRef`] views; the nested form is only ever an input.
 
 use psep_core::wire::ArenaStorage;
 use psep_graph::graph::{NodeId, Weight, INFINITY};
 
 use crate::error::Error;
-use crate::label::{unpack_key, DistanceLabel, LabelEntry, LabelStats, PortalEntry};
+use crate::label::{DistanceLabel, LabelStats, PortalEntry};
 
 /// All labels of one oracle in contiguous CSR-style arrays.
 ///
@@ -164,30 +163,6 @@ impl<'a> FlatLabels<'a> {
             portals,
             min_portal_dist,
         })
-    }
-
-    /// Expands back to the nested per-vertex representation
-    /// (`from_labels(&flat.to_labels()) == flat`).
-    pub fn to_labels(&self) -> Vec<DistanceLabel> {
-        (0..self.num_labels())
-            .map(|v| {
-                let r = self.label(NodeId::from_index(v));
-                DistanceLabel {
-                    entries: r
-                        .entries()
-                        .map(|(key, portals)| {
-                            let (node, group, path) = unpack_key(key);
-                            LabelEntry {
-                                node,
-                                group,
-                                path,
-                                portals: portals.to_vec(),
-                            }
-                        })
-                        .collect(),
-                }
-            })
-            .collect()
     }
 
     /// Number of labels (vertices).
@@ -382,7 +357,7 @@ impl<'a> LabelRef<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::label::build_labels;
+    use crate::label::{build_labels, unpack_key};
     use psep_core::strategy::AutoStrategy;
     use psep_core::DecompositionTree;
     use psep_graph::generators::grids;
@@ -394,17 +369,20 @@ mod tests {
     }
 
     #[test]
-    fn roundtrip_grid_labels() {
+    fn flattening_grid_labels_keeps_every_count() {
         let labels = grid_labels();
         let flat = FlatLabels::from_labels(&labels);
         assert_eq!(flat.num_labels(), labels.len());
         assert_eq!(
+            flat.num_entries(),
+            labels.iter().map(|l| l.num_entries()).sum::<usize>()
+        );
+        assert_eq!(
             flat.num_portals(),
             labels.iter().map(|l| l.size()).sum::<usize>()
         );
-        assert_eq!(flat.to_labels(), labels);
-        // and converting again is bit-identical
-        assert_eq!(FlatLabels::from_labels(&flat.to_labels()), flat);
+        // and flattening is deterministic
+        assert_eq!(FlatLabels::from_labels(&labels), flat);
     }
 
     #[test]
@@ -428,6 +406,7 @@ mod tests {
             assert_eq!(r.size(), label.size());
             for ((key, portals), entry) in r.entries().zip(&label.entries) {
                 assert_eq!(key, entry.packed_key());
+                assert_eq!(unpack_key(key), (entry.node, entry.group, entry.path));
                 assert_eq!(portals, entry.portals.as_slice());
                 assert_eq!(r.portals_for(key), Some(entry.portals.as_slice()));
             }
@@ -474,6 +453,6 @@ mod tests {
         assert_eq!(flat.num_labels(), 2);
         assert_eq!(flat.num_entries(), 0);
         assert_eq!(flat.label(NodeId(1)).entries().count(), 0);
-        assert_eq!(flat.to_labels().len(), 2);
+        assert_eq!(flat.num_portals(), 0);
     }
 }

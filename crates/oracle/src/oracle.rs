@@ -209,12 +209,6 @@ impl<'a> DistanceOracle<'a> {
         }
     }
 
-    /// The labels in nested per-vertex form (materialized; the oracle
-    /// itself stores only the flat arena).
-    pub fn to_labels(&self) -> Vec<DistanceLabel> {
-        self.flat.to_labels()
-    }
-
     /// Number of vertices the oracle covers.
     pub fn num_nodes(&self) -> usize {
         self.flat.num_labels()
@@ -628,6 +622,12 @@ mod tests {
         )
     }
 
+    /// The builder's nested labels behind [`build`]'s oracle.
+    fn nested_labels(g: &Graph, eps: f64) -> Vec<DistanceLabel> {
+        let tree = DecompositionTree::build(g, &AutoStrategy::default());
+        build_labels(g, &tree, eps, 1)
+    }
+
     #[test]
     fn exact_on_identical_vertices() {
         let g = grids::grid2d(4, 4, 1);
@@ -730,7 +730,7 @@ mod tests {
     fn explain_agrees_with_query_and_decomposes_the_estimate() {
         let g = grids::grid2d(6, 6, 1);
         let o = build(&g, 0.25);
-        let labels = o.to_labels();
+        let labels = nested_labels(&g, 0.25);
         for u in g.nodes() {
             for v in g.nodes() {
                 if u == v {
@@ -755,7 +755,7 @@ mod tests {
     fn space_accounting() {
         let g = grids::grid2d(6, 6, 1);
         let o = build(&g, 0.25);
-        let total: usize = o.to_labels().iter().map(|l| l.size()).sum();
+        let total: usize = nested_labels(&g, 0.25).iter().map(|l| l.size()).sum();
         assert_eq!(o.space_entries(), total);
         assert!(total > 0);
     }

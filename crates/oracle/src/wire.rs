@@ -29,15 +29,12 @@
 //! payload, and every structural invariant after; corrupt input yields
 //! an [`Error`], never a panic.
 
-use std::io::{Read, Write};
-
 use psep_core::wire::{put_varint, put_zigzag, seal, unseal, Cursor, WireError};
 use psep_graph::graph::Weight;
 
 use crate::error::Error;
 use crate::flat::FlatLabels;
 use crate::label::PortalEntry;
-use crate::oracle::DistanceOracle;
 
 /// Magic bytes of a `psep-labels` artifact.
 pub const LABELS_MAGIC: &[u8; 8] = b"PSEPLABL";
@@ -268,38 +265,10 @@ pub fn decode_labels_flat(bytes: &[u8]) -> Result<(FlatLabels<'_>, f64), Error> 
     Ok((flat, epsilon))
 }
 
-impl DistanceOracle<'_> {
-    /// Writes the oracle as one `psep-labels/v1` artifact.
-    pub fn save<W: Write>(&self, mut w: W) -> Result<(), Error> {
-        w.write_all(&encode_labels(self.flat_labels(), self.epsilon()))?;
-        Ok(())
-    }
-
-    /// Reads a `psep-labels/v1` artifact back into a serving oracle,
-    /// verifying magic, version, checksum, and structure.
-    pub fn load<R: Read>(mut r: R) -> Result<DistanceOracle<'static>, Error> {
-        let mut data = Vec::new();
-        r.read_to_end(&mut data)?;
-        let (flat, epsilon) = decode_labels(&data)?;
-        Ok(DistanceOracle::from_flat(flat, epsilon))
-    }
-
-    /// [`Self::save`] to a filesystem path.
-    pub fn save_to_path<P: AsRef<std::path::Path>>(&self, path: P) -> Result<(), Error> {
-        self.save(std::io::BufWriter::new(std::fs::File::create(path)?))
-    }
-
-    /// [`Self::load`] from a filesystem path.
-    pub fn load_from_path<P: AsRef<std::path::Path>>(
-        path: P,
-    ) -> Result<DistanceOracle<'static>, Error> {
-        DistanceOracle::load(std::io::BufReader::new(std::fs::File::open(path)?))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::oracle::DistanceOracle;
     use psep_core::strategy::AutoStrategy;
     use psep_core::DecompositionTree;
     use psep_graph::generators::grids;
@@ -312,13 +281,15 @@ mod tests {
     }
 
     #[test]
-    fn save_load_is_bit_exact() {
+    fn encode_decode_is_bit_exact() {
         let o = grid_oracle();
-        let mut buf = Vec::new();
-        o.save(&mut buf).unwrap();
-        let back = DistanceOracle::load(&buf[..]).unwrap();
+        let buf = encode_labels(o.flat_labels(), o.epsilon());
+        let (flat, epsilon) = decode_labels(&buf).unwrap();
+        let back = DistanceOracle::from_flat(flat, epsilon);
         assert_eq!(back.flat_labels(), o.flat_labels());
         assert_eq!(back.epsilon(), o.epsilon());
+        // re-encoding is byte-identical
+        assert_eq!(encode_labels(back.flat_labels(), back.epsilon()), buf);
         for u in 0..36u32 {
             for v in 0..36u32 {
                 assert_eq!(
@@ -344,14 +315,13 @@ mod tests {
     #[test]
     fn corrupted_byte_is_rejected_by_checksum() {
         let o = grid_oracle();
-        let mut buf = Vec::new();
-        o.save(&mut buf).unwrap();
+        let buf = encode_labels(o.flat_labels(), o.epsilon());
         for at in [9usize, buf.len() / 2, buf.len() - 5] {
             let mut bad = buf.clone();
             bad[at] ^= 0x01;
             assert!(
                 matches!(
-                    DistanceOracle::load(&bad[..]),
+                    decode_labels(&bad[..]),
                     Err(Error::Wire(WireError::ChecksumMismatch { .. }))
                 ),
                 "flip at {at} not rejected"
@@ -362,20 +332,19 @@ mod tests {
     #[test]
     fn truncation_bad_magic_and_version_are_rejected() {
         let o = grid_oracle();
-        let mut buf = Vec::new();
-        o.save(&mut buf).unwrap();
+        let buf = encode_labels(o.flat_labels(), o.epsilon());
         assert!(matches!(
-            DistanceOracle::load(&buf[..buf.len() - 1]),
+            decode_labels(&buf[..buf.len() - 1]),
             Err(Error::Wire(WireError::ChecksumMismatch { .. }))
         ));
         assert!(matches!(
-            DistanceOracle::load(&buf[..6]),
+            decode_labels(&buf[..6]),
             Err(Error::Wire(WireError::Truncated))
         ));
         let mut wrong_magic = buf.clone();
         wrong_magic[0] = b'X';
         assert!(matches!(
-            DistanceOracle::load(&wrong_magic[..]),
+            decode_labels(&wrong_magic[..]),
             Err(Error::Wire(WireError::BadMagic { .. }))
         ));
         // version bump with a re-sealed checksum → unsupported version
@@ -383,7 +352,7 @@ mod tests {
         payload[0] = 2;
         let resealed = seal(LABELS_MAGIC, &payload);
         assert!(matches!(
-            DistanceOracle::load(&resealed[..]),
+            decode_labels(&resealed[..]),
             Err(Error::Wire(WireError::UnsupportedVersion(2)))
         ));
     }
@@ -449,6 +418,6 @@ mod tests {
         put_varint(&mut payload, 0); // P = 0
         put_varint(&mut payload, 2); // … but vertex 0 claims 2 entries
         let sealed = seal(LABELS_MAGIC, &payload);
-        assert!(DistanceOracle::load(&sealed[..]).is_err());
+        assert!(decode_labels(&sealed[..]).is_err());
     }
 }

@@ -7,6 +7,7 @@ use psep_core::DecompositionTree;
 use psep_graph::generators::grids;
 use psep_oracle::label::build_labels;
 use psep_oracle::oracle::DistanceOracle;
+use psep_oracle::wire::{decode_labels, encode_labels};
 
 #[test]
 fn labels_roundtrip_through_serde() {
@@ -42,11 +43,16 @@ fn binary_wire_lifecycle_through_the_filesystem() {
     let labels_path = dir.join("grid.psep-labels");
     let tree_path = dir.join("grid.psep-tree");
 
-    oracle.save_to_path(&labels_path).unwrap();
-    tree.save_to_path(&tree_path).unwrap();
+    std::fs::write(
+        &labels_path,
+        encode_labels(oracle.flat_labels(), oracle.epsilon()),
+    )
+    .unwrap();
+    std::fs::write(&tree_path, tree.encode()).unwrap();
 
-    let oracle2 = DistanceOracle::load_from_path(&labels_path).unwrap();
-    let tree2 = DecompositionTree::load_from_path(&tree_path).unwrap();
+    let (flat, epsilon) = decode_labels(&std::fs::read(&labels_path).unwrap()).unwrap();
+    let oracle2 = DistanceOracle::from_flat(flat, epsilon);
+    let tree2 = DecompositionTree::decode(&std::fs::read(&tree_path).unwrap()).unwrap();
     assert_eq!(tree2, tree);
     assert_eq!(oracle2.epsilon(), oracle.epsilon());
     for u in g.nodes() {
@@ -68,8 +74,7 @@ fn wire_is_denser_than_json() {
     let labels = build_labels(&g, &tree, 0.25, 1);
     let json = serde_json::to_string(&labels).unwrap();
     let oracle = DistanceOracle::from_labels(labels, 0.25);
-    let mut wire = Vec::new();
-    oracle.save(&mut wire).unwrap();
+    let wire = encode_labels(oracle.flat_labels(), oracle.epsilon());
     assert!(
         wire.len() * 4 < json.len(),
         "wire {} not ≪ json {}",

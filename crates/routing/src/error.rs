@@ -20,8 +20,6 @@ pub enum Error {
     /// A wire-format decode failure (bad magic, checksum mismatch,
     /// truncation, or a structurally invalid payload).
     Wire(WireError),
-    /// An I/O failure while reading or writing a wire artifact.
-    Io(std::io::Error),
 }
 
 impl Error {
@@ -41,7 +39,6 @@ impl std::fmt::Display for Error {
                 )
             }
             Error::Wire(e) => write!(f, "wire format: {e}"),
-            Error::Io(e) => write!(f, "i/o: {e}"),
         }
     }
 }
@@ -50,7 +47,6 @@ impl std::error::Error for Error {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             Error::Wire(e) => Some(e),
-            Error::Io(e) => Some(e),
             _ => None,
         }
     }
@@ -59,11 +55,5 @@ impl std::error::Error for Error {
 impl From<WireError> for Error {
     fn from(e: WireError) -> Self {
         Error::Wire(e)
-    }
-}
-
-impl From<std::io::Error> for Error {
-    fn from(e: std::io::Error) -> Self {
-        Error::Io(e)
     }
 }

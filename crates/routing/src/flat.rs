@@ -20,9 +20,7 @@
 //! from an aligned `psep-bundle/v2` section. [`EntryRecord`] is a
 //! plain-old-data struct whose in-memory layout equals its wire layout,
 //! so a mapped tables section is served without touching a single
-//! entry. Lookups borrow [`TableRef`]/[`EntryRef`] views;
-//! [`FlatTables::to_nested`] converts back whenever the nested exchange
-//! form is wanted (round-trips exactly).
+//! entry. Lookups borrow [`TableRef`]/[`EntryRef`] views.
 
 use psep_core::wire::ArenaStorage;
 use psep_graph::graph::{NodeId, Weight};
@@ -30,7 +28,6 @@ use psep_oracle::label::{pack_key, unpack_key};
 
 use crate::error::Error;
 use crate::tables::{OnPathInfo, PathInfo, RouteKey};
-use std::collections::BTreeMap;
 
 /// Sentinel for "no vertex" in an [`EntryRecord`] id field.
 pub(crate) const NO_NODE: u32 = u32::MAX;
@@ -188,36 +185,6 @@ impl<'a> FlatTables<'a> {
             child_start: child_start.into(),
             children: children.into(),
         }
-    }
-
-    /// Flattens the nested per-vertex representation.
-    pub fn from_nested(per_vertex: &[BTreeMap<RouteKey, PathInfo>]) -> Self {
-        FlatTables::from_vertex_lists(
-            per_vertex
-                .iter()
-                .map(|table| {
-                    table
-                        .iter()
-                        .map(|(&(node, group, path), info)| {
-                            (pack_key(node, group, path), info.clone())
-                        })
-                        .collect()
-                })
-                .collect(),
-        )
-    }
-
-    /// Expands back to the nested per-vertex representation
-    /// (`from_nested(&flat.to_nested()) == flat`).
-    pub fn to_nested(&self) -> Vec<BTreeMap<RouteKey, PathInfo>> {
-        (0..self.num_nodes())
-            .map(|v| {
-                self.table(NodeId::from_index(v))
-                    .entries()
-                    .map(|(key, e)| (key, e.to_info()))
-                    .collect()
-            })
-            .collect()
     }
 
     /// Assembles an arena directly from its five owned arrays — the
@@ -539,27 +506,11 @@ mod tests {
     }
 
     #[test]
-    fn nested_roundtrip_is_exact() {
-        let tables = grid_tables();
-        let nested = tables.flat().to_nested();
-        assert_eq!(&FlatTables::from_nested(&nested), tables.flat());
-        // and the views match the nested maps entry for entry
-        for (v, table) in nested.iter().enumerate() {
-            let r = tables.flat().table(NodeId::from_index(v));
-            assert_eq!(r.len(), table.len());
-            for ((key, entry), (&nkey, ninfo)) in r.entries().zip(table.iter()) {
-                assert_eq!(key, nkey);
-                assert_eq!(&entry.to_info(), ninfo);
-                assert_eq!(entry.children(), ninfo.children.as_slice());
-            }
-        }
-    }
-
-    #[test]
     fn record_roundtrips_path_info() {
-        let tables = grid_tables();
-        for nested in tables.flat().to_nested() {
-            for info in nested.values() {
+        let g = grids::grid2d(6, 6, 1);
+        let tree = DecompositionTree::build(&g, &AutoStrategy::default());
+        for list in crate::tables::vertex_lists(&g, &tree, 1) {
+            for (_, info) in &list {
                 let rec = EntryRecord::from_info(info);
                 assert_eq!(rec.parent(), info.parent);
                 assert_eq!(rec.on_path(), info.on_path);

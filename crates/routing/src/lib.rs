@@ -29,8 +29,8 @@
 //! ([`greedy::OracleGreedyRouter`]) is included for comparison.
 //!
 //! The crate has the same serving shape as `psep-oracle`: tables live
-//! in a CSR-style [`FlatTables`] arena, persist as checksummed
-//! `psep-routing/v1` artifacts ([`RoutingTables::save`]/`load`), build
+//! in a CSR-style [`FlatTables`] arena, encode as a bundle's tables
+//! section ([`wire`]: raw columns or checksummed `psep-routing/v1`), build
 //! in parallel bit-identically at every thread count, answer batch
 //! requests via [`Router::route_many`], and reject bad input through
 //! typed [`Error`]s ([`Router::try_route`]) instead of panicking.

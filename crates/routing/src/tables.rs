@@ -1,8 +1,6 @@
 //! Routing tables and routing labels.
 //!
-//! Tables live in a [`FlatTables`] CSR-style arena (see [`crate::flat`]);
-//! the nested `BTreeMap` form remains available as an exchange type via
-//! [`RoutingTables::to_nested`]/[`RoutingTables::from_nested`].
+//! Tables live in a [`FlatTables`] CSR-style arena (see [`crate::flat`]).
 //! Construction fans out across a [`ShardedRunner`] — one task per
 //! `(node, group)` of the decomposition, one multi-source Dijkstra per
 //! path regardless of thread count — and merges task results in input
@@ -43,8 +41,8 @@ pub struct OnPathInfo {
 }
 
 /// A vertex's routing-table entry for one separator path `Q` in its
-/// residual graph `J` — the nested exchange form of one
-/// [`crate::flat::EntryRef`].
+/// residual graph `J`, as the builder produces it — the owned form of
+/// one [`crate::flat::EntryRef`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct PathInfo {
     /// `d_J(v, Q)` — distance to the nearest path vertex.
@@ -184,6 +182,46 @@ fn build_group(
     per_path
 }
 
+/// The builder's output before flattening: per vertex, its
+/// `(packed key, entry)` list in ascending key order. Tasks run on
+/// `threads` workers and merge in input order, so the lists are the same
+/// at every thread count.
+pub(crate) fn vertex_lists(
+    g: &Graph,
+    tree: &DecompositionTree,
+    threads: usize,
+) -> Vec<Vec<(u64, PathInfo)>> {
+    let n = g.num_nodes();
+    let tasks: Vec<(u32, u16)> = tree
+        .nodes()
+        .iter()
+        .enumerate()
+        .flat_map(|(h, node)| {
+            (0..node.separator.num_groups())
+                .filter(|&gi| !node.separator.groups[gi].paths.is_empty())
+                .map(move |gi| (h as u32, gi as u16))
+        })
+        .collect();
+    let runner = ShardedRunner::new(threads);
+    let (groups, _) = runner.map(&tasks, Some(&BUILD_OBS), |&(h, gi)| {
+        let per_path = build_group(g, tree, h as usize, gi as usize);
+        let produced: u64 = per_path.iter().map(|p| p.len() as u64).sum();
+        (per_path, produced)
+    });
+    // input-order merge: tasks ascend by (node, group) and paths by
+    // index, so each vertex's keys arrive in ascending packed order
+    let mut per_vertex: Vec<Vec<(u64, PathInfo)>> = vec![Vec::new(); n];
+    for (&(h, gi), per_path) in tasks.iter().zip(groups) {
+        for (pi, entries) in per_path.into_iter().enumerate() {
+            let key = pack_key(h, gi, pi as u16);
+            for (v, info) in entries {
+                per_vertex[v.index()].push((key, info));
+            }
+        }
+    }
+    per_vertex
+}
+
 impl<'a> RoutingTables<'a> {
     /// Builds tables (and, via [`RoutingTables::label`], labels) for
     /// every vertex of `g` over the decomposition `tree`, sequentially.
@@ -202,36 +240,8 @@ impl<'a> RoutingTables<'a> {
     /// `psep-routing/v1` wire bytes to lock this down.
     pub fn build_with(g: &Graph, tree: &DecompositionTree, threads: usize) -> Self {
         let _span = psep_obs::span!("routing_build");
-        let n = g.num_nodes();
-        let tasks: Vec<(u32, u16)> = tree
-            .nodes()
-            .iter()
-            .enumerate()
-            .flat_map(|(h, node)| {
-                (0..node.separator.num_groups())
-                    .filter(|&gi| !node.separator.groups[gi].paths.is_empty())
-                    .map(move |gi| (h as u32, gi as u16))
-            })
-            .collect();
-        let runner = ShardedRunner::new(threads);
-        let (groups, _) = runner.map(&tasks, Some(&BUILD_OBS), |&(h, gi)| {
-            let per_path = build_group(g, tree, h as usize, gi as usize);
-            let produced: u64 = per_path.iter().map(|p| p.len() as u64).sum();
-            (per_path, produced)
-        });
-        // input-order merge: tasks ascend by (node, group) and paths by
-        // index, so each vertex's keys arrive in ascending packed order
-        let mut per_vertex: Vec<Vec<(u64, PathInfo)>> = vec![Vec::new(); n];
-        for (&(h, gi), per_path) in tasks.iter().zip(groups) {
-            for (pi, entries) in per_path.into_iter().enumerate() {
-                let key = pack_key(h, gi, pi as u16);
-                for (v, info) in entries {
-                    per_vertex[v.index()].push((key, info));
-                }
-            }
-        }
         RoutingTables {
-            flat: FlatTables::from_vertex_lists(per_vertex),
+            flat: FlatTables::from_vertex_lists(vertex_lists(g, tree, threads)),
         }
     }
 
@@ -257,18 +267,6 @@ impl<'a> RoutingTables<'a> {
     pub fn into_owned(self) -> RoutingTables<'static> {
         RoutingTables {
             flat: self.flat.into_owned(),
-        }
-    }
-
-    /// Converts to the nested per-vertex exchange form.
-    pub fn to_nested(&self) -> Vec<BTreeMap<RouteKey, PathInfo>> {
-        self.flat.to_nested()
-    }
-
-    /// Builds tables from the nested per-vertex exchange form.
-    pub fn from_nested(per_vertex: &[BTreeMap<RouteKey, PathInfo>]) -> Self {
-        RoutingTables {
-            flat: FlatTables::from_nested(per_vertex),
         }
     }
 
@@ -398,6 +396,25 @@ mod tests {
                             assert_eq!(op.prev, Some(path.vertices()[i - 1]));
                         }
                     }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn flat_views_match_the_builders_lists_on_every_family() {
+        for (name, g) in psep_testkit::equivalence_families() {
+            let tree = DecompositionTree::build(&g, &AutoStrategy::default());
+            let lists = vertex_lists(&g, &tree, 1);
+            let tables = RoutingTables::build(&g, &tree);
+            assert_eq!(lists.len(), tables.num_nodes(), "family {name}");
+            for (v, list) in g.nodes().zip(&lists) {
+                let table = tables.table(v);
+                assert_eq!(table.len(), list.len(), "family {name}: {v:?} table size");
+                for ((key, entry), (packed, info)) in table.entries().zip(list) {
+                    assert_eq!(pack_key(key.0, key.1, key.2), *packed, "family {name}");
+                    assert_eq!(&entry.to_info(), info, "family {name}: {v:?} {key:?}");
+                    assert_eq!(entry.children(), info.children.as_slice());
                 }
             }
         }

@@ -30,14 +30,11 @@
 //! `FlatTables::from_parts`); corrupt input yields an [`Error`], never
 //! a panic.
 
-use std::io::{Read, Write};
-
 use psep_core::wire::{put_varint, seal, unseal, Cursor, WireError};
 use psep_graph::graph::NodeId;
 
 use crate::error::Error;
 use crate::flat::{EntryRecord, FlatTables, NO_NODE};
-use crate::tables::RoutingTables;
 
 /// Magic bytes of a `psep-routing` artifact.
 pub const TABLES_MAGIC: &[u8; 8] = b"PSEPROUT";
@@ -332,37 +329,10 @@ pub fn decode_tables_flat(bytes: &[u8]) -> Result<FlatTables<'_>, Error> {
     FlatTables::from_storage_parts(entry_start, keys, records, child_start, children)
 }
 
-impl RoutingTables<'_> {
-    /// Writes the tables as one `psep-routing/v1` artifact.
-    pub fn save<W: Write>(&self, mut w: W) -> Result<(), Error> {
-        w.write_all(&encode_tables(self.flat()))?;
-        Ok(())
-    }
-
-    /// Reads a `psep-routing/v1` artifact back into serving tables,
-    /// verifying magic, version, checksum, and structure.
-    pub fn load<R: Read>(mut r: R) -> Result<RoutingTables<'static>, Error> {
-        let mut data = Vec::new();
-        r.read_to_end(&mut data)?;
-        Ok(RoutingTables::from_flat(decode_tables(&data)?))
-    }
-
-    /// [`Self::save`] to a filesystem path.
-    pub fn save_to_path<P: AsRef<std::path::Path>>(&self, path: P) -> Result<(), Error> {
-        self.save(std::io::BufWriter::new(std::fs::File::create(path)?))
-    }
-
-    /// [`Self::load`] from a filesystem path.
-    pub fn load_from_path<P: AsRef<std::path::Path>>(
-        path: P,
-    ) -> Result<RoutingTables<'static>, Error> {
-        RoutingTables::load(std::io::BufReader::new(std::fs::File::open(path)?))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tables::RoutingTables;
     use psep_core::strategy::AutoStrategy;
     use psep_core::DecompositionTree;
     use psep_graph::generators::grids;
@@ -375,19 +345,16 @@ mod tests {
     }
 
     #[test]
-    fn save_load_is_bit_exact() {
+    fn encode_decode_is_bit_exact() {
         let t = grid_tables();
-        let mut buf = Vec::new();
-        t.save(&mut buf).unwrap();
-        let back = RoutingTables::load(&buf[..]).unwrap();
+        let buf = encode_tables(t.flat());
+        let back = RoutingTables::from_flat(decode_tables(&buf).unwrap());
         assert_eq!(back, t);
         for v in 0..36u32 {
             assert_eq!(back.label(NodeId(v)), t.label(NodeId(v)));
         }
         // re-encoding is byte-identical
-        let mut buf2 = Vec::new();
-        back.save(&mut buf2).unwrap();
-        assert_eq!(buf, buf2);
+        assert_eq!(encode_tables(back.flat()), buf);
     }
 
     #[test]
@@ -405,14 +372,13 @@ mod tests {
     #[test]
     fn corrupted_byte_is_rejected_by_checksum() {
         let t = grid_tables();
-        let mut buf = Vec::new();
-        t.save(&mut buf).unwrap();
+        let buf = encode_tables(t.flat());
         for at in [9usize, buf.len() / 2, buf.len() - 5] {
             let mut bad = buf.clone();
             bad[at] ^= 0x01;
             assert!(
                 matches!(
-                    RoutingTables::load(&bad[..]),
+                    decode_tables(&bad[..]),
                     Err(Error::Wire(WireError::ChecksumMismatch { .. }))
                 ),
                 "flip at {at} not rejected"
@@ -423,20 +389,19 @@ mod tests {
     #[test]
     fn truncation_bad_magic_and_version_are_rejected() {
         let t = grid_tables();
-        let mut buf = Vec::new();
-        t.save(&mut buf).unwrap();
+        let buf = encode_tables(t.flat());
         assert!(matches!(
-            RoutingTables::load(&buf[..buf.len() - 1]),
+            decode_tables(&buf[..buf.len() - 1]),
             Err(Error::Wire(WireError::ChecksumMismatch { .. }))
         ));
         assert!(matches!(
-            RoutingTables::load(&buf[..6]),
+            decode_tables(&buf[..6]),
             Err(Error::Wire(WireError::Truncated))
         ));
         let mut wrong_magic = buf.clone();
         wrong_magic[0] = b'X';
         assert!(matches!(
-            RoutingTables::load(&wrong_magic[..]),
+            decode_tables(&wrong_magic[..]),
             Err(Error::Wire(WireError::BadMagic { .. }))
         ));
         // version bump with a re-sealed checksum → unsupported version
@@ -444,7 +409,7 @@ mod tests {
         payload[0] = 2;
         let resealed = seal(TABLES_MAGIC, &payload);
         assert!(matches!(
-            RoutingTables::load(&resealed[..]),
+            decode_tables(&resealed[..]),
             Err(Error::Wire(WireError::UnsupportedVersion(2)))
         ));
     }
@@ -459,6 +424,6 @@ mod tests {
         put_varint(&mut payload, 0); // C = 0
         put_varint(&mut payload, 2); // … but vertex 0 claims 2 entries
         let sealed = seal(TABLES_MAGIC, &payload);
-        assert!(RoutingTables::load(&sealed[..]).is_err());
+        assert!(decode_tables(&sealed[..]).is_err());
     }
 }

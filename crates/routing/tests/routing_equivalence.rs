@@ -3,7 +3,6 @@
 //!
 //! * parallel construction serializes to exactly the sequential build's
 //!   `psep-routing/v1` wire bytes;
-//! * the flat arena and its nested projection describe the same tables;
 //! * `route_many` answers exactly like one-at-a-time `route`;
 //! * wire round-trips are bit-exact, and any single corrupted byte in
 //!   an artifact is rejected.
@@ -12,13 +11,12 @@ use rand::{Rng, SeedableRng};
 
 use psep_core::strategy::AutoStrategy;
 use psep_core::DecompositionTree;
+use psep_routing::wire::{decode_tables, encode_tables};
 use psep_routing::{Router, RoutingTables};
 use psep_testkit::{equivalence_families, random_pairs, THREAD_COUNTS};
 
 fn artifact_bytes(tables: &RoutingTables) -> Vec<u8> {
-    let mut bytes = Vec::new();
-    tables.save(&mut bytes).expect("writing to a Vec");
-    bytes
+    encode_tables(tables.flat())
 }
 
 #[test]
@@ -34,27 +32,6 @@ fn parallel_tables_are_bit_identical_on_every_family() {
                 base_bytes,
                 "family {name}: wire bytes differ at {threads} threads"
             );
-        }
-    }
-}
-
-#[test]
-fn flat_and_nested_tables_agree_on_every_family() {
-    for (name, g) in equivalence_families() {
-        let tree = DecompositionTree::build(&g, &AutoStrategy::default());
-        let tables = RoutingTables::build(&g, &tree);
-        let rebuilt = RoutingTables::from_nested(&tables.to_nested());
-        assert_eq!(
-            tables, rebuilt,
-            "family {name}: nested projection lost data"
-        );
-        for v in g.nodes() {
-            let nested = &tables.to_nested()[v.index()];
-            let flat = tables.table(v);
-            assert_eq!(flat.len(), nested.len(), "family {name}: {v:?} table size");
-            for (key, info) in flat.entries() {
-                assert_eq!(nested[&key], info.to_info(), "family {name}: {v:?} {key:?}");
-            }
         }
     }
 }
@@ -85,7 +62,7 @@ fn wire_roundtrip_is_bit_exact_on_every_family() {
         let tree = DecompositionTree::build(&g, &AutoStrategy::default());
         let tables = RoutingTables::build(&g, &tree);
         let bytes = artifact_bytes(&tables);
-        let loaded = RoutingTables::load(&bytes[..]).expect("clean artifact loads");
+        let loaded = RoutingTables::from_flat(decode_tables(&bytes).expect("clean artifact loads"));
         assert_eq!(loaded, tables, "family {name}: loaded tables differ");
         assert_eq!(
             artifact_bytes(&loaded),
@@ -108,7 +85,7 @@ fn any_single_corrupted_byte_is_rejected() {
         let mask = rng.gen_range(1..=255u8); // never a no-op flip
         bad[pos] ^= mask;
         assert!(
-            RoutingTables::load(&bad[..]).is_err(),
+            decode_tables(&bad).is_err(),
             "flipping byte {pos} with {mask:#04x} went undetected"
         );
     }

@@ -1,16 +1,16 @@
-//! The `psep-serve` daemon: load (or zero-copy map) a `psep-bundle`,
-//! serve `psep-rpc/v1` over TCP until SIGINT/SIGTERM, drain, exit.
+//! The `psep-serve` daemon: open a `psep-bundle/v2`, serve
+//! `psep-rpc/v1` over TCP until SIGINT/SIGTERM, drain, exit.
 //!
 //! ```text
 //! psep-serve build --family grid --n 400 --epsilon 0.25 --out g.bundle
-//! psep-serve serve --bundle g.bundle --addr 127.0.0.1:9553
-//! psep-serve serve --bundle g.bundle --map --addr 127.0.0.1:0 --metrics metrics.ndjson
+//! psep-serve serve --bundle g.bundle --addr 127.0.0.1:0 --metrics metrics.ndjson
 //! ```
 //!
-//! With `--map` the bundle is validated by checksum and served straight
-//! out of an aligned buffer (`LocationService::map_bytes`): cold-start
-//! is O(checksum) and the label/table arenas are never copied. Without
-//! it the bundle is decoded into owned arenas as before.
+//! The bundle is read into an aligned buffer and opened with
+//! `LocationService::map_bytes`: a raw bundle is validated by checksum
+//! and served straight out of the buffer (cold start is O(checksum), the
+//! label/table arenas are never copied), a delta-compressed one decodes
+//! its label and table sections into owned arenas.
 //!
 //! `serve` prints `listening on <addr>` (with the resolved port) on
 //! stdout before accepting, so scripts binding port 0 can discover the
@@ -19,13 +19,14 @@
 
 use std::sync::Arc;
 
+use path_separators::core::wire::AlignedBytes;
 use path_separators::{LocationService, ServiceParams};
 use psep_serve::{install_signal_handlers, ServeConfig, Server};
 use psep_testkit::families::{Family, ALL_FAMILIES};
 
 fn usage() -> ! {
     eprintln!(
-        "usage:\n  psep-serve serve --bundle PATH [--map] [--addr HOST:PORT] [--max-frame BYTES] [--metrics PATH]\n  psep-serve build --family NAME --n N [--epsilon EPS] [--threads T] [--seed S] --out PATH\n\nfamilies: {}",
+        "usage:\n  psep-serve serve --bundle PATH [--addr HOST:PORT] [--max-frame BYTES] [--metrics PATH]\n  psep-serve build --family NAME --n N [--epsilon EPS] [--threads T] [--seed S] --out PATH\n\nfamilies: {}",
         ALL_FAMILIES
             .iter()
             .map(|f| f.name())
@@ -109,7 +110,7 @@ fn build(flags: Flags) {
     };
     let g = family.make(n, seed);
     let svc = LocationService::build(&g, params);
-    if let Err(e) = svc.save_to_path(out) {
+    if let Err(e) = std::fs::write(out, svc.to_bytes()) {
         eprintln!("writing {out}: {e}");
         std::process::exit(1);
     }
@@ -133,40 +134,26 @@ fn serve(flags: Flags) {
     };
     let metrics = flags.get("metrics").map(str::to_string);
 
-    let map = flags.get("map").is_some();
-
     psep_obs::set_enabled(true);
-    let svc = if map {
-        // leak the aligned buffer so worker threads can borrow it for
-        // the life of the process: the whole point is to serve in place
-        let buf: &'static path_separators::core::wire::AlignedBytes =
-            match path_separators::core::wire::AlignedBytes::read_file(std::path::Path::new(bundle))
-            {
-                Ok(b) => Box::leak(Box::new(b)),
-                Err(e) => {
-                    eprintln!("reading {bundle}: {e}");
-                    std::process::exit(1);
-                }
-            };
-        match LocationService::map_bytes(buf) {
-            Ok(svc) => {
-                psep_obs::counter!("serve.mapped").incr();
-                Arc::new(svc)
-            }
-            Err(e) => {
-                eprintln!("mapping {bundle}: {e}");
-                std::process::exit(1);
-            }
-        }
-    } else {
-        match LocationService::load_from_path(bundle) {
-            Ok(svc) => Arc::new(svc),
-            Err(e) => {
-                eprintln!("loading {bundle}: {e}");
-                std::process::exit(1);
-            }
+    // leak the aligned buffer so worker threads can borrow it for the
+    // life of the process: a raw bundle is served in place
+    let buf: &'static AlignedBytes = match AlignedBytes::read_file(std::path::Path::new(bundle)) {
+        Ok(b) => Box::leak(Box::new(b)),
+        Err(e) => {
+            eprintln!("reading {bundle}: {e}");
+            std::process::exit(1);
         }
     };
+    let svc = match LocationService::map_bytes(buf) {
+        Ok(svc) => Arc::new(svc),
+        Err(e) => {
+            eprintln!("opening {bundle}: {e}");
+            std::process::exit(1);
+        }
+    };
+    if svc.is_borrowed() {
+        psep_obs::counter!("serve.mapped").incr();
+    }
     let server = match Server::bind(Arc::clone(&svc), addr.as_str(), cfg) {
         Ok(s) => s,
         Err(e) => {
@@ -175,27 +162,18 @@ fn serve(flags: Flags) {
         }
     };
     install_signal_handlers();
-    if map {
-        // don't touch the graph section here: cold-start stays
-        // O(checksum), the first route decodes it on demand
-        println!(
-            "psep-serve: {} vertices, eps={}, {} storage (mapped)",
-            svc.num_nodes(),
-            svc.epsilon(),
-            if svc.is_borrowed() {
-                "borrowed"
-            } else {
-                "owned"
-            }
-        );
-    } else {
-        println!(
-            "psep-serve: {} vertices, {} edges, eps={}",
-            svc.num_nodes(),
-            svc.graph().num_edges(),
-            svc.epsilon()
-        );
-    }
+    // don't touch the graph section here: cold-start stays O(checksum),
+    // the first route decodes it on demand
+    println!(
+        "psep-serve: {} vertices, eps={}, {} storage",
+        svc.num_nodes(),
+        svc.epsilon(),
+        if svc.is_borrowed() {
+            "borrowed"
+        } else {
+            "owned"
+        }
+    );
     println!("listening on {}", server.local_addr());
     if let Err(e) = server.run() {
         eprintln!("accept loop failed: {e}");

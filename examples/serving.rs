@@ -1,4 +1,4 @@
-//! Serving: the build → save → load → batch-serve lifecycle.
+//! Serving: the build → ship → map → batch-serve lifecycle.
 //!
 //! ```text
 //! cargo run --example serving --release
@@ -6,14 +6,15 @@
 //!
 //! One process builds the whole serving stack through
 //! [`LocationService`] and ships it as a single checksummed
-//! `psep-bundle/v1` artifact (graph + decomposition tree + distance
-//! labels + routing tables); a serving process reloads the bundle and
-//! answers distance queries *and* routes requests in parallel with
+//! `psep-bundle/v2` artifact (graph + decomposition tree + distance
+//! labels + routing tables); a serving process maps the bundle
+//! zero-copy and answers distance queries *and* routes requests in parallel with
 //! `query_many` / `route_many`. The final comparison is generic over
 //! `DistanceEstimator`, the trait every oracle in the crate implements.
 
 use std::time::Instant;
 
+use path_separators::core::wire::AlignedBytes;
 use path_separators::graph::generators::{grids, randomize_weights};
 use path_separators::graph::NodeId;
 use path_separators::oracle::{ExactOracle, ThorupZwickOracle};
@@ -50,7 +51,7 @@ fn main() {
     let dir = std::env::temp_dir().join("psep-serving-example");
     std::fs::create_dir_all(&dir).expect("temp dir");
     let bundle_path = dir.join("grid.psep-bundle");
-    svc.save_to_path(&bundle_path).expect("save bundle");
+    std::fs::write(&bundle_path, svc.to_bytes()).expect("save bundle");
     let wire_bytes = std::fs::metadata(&bundle_path).unwrap().len();
     println!(
         "saved: {} bytes on the wire ({:.1} bytes/vertex; labels {} B + tables {} B in memory)",
@@ -61,7 +62,9 @@ fn main() {
     );
 
     // -- serving side ----------------------------------------------------
-    let served = LocationService::load_from_path(&bundle_path).expect("checksummed load");
+    let buf = AlignedBytes::read_file(&bundle_path).expect("read bundle");
+    let served = LocationService::map_bytes(&buf).expect("checksummed map");
+    assert!(served.is_borrowed()); // label and table arenas served in place
     assert_eq!(served.to_bytes(), svc.to_bytes()); // bit-exact
 
     // a pair workload, answered sequentially and in parallel

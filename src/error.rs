@@ -62,9 +62,3 @@ impl From<psep_routing::Error> for ServiceError {
         ServiceError::Routing(e)
     }
 }
-
-impl From<std::io::Error> for ServiceError {
-    fn from(e: std::io::Error) -> Self {
-        ServiceError::Wire(WireError::Io(e))
-    }
-}

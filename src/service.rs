@@ -34,14 +34,15 @@
 //! The graph and tree sections stay deferred until an API that needs
 //! them (routing, witness paths) forces a decode.
 //!
-//! [`from_bytes`] still accepts `psep-bundle/v1` artifacts unchanged,
-//! and [`to_bytes_v1`] writes them, so v1 consumers interoperate.
+//! v2 is the only persisted form: any other version is
+//! [`WireError::UnsupportedVersion`]. Write a bundle to disk with
+//! [`std::fs::write`] and open it with [`AlignedBytes::read_file`] plus
+//! [`map_bytes`] (zero-copy) or [`std::fs::read`] plus [`from_bytes`].
 //!
 //! [`map_bytes`]: LocationService::map_bytes
 //! [`from_bytes`]: LocationService::from_bytes
-//! [`to_bytes_v1`]: LocationService::to_bytes_v1
+//! [`AlignedBytes::read_file`]: psep_core::wire::AlignedBytes::read_file
 
-use std::io::{Read, Write};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use psep_core::wire::{crc32, put_varint, seal, unseal, Cursor, WireError};
@@ -59,10 +60,6 @@ pub const BUNDLE_MAGIC: &[u8; 8] = b"PSEPBNDL";
 
 /// Current bundle format version, written by [`LocationService::to_bytes`].
 pub const BUNDLE_VERSION: u64 = 2;
-
-/// The legacy bundle version, still loadable and writable
-/// ([`LocationService::to_bytes_v1`]).
-pub const BUNDLE_VERSION_V1: u64 = 1;
 
 /// Directory kind tag of the graph section.
 pub const SECTION_GRAPH: u32 = 1;
@@ -120,37 +117,22 @@ pub struct BundleSection<'a> {
     pub crc32: u32,
 }
 
-/// Validates a bundle envelope (any version) and returns its format
-/// version plus the four sections in kind order, without decoding any
-/// section body — the O(checksum) part of loading, shared by tooling
-/// such as `psep-inspect`.
+/// Validates a bundle envelope and returns its format version plus the
+/// four sections in kind order, without decoding any section body — the
+/// O(checksum) part of loading, shared by tooling such as
+/// `psep-inspect`.
 pub fn bundle_sections(data: &[u8]) -> Result<(u64, Vec<BundleSection<'_>>), ServiceError> {
+    let secs = unseal_v2(data)?;
+    Ok((BUNDLE_VERSION, secs.rows().to_vec()))
+}
+
+/// Unseals a bundle envelope and validates its v2 directory; any other
+/// format version is [`WireError::UnsupportedVersion`].
+fn unseal_v2(data: &[u8]) -> Result<V2Sections<'_>, WireError> {
     let payload = unseal(BUNDLE_MAGIC, data)?;
-    let mut c = Cursor::new(payload);
-    let version = c.varint()?;
-    match version {
-        BUNDLE_VERSION_V1 => {
-            let limit = payload.len();
-            let mut out = Vec::with_capacity(NUM_SECTIONS);
-            for kind in [SECTION_GRAPH, SECTION_TREE, SECTION_LABELS, SECTION_TABLES] {
-                let len = c.length(limit)?;
-                let bytes = c.bytes(len)?;
-                out.push(BundleSection {
-                    kind,
-                    bytes,
-                    crc32: crc32(bytes),
-                });
-            }
-            if c.remaining() != 0 {
-                return Err(WireError::Corrupt("trailing bytes after bundle sections").into());
-            }
-            Ok((version, out))
-        }
-        BUNDLE_VERSION => {
-            let secs = split_v2_payload(payload)?;
-            Ok((version, secs.rows().to_vec()))
-        }
-        v => Err(WireError::UnsupportedVersion(v).into()),
+    match Cursor::new(payload).varint()? {
+        BUNDLE_VERSION => split_v2_payload(payload),
+        v => Err(WireError::UnsupportedVersion(v)),
     }
 }
 
@@ -799,42 +781,17 @@ impl<'a> LocationService<'a> {
     pub fn to_bytes_compressed(&self) -> Vec<u8> {
         let graph = self.graph_section_bytes();
         let tree = self.tree_section_bytes();
-        let mut labels = Vec::new();
-        self.oracle
-            .save(&mut labels)
-            .expect("writing to a Vec cannot fail");
-        let mut tables = Vec::new();
-        self.router
-            .with_tables(|t| t.save(&mut tables))
-            .expect("writing to a Vec cannot fail");
+        let labels =
+            psep_oracle::wire::encode_labels(self.oracle.flat_labels(), self.oracle.epsilon());
+        let tables = self
+            .router
+            .with_tables(|t| psep_routing::wire::encode_tables(t.flat()));
         encode_v2([
             (SECTION_GRAPH, &graph),
             (SECTION_TREE, &tree),
             (SECTION_LABELS_COMPRESSED, &labels),
             (SECTION_TABLES_COMPRESSED, &tables),
         ])
-    }
-
-    /// Encodes the whole service as a legacy `psep-bundle/v1` artifact,
-    /// for consumers that have not adopted v2.
-    pub fn to_bytes_v1(&self) -> Vec<u8> {
-        let mut payload = Vec::new();
-        put_varint(&mut payload, BUNDLE_VERSION_V1);
-        let graph = self.graph_section_bytes();
-        let tree = self.tree_section_bytes();
-        let mut labels = Vec::new();
-        self.oracle
-            .save(&mut labels)
-            .expect("writing to a Vec cannot fail");
-        let mut tables = Vec::new();
-        self.router
-            .with_tables(|t| t.save(&mut tables))
-            .expect("writing to a Vec cannot fail");
-        for section in [&graph, &tree, &labels, &tables] {
-            put_varint(&mut payload, section.len() as u64);
-            payload.extend_from_slice(section);
-        }
-        seal(BUNDLE_MAGIC, &payload)
     }
 
     /// The canonical graph section: the mapped bytes verbatim when this
@@ -856,12 +813,12 @@ impl<'a> LocationService<'a> {
         }
     }
 
-    /// Decodes a `psep-bundle` artifact (v1 or v2) into a service that
-    /// owns all its arenas, re-validating every section and their
-    /// mutual consistency.
+    /// Decodes a `psep-bundle/v2` artifact (raw or delta sections) into
+    /// a service that owns all its arenas, re-validating every section
+    /// and their mutual consistency.
     pub fn from_bytes(data: &[u8]) -> Result<Self, ServiceError> {
         let t0 = psep_obs::now_if_enabled();
-        let svc = Self::from_bytes_inner(data)?;
+        let svc = Self::decode_owned(data)?;
         if let Some(t0) = t0 {
             psep_obs::histogram!("service.load_ns").record_elapsed(t0);
         }
@@ -874,8 +831,9 @@ impl<'a> LocationService<'a> {
     /// vertex-count cross-check — independent of how many label entries
     /// the bundle holds; the graph and tree sections stay deferred
     /// until an API that needs them (routing, witness paths, batch
-    /// paths) forces a one-time decode. A v1 bundle has no mappable
-    /// layout, so it falls back to a full owned decode.
+    /// paths) forces a one-time decode. Delta-compressed label and table
+    /// sections have no mappable layout, so they decode into owned
+    /// arenas.
     ///
     /// Zero-copy needs `data` to be little-endian-compatible and
     /// 8-aligned (e.g. [`psep_core::wire::AlignedBytes`]); otherwise
@@ -883,37 +841,18 @@ impl<'a> LocationService<'a> {
     /// works. Answers are bit-identical either way.
     pub fn map_bytes(data: &'a [u8]) -> Result<Self, ServiceError> {
         let t0 = psep_obs::now_if_enabled();
-        let payload = unseal(BUNDLE_MAGIC, data)?;
-        let mut c = Cursor::new(payload);
-        let version = c.varint()?;
-        let svc = match version {
-            BUNDLE_VERSION_V1 => Self::decode_v1(payload, c)?,
-            BUNDLE_VERSION => {
-                let secs = split_v2_payload(payload)?;
-                let oracle = decode_labels_section(secs.labels_kind(), secs.labels())?;
-                let tables = decode_tables_section(secs.tables_kind(), secs.tables())?;
-                // The graph section opens with its vertex count; peek it
-                // without decoding the edge list.
-                let n = Cursor::new(secs.graph()).length(u32::MAX as usize)?;
-                if oracle.num_nodes() != n || tables.num_nodes() != n {
-                    return Err(
-                        WireError::Corrupt("bundle sections disagree on vertex count").into(),
-                    );
-                }
-                LocationService {
-                    graph: LazyPart::Deferred {
-                        bytes: secs.graph(),
-                        cell: OnceLock::new(),
-                    },
-                    tree: LazyPart::Deferred {
-                        bytes: secs.tree(),
-                        cell: OnceLock::new(),
-                    },
-                    oracle,
-                    router: RouterCell::deferred(tables),
-                }
-            }
-            v => return Err(WireError::UnsupportedVersion(v).into()),
+        let (secs, oracle, tables) = open_sections(data)?;
+        let svc = LocationService {
+            graph: LazyPart::Deferred {
+                bytes: secs.graph(),
+                cell: OnceLock::new(),
+            },
+            tree: LazyPart::Deferred {
+                bytes: secs.tree(),
+                cell: OnceLock::new(),
+            },
+            oracle,
+            router: RouterCell::deferred(tables),
         };
         if let Some(t0) = t0 {
             psep_obs::histogram!("service.map_ns").record_elapsed(t0);
@@ -921,113 +860,61 @@ impl<'a> LocationService<'a> {
         Ok(svc)
     }
 
-    fn from_bytes_inner(data: &[u8]) -> Result<Self, ServiceError> {
-        let payload = unseal(BUNDLE_MAGIC, data)?;
-        let mut c = Cursor::new(payload);
-        let version = c.varint()?;
-        match version {
-            BUNDLE_VERSION_V1 => Self::decode_v1(payload, c),
-            BUNDLE_VERSION => Self::decode_v2_owned(payload),
-            v => Err(WireError::UnsupportedVersion(v).into()),
-        }
-    }
-
-    /// Decodes a v1 payload (cursor positioned after the version) into
-    /// fully owned parts.
-    fn decode_v1(payload: &[u8], mut c: Cursor<'_>) -> Result<Self, ServiceError> {
-        let limit = payload.len();
-        let mut sections: Vec<&[u8]> = Vec::with_capacity(NUM_SECTIONS);
-        for _ in 0..NUM_SECTIONS {
-            let len = c.length(limit)?;
-            sections.push(c.bytes(len)?);
-        }
-        if c.remaining() != 0 {
-            return Err(WireError::Corrupt("trailing bytes after bundle sections").into());
-        }
-        let graph = decode_graph(sections[0])?;
-        let tree = DecompositionTree::decode(sections[1])?;
-        let oracle = DistanceOracle::load(sections[2])?;
-        let tables = RoutingTables::load(sections[3])?;
-        let n = graph.num_nodes();
-        if oracle.num_nodes() != n || tables.num_nodes() != n {
-            return Err(WireError::Corrupt("bundle sections disagree on vertex count").into());
-        }
-        let graph = Arc::new(graph);
-        let router = Router::with_shared(graph.clone(), tables);
-        Ok(LocationService {
-            graph: LazyPart::Ready(graph),
-            tree: LazyPart::Ready(tree),
-            oracle,
-            router: RouterCell::ready(router),
-        })
-    }
-
-    /// Decodes a v2 payload into fully owned parts (the eager
-    /// counterpart of [`Self::map_bytes`]).
-    fn decode_v2_owned(payload: &[u8]) -> Result<Self, ServiceError> {
-        let secs = split_v2_payload(payload)?;
-        let graph = decode_graph(secs.graph())?;
+    /// Decodes a bundle into fully owned parts (the eager counterpart of
+    /// [`Self::map_bytes`]).
+    fn decode_owned(data: &[u8]) -> Result<Self, ServiceError> {
+        let (secs, oracle, tables) = open_sections(data)?;
+        let graph = Arc::new(decode_graph(secs.graph())?);
         let tree = DecompositionTree::decode(secs.tree())?;
-        let oracle = decode_labels_section(secs.labels_kind(), secs.labels())?.into_owned();
-        let tables = decode_tables_section(secs.tables_kind(), secs.tables())?.into_owned();
-        let n = graph.num_nodes();
-        if oracle.num_nodes() != n || tables.num_nodes() != n {
-            return Err(WireError::Corrupt("bundle sections disagree on vertex count").into());
-        }
-        let graph = Arc::new(graph);
-        let router = Router::with_shared(graph.clone(), tables);
+        let router = Router::with_shared(graph.clone(), tables.into_owned());
         Ok(LocationService {
             graph: LazyPart::Ready(graph),
             tree: LazyPart::Ready(tree),
-            oracle,
+            oracle: oracle.into_owned(),
             router: RouterCell::ready(router),
         })
     }
+}
 
-    /// Writes the bundle to `w`.
-    pub fn save<W: Write>(&self, mut w: W) -> Result<(), ServiceError> {
-        w.write_all(&self.to_bytes())?;
-        Ok(())
-    }
+/// A bundle's validated sections with its oracle and tables decoded.
+type OpenedSections<'a> = (V2Sections<'a>, DistanceOracle<'a>, RoutingTables<'a>);
 
-    /// Reads a bundle from `r`.
-    pub fn load<R: Read>(mut r: R) -> Result<Self, ServiceError> {
-        let mut buf = Vec::new();
-        r.read_to_end(&mut buf)?;
-        Self::from_bytes(&buf)
+/// Validates a bundle and decodes its labels and tables, cross-checking
+/// their vertex counts against the graph section's header — peeked
+/// without decoding (or allocating) the edge list, so a bundle whose
+/// sections disagree is rejected before any graph-sized work.
+fn open_sections(data: &[u8]) -> Result<OpenedSections<'_>, ServiceError> {
+    let secs = unseal_v2(data)?;
+    let oracle = decode_labels_section(secs.labels_kind(), secs.labels())?;
+    let tables = decode_tables_section(secs.tables_kind(), secs.tables())?;
+    let n = Cursor::new(secs.graph()).length(u32::MAX as usize)?;
+    if oracle.num_nodes() != n || tables.num_nodes() != n {
+        return Err(WireError::Corrupt("bundle sections disagree on vertex count").into());
     }
-
-    /// Writes the bundle to a file.
-    pub fn save_to_path<P: AsRef<std::path::Path>>(&self, path: P) -> Result<(), ServiceError> {
-        self.save(std::fs::File::create(path)?)
-    }
-
-    /// Reads a bundle from a file.
-    pub fn load_from_path<P: AsRef<std::path::Path>>(path: P) -> Result<Self, ServiceError> {
-        Self::load(std::fs::File::open(path)?)
-    }
+    Ok((secs, oracle, tables))
 }
 
 /// Decodes a v2 labels slot by its directory kind: the raw column
 /// layout maps (zero-copy when aligned), the delta-compressed layout
 /// decodes into owned arenas.
 fn decode_labels_section(kind: u32, bytes: &[u8]) -> Result<DistanceOracle<'_>, ServiceError> {
-    if kind == SECTION_LABELS_COMPRESSED {
-        return Ok(DistanceOracle::load(bytes)?);
-    }
-    let (flat, epsilon) = psep_oracle::wire::decode_labels_flat(bytes)?;
+    let (flat, epsilon) = if kind == SECTION_LABELS_COMPRESSED {
+        psep_oracle::wire::decode_labels(bytes)?
+    } else {
+        psep_oracle::wire::decode_labels_flat(bytes)?
+    };
     Ok(DistanceOracle::from_flat(flat, epsilon))
 }
 
 /// Decodes a v2 tables slot by its directory kind (see
 /// [`decode_labels_section`]).
 fn decode_tables_section(kind: u32, bytes: &[u8]) -> Result<RoutingTables<'_>, ServiceError> {
-    if kind == SECTION_TABLES_COMPRESSED {
-        return Ok(RoutingTables::load(bytes)?);
-    }
-    Ok(RoutingTables::from_flat(
-        psep_routing::wire::decode_tables_flat(bytes)?,
-    ))
+    let flat = if kind == SECTION_TABLES_COMPRESSED {
+        psep_routing::wire::decode_tables(bytes)?
+    } else {
+        psep_routing::wire::decode_tables_flat(bytes)?
+    };
+    Ok(RoutingTables::from_flat(flat))
 }
 
 /// Canonical graph section: `n`, `m`, then edges sorted by `(u, v)`,
@@ -1219,8 +1106,7 @@ mod tests {
         // the kind says raw, the body is sealed varints
         let graph = svc.graph_section_bytes();
         let tree = svc.tree_section_bytes();
-        let mut labels_c = Vec::new();
-        svc.oracle.save(&mut labels_c).unwrap();
+        let labels_c = psep_oracle::wire::encode_labels(svc.oracle.flat_labels(), svc.epsilon());
         let tables = svc
             .router
             .with_tables(|t| psep_routing::wire::encode_tables_flat(t.flat()));
@@ -1255,21 +1141,6 @@ mod tests {
             LocationService::from_bytes(&swapped),
             Err(ServiceError::Wire(WireError::Corrupt(_)))
         ));
-    }
-
-    #[test]
-    fn v1_bundle_roundtrips_and_upgrades() {
-        let (_, svc) = service();
-        let v1 = svc.to_bytes_v1();
-        let back = LocationService::from_bytes(&v1).unwrap();
-        // a loaded v1 re-emits v1 bit-identically...
-        assert_eq!(back.to_bytes_v1(), v1);
-        // ...and its v2 upgrade equals the directly built service's v2
-        assert_eq!(back.to_bytes(), svc.to_bytes());
-        assert_eq!(
-            back.query(NodeId(0), NodeId(35)),
-            svc.query(NodeId(0), NodeId(35))
-        );
     }
 
     #[test]
@@ -1315,35 +1186,41 @@ mod tests {
     }
 
     #[test]
-    fn v1_bundles_map_via_owned_fallback() {
-        let (_, svc) = service();
-        let v1 = svc.to_bytes_v1();
-        let mapped = LocationService::map_bytes(&v1).unwrap();
-        assert!(!mapped.is_borrowed());
-        assert_eq!(
-            mapped.query(NodeId(0), NodeId(35)),
-            svc.query(NodeId(0), NodeId(35))
-        );
-    }
-
-    #[test]
     fn bundle_sections_reports_both_versions() {
         let (_, svc) = service();
-        for (bytes, version) in [
-            (svc.to_bytes(), BUNDLE_VERSION),
-            (svc.to_bytes_v1(), BUNDLE_VERSION_V1),
+        for (bytes, labels, tables) in [
+            (svc.to_bytes(), SECTION_LABELS, SECTION_TABLES),
+            (
+                svc.to_bytes_compressed(),
+                SECTION_LABELS_COMPRESSED,
+                SECTION_TABLES_COMPRESSED,
+            ),
         ] {
             let (v, secs) = bundle_sections(&bytes).unwrap();
-            assert_eq!(v, version);
-            assert_eq!(secs.len(), 4);
+            assert_eq!(v, BUNDLE_VERSION);
             assert_eq!(
                 secs.iter().map(|s| s.kind).collect::<Vec<_>>(),
-                vec![SECTION_GRAPH, SECTION_TREE, SECTION_LABELS, SECTION_TABLES]
+                vec![SECTION_GRAPH, SECTION_TREE, labels, tables]
             );
             for s in &secs {
                 assert_eq!(crc32(s.bytes), s.crc32);
             }
         }
+        // the retired version-1 envelope (length-prefixed sections) is a
+        // typed error on every entry point
+        let mut payload = Vec::new();
+        put_varint(&mut payload, 1);
+        for sec in bundle_sections(&svc.to_bytes()).unwrap().1 {
+            put_varint(&mut payload, sec.bytes.len() as u64);
+            payload.extend_from_slice(sec.bytes);
+        }
+        let v1 = AlignedBytes::from_slice(&seal(BUNDLE_MAGIC, &payload));
+        let unsupported = |r: Result<(), ServiceError>| {
+            matches!(r, Err(ServiceError::Wire(WireError::UnsupportedVersion(1))))
+        };
+        assert!(unsupported(bundle_sections(&v1).map(drop)));
+        assert!(unsupported(LocationService::from_bytes(&v1).map(drop)));
+        assert!(unsupported(LocationService::map_bytes(&v1).map(drop)));
     }
 
     #[test]
@@ -1431,6 +1308,43 @@ mod tests {
     }
 
     #[test]
+    fn oversized_graph_vertex_count_is_rejected_before_allocation() {
+        let (_, svc) = service();
+        for bytes in [svc.to_bytes(), svc.to_bytes_compressed()] {
+            // Declare n = u32::MAX in the graph section (a 5-byte varint
+            // over the 1-byte original), drop the edge list's last four
+            // bytes to keep the section length, and re-stamp the section
+            // CRC: only the vertex-count cross-check can catch it, and it
+            // must do so before `Graph::new(n)` allocates.
+            let bad = tampered(&bytes, |p| {
+                let e = DIR_START + 4;
+                let len = u64::from_le_bytes(p[e + 12..e + 20].try_into().unwrap()) as usize;
+                let sec = &mut p[SECTIONS_START..SECTIONS_START + len];
+                assert!(sec[0] < 0x80, "original vertex count is one varint byte");
+                sec.copy_within(1..len - 4, 5);
+                let mut n = Vec::new();
+                put_varint(&mut n, u32::MAX as u64);
+                sec[..5].copy_from_slice(&n);
+                let crc = crc32(sec);
+                p[e + 20..e + 24].copy_from_slice(&crc.to_le_bytes());
+            });
+            assert!(
+                bundle_sections(&bad).is_ok(),
+                "the directory still validates"
+            );
+            assert!(matches!(
+                LocationService::from_bytes(&bad),
+                Err(ServiceError::Wire(WireError::Corrupt(_)))
+            ));
+            let buf = AlignedBytes::from_slice(&bad);
+            assert!(matches!(
+                LocationService::map_bytes(&buf),
+                Err(ServiceError::Wire(WireError::Corrupt(_)))
+            ));
+        }
+    }
+
+    #[test]
     fn mismatched_sections_are_rejected() {
         let (g, svc) = service();
         let other = grids::grid2d(4, 4, 1);
@@ -1450,11 +1364,16 @@ mod tests {
     #[test]
     fn file_roundtrip() {
         let (_, svc) = service();
-        let path = std::env::temp_dir().join("psep-service-test.bundle");
-        svc.save_to_path(&path).unwrap();
-        let back = LocationService::load_from_path(&path).unwrap();
+        let path =
+            std::env::temp_dir().join(format!("psep-service-test-{}.bundle", std::process::id()));
+        std::fs::write(&path, svc.to_bytes()).unwrap();
+        let owned = LocationService::from_bytes(&std::fs::read(&path).unwrap()).unwrap();
+        let buf = AlignedBytes::read_file(&path).unwrap();
         std::fs::remove_file(&path).ok();
-        assert_eq!(back.to_bytes(), svc.to_bytes());
+        let mapped = LocationService::map_bytes(&buf).unwrap();
+        assert!(mapped.is_borrowed());
+        assert_eq!(owned.to_bytes(), svc.to_bytes());
+        assert_eq!(mapped.to_bytes(), svc.to_bytes());
     }
 
     #[test]

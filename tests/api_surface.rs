@@ -80,7 +80,9 @@ fn oracle_from_labels_matches_built_oracle() {
             threads: 1,
         },
     );
-    let relabeled = DistanceOracle::from_labels(built.to_labels(), 0.5);
+    let labels = path_separators::oracle::label::build_labels(&g, &tree, 0.5, 1);
+    let relabeled = DistanceOracle::from_labels(labels, 0.5);
+    assert_eq!(relabeled.flat_labels(), built.flat_labels());
     for u in g.nodes() {
         for v in g.nodes() {
             assert_eq!(built.query(u, v), relabeled.query(u, v));

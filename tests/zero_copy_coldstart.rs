@@ -2,8 +2,8 @@
 //! than wall clock: mapping an aligned `psep-bundle/v2` and serving
 //! distance queries and routing labels out of it must perform zero
 //! per-entry decodes — every `*.wire.*_decoded` counter stays exactly
-//! where it was. Loading the same bundle through the owned path (and
-//! a v1 bundle, which has no flat sections at all) must decode.
+//! where it was. Loading the delta-compressed bundle, whose label and
+//! table sections have no mappable layout, must decode.
 //!
 //! Sole test in this binary: it toggles the process-wide `psep-obs`
 //! enable flag and resets the registry, which would race with any
@@ -38,7 +38,7 @@ fn mapped_serving_performs_zero_per_entry_decodes() {
     let g = grids::grid2d(14, 14, 1);
     let svc = LocationService::build(&g, ServiceParams::default());
     let v2 = svc.to_bytes();
-    let v1 = svc.to_bytes_v1();
+    let delta = svc.to_bytes_compressed();
     let n = svc.num_nodes() as u32;
     let pairs: Vec<(NodeId, NodeId)> = (0..300u32)
         .map(|i| (NodeId(i * 11 % n), NodeId((i * 17 + 3) % n)))
@@ -59,12 +59,13 @@ fn mapped_serving_performs_zero_per_entry_decodes() {
         "mapped cold start or queries performed per-entry decodes"
     );
 
-    // The owned v1 path decodes every entry; the counters must move —
+    // The delta bundle decodes every entry; every counter must move —
     // proving they are live, not dead code vacuously at zero.
-    let owned = LocationService::from_bytes(&v1).expect("own v1 bundle loads");
+    let owned = LocationService::from_bytes(&delta).expect("own delta bundle loads");
     assert_eq!(owned.query_many(&pairs), expected);
     assert!(
-        decode_counts().iter().any(|&c| c > 0),
-        "v1 load did not touch the decode counters"
+        decode_counts().iter().all(|&c| c > 0),
+        "delta load did not touch the decode counters: {:?}",
+        decode_counts()
     );
 }
