@@ -329,8 +329,10 @@ pub fn e3b_build_throughput(families: &[Family], n: usize) -> String {
 /// count.
 ///
 /// Reported metrics: `oracle.path.pairs_per_sec` (best observed across
-/// thread counts, with per-count `oracle.path.threadsNN.pairs_per_sec`
-/// gauges) and `oracle.path.mean_nodes`; the oracle's own
+/// families and thread counts, with per-family
+/// `oracle.path.<family>.pairs_per_sec` and per-count
+/// `oracle.path.threadsNN.pairs_per_sec` gauges) and
+/// `oracle.path.mean_nodes`; the oracle's own
 /// `oracle.path.*` counters and latency histograms ride along in the
 /// same snapshot.
 pub fn epath_reporting(families: &[Family], n: usize, pair_count: usize) -> String {
@@ -403,6 +405,7 @@ pub fn epath_reporting(families: &[Family], n: usize, pair_count: usize) -> Stri
             let pps = pairs.len() as f64 / batch_s;
             if psep_obs::enabled() {
                 psep_obs::gauge("oracle.path.pairs_per_sec").set_max(pps);
+                psep_obs::gauge(&format!("oracle.path.{}.pairs_per_sec", fam.name())).set_max(pps);
                 psep_obs::gauge(&format!("oracle.path.threads{threads:02}.pairs_per_sec"))
                     .set_max(pps);
             }

@@ -3,8 +3,11 @@
 //! This is the workhorse of the whole workspace: separator strategies use
 //! it to certify that separator paths are minimum-cost paths in their
 //! residual graphs (property P1 of Definition 1), the oracle layer uses it
-//! to compute per-vertex portal distances in context graphs `J`, and the
-//! benchmarks use it as the exact baseline.
+//! to compute per-vertex portal distances in context graphs `J` and to
+//! re-derive witness-path legs (a targeted run that stops at the leg's
+//! endpoint), and the benchmarks use it as the exact baseline. Every
+//! entry point runs the same loop, so all of them build the same
+//! deterministic trees.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -103,84 +106,17 @@ pub fn dijkstra<G: GraphRef>(g: &G, sources: &[NodeId]) -> ShortestPaths {
 /// Dijkstra that abandons vertices at distance `> limit`. Useful for
 /// bounded-radius explorations (e.g. net construction at a scale).
 pub fn dijkstra_with_limit<G: GraphRef>(g: &G, sources: &[NodeId], limit: Weight) -> ShortestPaths {
-    psep_obs::counter!("graph.dijkstra.invocations").incr();
-    let n = g.universe();
-    let mut dist = vec![INFINITY; n];
-    let mut parent: Vec<Option<NodeId>> = vec![None; n];
-    // (dist, id) in a min-heap; id tiebreak gives deterministic trees.
-    let mut heap: BinaryHeap<Reverse<(Weight, u32)>> = BinaryHeap::new();
-    for &s in sources {
-        assert!(g.contains_node(s), "source {s:?} not in graph");
-        if dist[s.index()] != 0 {
-            dist[s.index()] = 0;
-            heap.push(Reverse((0, s.0)));
-        }
-    }
-    // Relaxations accumulate locally; one atomic add at the end keeps
-    // the hot loop free of shared-cache-line traffic.
-    let mut relaxed: u64 = 0;
-    let mut pops: u64 = 0;
-    while let Some(Reverse((d, u))) = heap.pop() {
-        let u = NodeId(u);
-        if d > dist[u.index()] {
-            continue; // stale entry
-        }
-        pops += 1;
-        for e in g.neighbors(u) {
-            relaxed += 1;
-            let nd = d.saturating_add(e.weight);
-            if nd > limit {
-                continue;
-            }
-            let entry = &mut dist[e.to.index()];
-            if nd < *entry || (nd == *entry && parent[e.to.index()].is_some_and(|p| u < p)) {
-                *entry = nd;
-                parent[e.to.index()] = Some(u);
-                heap.push(Reverse((nd, e.to.0)));
-            }
-        }
-    }
-    psep_obs::counter!("graph.dijkstra.edges_relaxed").add(relaxed);
-    psep_obs::histogram!("graph.dijkstra.pops").record(pops);
-    ShortestPaths { dist, parent }
+    let mut scratch = DijkstraScratch::new(g.universe());
+    scratch.search(g, sources, None, limit);
+    scratch.into_paths()
 }
 
 /// Dijkstra with early exit once `target` is settled. Returns the full
 /// (partial) result; `target`'s distance is exact if reachable.
 pub fn dijkstra_to<G: GraphRef>(g: &G, source: NodeId, target: NodeId) -> ShortestPaths {
-    psep_obs::counter!("graph.dijkstra.invocations").incr();
-    let n = g.universe();
-    let mut dist = vec![INFINITY; n];
-    let mut parent: Vec<Option<NodeId>> = vec![None; n];
-    let mut heap: BinaryHeap<Reverse<(Weight, u32)>> = BinaryHeap::new();
-    assert!(g.contains_node(source), "source {source:?} not in graph");
-    dist[source.index()] = 0;
-    heap.push(Reverse((0, source.0)));
-    let mut relaxed: u64 = 0;
-    let mut pops: u64 = 0;
-    while let Some(Reverse((d, u))) = heap.pop() {
-        let u = NodeId(u);
-        if d > dist[u.index()] {
-            continue;
-        }
-        pops += 1;
-        if u == target {
-            break;
-        }
-        for e in g.neighbors(u) {
-            relaxed += 1;
-            let nd = d.saturating_add(e.weight);
-            let entry = &mut dist[e.to.index()];
-            if nd < *entry {
-                *entry = nd;
-                parent[e.to.index()] = Some(u);
-                heap.push(Reverse((nd, e.to.0)));
-            }
-        }
-    }
-    psep_obs::counter!("graph.dijkstra.edges_relaxed").add(relaxed);
-    psep_obs::histogram!("graph.dijkstra.pops").record(pops);
-    ShortestPaths { dist, parent }
+    let mut scratch = DijkstraScratch::new(g.universe());
+    scratch.run_to(g, source, target, INFINITY);
+    scratch.into_paths()
 }
 
 /// Reusable Dijkstra arenas for workloads that run many searches over
@@ -220,13 +156,46 @@ impl DijkstraScratch {
     }
 
     /// Runs Dijkstra from `sources` over `g`, reusing the arenas.
-    /// Distances and parents are readable until the next `run`.
+    /// Distances and parents are readable until the next run.
     ///
     /// # Panics
     ///
     /// Panics if `g`'s universe differs from [`Self::universe`] or if a
     /// source is not contained in `g`.
     pub fn run<G: GraphRef>(&mut self, g: &G, sources: &[NodeId]) {
+        self.search(g, sources, None, INFINITY);
+    }
+
+    /// Runs Dijkstra from `source` over `g` and stops as soon as `target`
+    /// is settled; vertices farther than `limit` are never reached, so a
+    /// `target` beyond `limit` (or unreachable) ends the search once
+    /// nothing within `limit` is left and reads as `None`.
+    ///
+    /// `target`'s distance, and the parent of every vertex on its
+    /// shortest-path chain, are exactly those a full [`Self::run`] from
+    /// `source` computes. Edge weights are `≥ 1`, so a vertex settled
+    /// after `target` has distance `≥ dist(target)` and any relaxation
+    /// it makes costs at least `dist(target) + 1`: it can neither
+    /// shorten nor re-tie a vertex at distance `≤ dist(target)`.
+    /// Vertices off that chain may hold tentative values.
+    ///
+    /// # Panics
+    ///
+    /// As [`Self::run`].
+    pub fn run_to<G: GraphRef>(&mut self, g: &G, source: NodeId, target: NodeId, limit: Weight) {
+        self.search(g, &[source], Some(target), limit);
+    }
+
+    /// The one Dijkstra loop behind every entry point: settles vertices
+    /// in `(distance, id)` order, never reaches a vertex farther than
+    /// `limit`, and stops once `target` (if any) is settled.
+    fn search<G: GraphRef>(
+        &mut self,
+        g: &G,
+        sources: &[NodeId],
+        target: Option<NodeId>,
+        limit: Weight,
+    ) {
         assert_eq!(
             g.universe(),
             self.dist.len(),
@@ -247,6 +216,8 @@ impl DijkstraScratch {
                 self.heap.push(Reverse((0, s.0)));
             }
         }
+        // Relaxations accumulate locally; one atomic add at the end keeps
+        // the hot loop free of shared-cache-line traffic.
         let mut relaxed: u64 = 0;
         let mut pops: u64 = 0;
         while let Some(Reverse((d, u))) = self.heap.pop() {
@@ -255,10 +226,18 @@ impl DijkstraScratch {
                 continue; // stale entry
             }
             pops += 1;
+            if Some(u) == target {
+                break;
+            }
             for e in g.neighbors(u) {
                 relaxed += 1;
                 let nd = d.saturating_add(e.weight);
+                if nd > limit {
+                    continue;
+                }
                 let entry = &mut self.dist[e.to.index()];
+                // (dist, id) min-heap plus the smaller-parent tie-break
+                // give deterministic trees
                 if nd < *entry || (nd == *entry && self.parent[e.to.index()].is_some_and(|p| u < p))
                 {
                     if *entry == INFINITY {
@@ -272,6 +251,14 @@ impl DijkstraScratch {
         }
         psep_obs::counter!("graph.dijkstra.edges_relaxed").add(relaxed);
         psep_obs::histogram!("graph.dijkstra.pops").record(pops);
+    }
+
+    /// The last run's arrays as an owned [`ShortestPaths`].
+    fn into_paths(self) -> ShortestPaths {
+        ShortestPaths {
+            dist: self.dist,
+            parent: self.parent,
+        }
     }
 
     /// Distance from the closest source of the last run, or `None` if

@@ -5,9 +5,9 @@ use proptest::prelude::*;
 
 use psep_graph::bellman::bellman_ford;
 use psep_graph::components::{components, largest_component_after_removal};
-use psep_graph::dijkstra::{dijkstra, path_cost};
+use psep_graph::dijkstra::{dijkstra, path_cost, DijkstraScratch};
 use psep_graph::generators::{special, trees};
-use psep_graph::graph::{Graph, NodeId, Weight};
+use psep_graph::graph::{Graph, NodeId, Weight, INFINITY};
 use psep_graph::view::{GraphRef, NodeMask, SubgraphView};
 
 /// Strategy: a connected random graph built from a random tree plus
@@ -60,6 +60,49 @@ proptest! {
             prop_assert_eq!(p.first().copied(), Some(src));
             prop_assert_eq!(p.last().copied(), Some(v));
             prop_assert_eq!(path_cost(&g, &p), sp.dist(v));
+        }
+    }
+
+    /// A targeted run settles its target with exactly the distance and
+    /// parent chain a full Dijkstra over the same masked view computes,
+    /// and a limit below the true distance never reproduces it. One
+    /// scratch serves every run, so stale state would show.
+    #[test]
+    fn targeted_run_matches_full_dijkstra(
+        g in connected_graph(),
+        dead in proptest::collection::vec(0u8..4, 40),
+        ps in any::<u64>(),
+        pt in any::<u64>(),
+    ) {
+        let n = g.num_nodes();
+        let mut mask = NodeMask::all(n);
+        for v in g.nodes().filter(|v| dead[v.index()] == 0) {
+            mask.remove(v);
+        }
+        let alive: Vec<NodeId> = g.nodes().filter(|&v| mask.contains(v)).collect();
+        prop_assume!(!alive.is_empty());
+        let s = alive[(ps % alive.len() as u64) as usize];
+        let t = alive[(pt % alive.len() as u64) as usize];
+        let view = SubgraphView::new(&g, &mask);
+        let full = dijkstra(&view, &[s]);
+        let mut scratch = DijkstraScratch::new(n);
+        let truth = full.dist(t);
+        for limit in [INFINITY, truth.unwrap_or(INFINITY)] {
+            scratch.run(&g, &[t]); // leave unrelated state behind
+            scratch.run_to(&view, s, t, limit);
+            prop_assert_eq!(scratch.dist(t), truth);
+            if truth.is_some() {
+                let mut chain = vec![t];
+                while let Some(p) = scratch.parent(*chain.last().unwrap()) {
+                    chain.push(p);
+                }
+                chain.reverse();
+                prop_assert_eq!(Some(chain), full.path_to(t));
+            }
+        }
+        if let Some(d) = truth.filter(|&d| d > 0) {
+            scratch.run_to(&view, s, t, d - 1);
+            prop_assert_eq!(scratch.dist(t), None);
         }
     }
 

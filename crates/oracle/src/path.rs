@@ -10,7 +10,12 @@
 //!   exact quantity label construction stored ([`crate::label`] runs its
 //!   portal Dijkstras in `SubgraphView(g, tree.residual_mask(..))`), so
 //!   re-running the same deterministic Dijkstra from the portal
-//!   reproduces the stored distance and yields a parent forest to walk;
+//!   reproduces the stored distance and yields a parent chain to walk.
+//!   Each leg's search stops as soon as its endpoint is settled (and
+//!   never reaches past the stored distance): edge weights are `≥ 1`, so
+//!   no vertex settled later could change the endpoint's chain, and the
+//!   walk is the one a full Dijkstra over `J` gives, at a cost that
+//!   grows with the ball of radius `d_J` rather than with `|J|`;
 //! * `d_Q(p,q) = |pos(p) − pos(q)|` is the along-path distance between
 //!   two vertices of `Q`, realized by `Q`'s own vertex sequence (a
 //!   minimum-cost path of `J` with strictly increasing prefix
@@ -194,9 +199,19 @@ fn position_index(path: &SepPath, pos: Weight) -> Result<usize, Error> {
     }
 }
 
-/// One reconstruction leg: Dijkstra from `portal` inside `view`, check
-/// the stored distance is reproduced, and walk the parent forest from
-/// `from` back to the portal. Returns `[from, …, portal]`.
+/// One reconstruction leg: Dijkstra from `portal` inside `view` that
+/// stops as soon as `from` is settled and never reaches past the stored
+/// distance, a check that the stored distance is reproduced, and a walk
+/// of the parent chain from `from` back to the portal. Returns
+/// `[from, …, portal]`.
+///
+/// The chain is the one a full residual-graph Dijkstra would give:
+/// edge weights are `≥ 1`, so nothing settled after `from` can shorten
+/// or re-tie `from` or any of its ancestors (see
+/// [`DijkstraScratch::run_to`]). A stored distance above the true one
+/// settles `from` early with the smaller value; one below it leaves
+/// `from` unreached. Either way the check fails with a typed error,
+/// and the search never explores beyond the stored radius.
 fn leg(
     scratch: &mut DijkstraScratch,
     view: &SubgraphView<'_>,
@@ -204,7 +219,7 @@ fn leg(
     from: NodeId,
     stored: Weight,
 ) -> Result<Vec<NodeId>, Error> {
-    scratch.run(view, &[portal]);
+    scratch.run_to(view, portal, from, stored);
     if scratch.dist(from) != Some(stored) {
         return Err(Error::corrupt(
             "stored portal distance disagrees with the residual graph",
@@ -223,6 +238,7 @@ fn leg(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::label::build_labels;
     use crate::oracle::{build_oracle, OracleParams};
     use psep_core::strategy::AutoStrategy;
     use psep_graph::dijkstra::{dijkstra, path_cost};
@@ -241,14 +257,61 @@ mod tests {
         (tree, o)
     }
 
+    /// The witness rebuilt from scratch: the winning candidate's two
+    /// legs read off full residual-graph Dijkstras from each portal,
+    /// joined by the separator path between the portals.
+    fn reference_witness(
+        g: &Graph,
+        tree: &DecompositionTree,
+        o: &DistanceOracle,
+        u: NodeId,
+        v: NodeId,
+    ) -> Option<WitnessPath> {
+        if u == v {
+            return Some(WitnessPath {
+                nodes: vec![u],
+                weight: 0,
+            });
+        }
+        let (_, best) =
+            merge_join_best(o.label(u).entries_with_min(), o.label(v).entries_with_min());
+        let (weight, key, pu, pv) = best?;
+        let (h, gi, pi) = unpack_key(key);
+        let path = &tree.nodes()[h as usize].separator.groups[gi as usize].paths[pi as usize];
+        let index = |pos| (0..path.len()).find(|&i| path.position(i) == pos).unwrap();
+        let (ip, iq) = (index(pu.pos), index(pv.pos));
+        let mask = tree.residual_mask(g.num_nodes(), h as usize, gi as usize);
+        let view = SubgraphView::new(g, &mask);
+        let from_p = dijkstra(&view, &[path.vertices()[ip]]);
+        let from_q = dijkstra(&view, &[path.vertices()[iq]]);
+        assert_eq!(from_p.dist(u), Some(pu.dist));
+        assert_eq!(from_q.dist(v), Some(pv.dist));
+        let mut nodes = from_p.path_to(u).unwrap(); // p … u
+        nodes.reverse();
+        let along: Vec<NodeId> = if ip <= iq {
+            path.vertices()[ip..=iq].to_vec()
+        } else {
+            path.vertices()[iq..=ip].iter().rev().copied().collect()
+        };
+        nodes.extend(&along[1..]);
+        nodes.extend(&from_q.path_to(v).unwrap()[1..]); // q … v
+        Some(WitnessPath { nodes, weight })
+    }
+
     /// Every pair: the witness is a real walk whose weight equals the
-    /// scalar query answer exactly.
+    /// scalar query answer exactly, and it is node for node the walk the
+    /// full residual-graph Dijkstras give.
     fn check_all_pairs(g: &Graph, tree: &DecompositionTree, o: &DistanceOracle) {
         for u in g.nodes() {
             let sp = dijkstra(g, &[u]);
             for v in g.nodes() {
                 let est = o.query(u, v);
                 let path = o.query_path(g, tree, u, v);
+                assert_eq!(
+                    path,
+                    reference_witness(g, tree, o, u, v),
+                    "{u:?}->{v:?}: witness differs from the full-Dijkstra walk"
+                );
                 match (est, path) {
                     (None, None) => assert_eq!(sp.dist(v), None),
                     (Some(est), Some(p)) => {
@@ -287,6 +350,50 @@ mod tests {
         let g = ktree::random_weighted_k_tree(40, 3, 5, 11).graph;
         let (tree, o) = build(&g, 0.5);
         check_all_pairs(&g, &tree, &o);
+    }
+
+    /// A portal distance shifted by ±1 in a label is caught by the leg
+    /// check as a typed error, never a panic, a hang or a wrong walk.
+    #[test]
+    fn shifted_portal_distances_are_typed_errors() {
+        let g = grids::grid2d(7, 7, 1);
+        let tree = DecompositionTree::build(&g, &AutoStrategy::default());
+        let labels = build_labels(&g, &tree, 0.25, 1);
+        let o = DistanceOracle::from_labels(labels.clone(), 0.25);
+        for shift in [1i64, -1] {
+            let mut rejected = 0;
+            for u in g.nodes() {
+                for v in g.nodes().filter(|&v| v != u) {
+                    let (_, best) = merge_join_best(
+                        o.label(u).entries_with_min(),
+                        o.label(v).entries_with_min(),
+                    );
+                    let (_, key, pu, _) = best.unwrap();
+                    if pu.dist == 0 && shift < 0 {
+                        continue; // u is its own portal
+                    }
+                    let mut bad = labels.clone();
+                    let entry = bad[u.index()]
+                        .entries
+                        .iter_mut()
+                        .find(|e| e.packed_key() == key)
+                        .unwrap();
+                    let portal = entry.portals.iter_mut().find(|p| **p == pu).unwrap();
+                    portal.dist = portal.dist.checked_add_signed(shift).unwrap();
+                    let bad = DistanceOracle::from_labels(bad, 0.25);
+                    match bad.try_query_path(&g, &tree, u, v) {
+                        Err(Error::Wire(_)) => rejected += 1,
+                        // +1 can hand the win to another, intact candidate
+                        Ok(Some(p)) if shift > 0 => {
+                            assert_eq!(Some(p.weight), bad.query(u, v), "{u:?}->{v:?}");
+                            assert_eq!(path_cost(&g, &p.nodes), Some(p.weight));
+                        }
+                        other => panic!("{u:?}->{v:?} shift {shift}: {other:?}"),
+                    }
+                }
+            }
+            assert!(rejected > 0, "shift {shift} never reached the leg check");
+        }
     }
 
     #[test]
