@@ -286,8 +286,7 @@ pub fn e7x_sparse_label_blowup() -> String {
         let g = psep_graph::generators::special::erdos_renyi_connected(n, 0.5, SEED);
         let strat = IterativeStrategy::default();
         let tree = DecompositionTree::build(&g, &strat);
-        let labels = build_labels(&g, &tree, 0.25, 4);
-        let stats = psep_oracle::label::label_stats(&labels);
+        let stats = build_labels(&g, &tree, 0.25, 4).stats();
         let _ = writeln!(
             out,
             "| dense ER p=.5 | {} | {} | {} | {:.1} | {} |",
@@ -302,8 +301,7 @@ pub fn e7x_sparse_label_blowup() -> String {
         let g = Family::Grid.make(n, SEED);
         let strat = Family::Grid.strategy();
         let tree = DecompositionTree::build(&g, strat.as_ref());
-        let labels = build_labels(&g, &tree, 0.25, 4);
-        let stats = psep_oracle::label::label_stats(&labels);
+        let stats = build_labels(&g, &tree, 0.25, 4).stats();
         let _ = writeln!(
             out,
             "| grid (structured) | {} | {} | {} | {:.1} | {} |",

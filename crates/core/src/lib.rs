@@ -26,11 +26,15 @@
 //! * [`doubling`] — `(k, α)`-doubling separators (§5.3): isometric
 //!   low-doubling pieces instead of paths, with the 3D-mesh plane
 //!   strategy of Theorem 8's motivating example;
+//! * [`csr`] — the stable counting sort both the label and the
+//!   routing-table builders use to turn their group-major emission into
+//!   vertex-major arenas;
 //! * [`exec`] — the shared [`ShardedRunner`] worker pattern every
 //!   parallel surface (batch queries, label/table construction,
 //!   small-world builds) runs on, with input-order bit-identity.
 
 pub mod check;
+pub mod csr;
 pub mod decomposition;
 pub mod dissection;
 pub mod doubling;

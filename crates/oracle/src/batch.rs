@@ -116,7 +116,7 @@ impl BatchQueryEngine {
             |&(u, _)| u,
             |worker, &(u, v)| {
                 let t0 = psep_obs::now_if_enabled();
-                let (answer, stats) = oracle.query_uncounted(u, v);
+                let (answer, stats) = oracle.query_with_stats(u, v);
                 worker.stats.merge(stats);
                 worker.hists.record(stats.scanned, t0);
                 (answer, stats.scanned)

@@ -47,7 +47,7 @@ pub use error::Error;
 pub use estimator::DistanceEstimator;
 pub use exact::ExactOracle;
 pub use flat::{FlatLabels, LabelRef};
-pub use label::{DistanceLabel, LabelEntry, PortalEntry};
+pub use label::PortalEntry;
 pub use oracle::{build_oracle, DistanceOracle, JoinStats, OracleBuilder, OracleParams};
 pub use path::WitnessPath;
 pub use thorup_zwick::ThorupZwickOracle;

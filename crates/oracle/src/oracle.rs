@@ -6,7 +6,7 @@ use psep_graph::graph::{Graph, NodeId, Weight, INFINITY};
 
 use crate::error::Error;
 use crate::flat::{FlatLabels, LabelRef};
-use crate::label::{build_labels, unpack_key, DistanceLabel, LabelStats, PortalEntry};
+use crate::label::{build_labels, unpack_key, LabelStats, PortalEntry};
 
 /// Construction parameters for [`build_oracle`].
 #[derive(Clone, Copy, Debug)]
@@ -160,26 +160,15 @@ pub fn build_oracle<'a>(
     tree: &DecompositionTree,
     params: OracleParams,
 ) -> DistanceOracle<'a> {
-    let labels = build_labels(g, tree, params.epsilon, params.threads);
     DistanceOracle {
-        flat: FlatLabels::from_labels(&labels),
+        flat: build_labels(g, tree, params.epsilon, params.threads),
         epsilon: params.epsilon,
     }
 }
 
 impl<'a> DistanceOracle<'a> {
-    /// Builds an oracle directly from nested labels (e.g. labels shipped
-    /// from a distributed deployment — Theorem 2's labeling-scheme
-    /// reading).
-    pub fn from_labels(labels: Vec<DistanceLabel>, epsilon: f64) -> Self {
-        DistanceOracle {
-            flat: FlatLabels::from_labels(&labels),
-            epsilon,
-        }
-    }
-
-    /// Builds an oracle from an already-flat arena (e.g. one loaded or
-    /// mapped from the wire format).
+    /// Builds an oracle from a label arena — one returned by
+    /// [`build_labels`], or one decoded or mapped from the wire format.
     pub fn from_flat(flat: FlatLabels<'a>, epsilon: f64) -> Self {
         DistanceOracle { flat, epsilon }
     }
@@ -296,9 +285,8 @@ impl<'a> DistanceOracle<'a> {
         Ok(result)
     }
 
-    /// The one pruned merge-join both uninstrumented query paths share
-    /// (the batch hot path and the traced path differ only in their
-    /// per-key observer).
+    /// The one pruned merge-join the explained, batch and traced query
+    /// paths share (they differ only in their per-key observer).
     fn join_core(
         &self,
         u: NodeId,
@@ -312,23 +300,17 @@ impl<'a> DistanceOracle<'a> {
         )
     }
 
-    /// Like [`Self::query`] but skips per-query instrumentation — the
-    /// batch engine's hot path; workers publish aggregated counters once
-    /// per chunk instead.
-    pub(crate) fn query_uncounted(&self, u: NodeId, v: NodeId) -> (Option<Weight>, JoinStats) {
+    /// [`Self::query`] plus the merge-join statistics of the call
+    /// (candidates scanned, keys and portal tails pruned), without
+    /// touching global instrumentation — the batch engine's hot path
+    /// (workers publish aggregated counters once per chunk instead) and
+    /// the benchmark harness's probe into the pruned production path.
+    pub fn query_with_stats(&self, u: NodeId, v: NodeId) -> (Option<Weight>, JoinStats) {
         if u == v {
             return (Some(0), JoinStats::default());
         }
         let (stats, best) = self.join_core(u, v, |_, _| ());
         (best.map(|(w, ..)| w), stats)
-    }
-
-    /// [`Self::query`] plus the merge-join statistics of the call
-    /// (candidates scanned, keys and portal tails pruned), without
-    /// touching global instrumentation — the benchmark harness's probe
-    /// into the pruned production path.
-    pub fn query_with_stats(&self, u: NodeId, v: NodeId) -> (Option<Weight>, JoinStats) {
-        self.query_uncounted(u, v)
     }
 
     /// Reference query that scans every candidate of every matched key —
@@ -439,29 +421,18 @@ impl JoinStats {
 /// `(weight, key, portal_u, portal_v)` — the minimum and its witness.
 type BestCandidate = (Weight, u64, PortalEntry, PortalEntry);
 
-/// The pruned merge-join every production query path funnels through.
+/// The pruned merge-join over two label views
+/// ([`LabelRef::entries_with_min`]): what [`DistanceOracle::try_query`],
+/// [`query_label_refs`] and the witness-path builder run.
 ///
 /// Returns the join statistics and the best candidate (`None` when the
-/// streams share no key). Works identically over flat views
-/// ([`LabelRef::entries_with_min`]) and nested labels adapted through
-/// [`with_inline_mins`], so representation changes land here exactly
-/// once.
+/// streams share no key).
 pub(crate) fn merge_join_best<'a>(
     a: impl Iterator<Item = (u64, &'a [PortalEntry], Weight)>,
     b: impl Iterator<Item = (u64, &'a [PortalEntry], Weight)>,
 ) -> (JoinStats, Option<BestCandidate>) {
     // the no-op observer inlines away; the hot path pays nothing
     merge_join_core::<_, _, _, true>(a, b, |_, _| ())
-}
-
-/// Adapts a `(key, portals)` stream (nested labels) to the
-/// `(key, portals, min_portal_dist)` triples the merge-join core
-/// consumes, computing the prune bound inline. The flat arena carries
-/// the bounds precomputed; nested labels pay one pass per entry.
-pub(crate) fn with_inline_mins<'a>(
-    it: impl Iterator<Item = (u64, &'a [PortalEntry])>,
-) -> impl Iterator<Item = (u64, &'a [PortalEntry], Weight)> {
-    it.map(|(k, p)| (k, p, p.iter().map(|e| e.dist).min().unwrap_or(INFINITY)))
 }
 
 /// The merge-join core: walks two ascending `(key, portals, min_dist)`
@@ -551,31 +522,6 @@ fn record_query(stats: JoinStats) {
 /// Label-only distance estimate — usable by any two parties holding just
 /// the two labels (the distributed reading of Theorem 2). Returns
 /// [`INFINITY`] when the labels share no entry.
-pub fn query_labels(lu: &DistanceLabel, lv: &DistanceLabel) -> Weight {
-    let (stats, best) = merge_join_best(
-        with_inline_mins(lu.entry_slices()),
-        with_inline_mins(lv.entry_slices()),
-    );
-    record_query(stats);
-    best.map_or(INFINITY, |(w, ..)| w)
-}
-
-/// Like [`query_labels`] but also returns the witnessing entry and
-/// portal pair. `None` when the labels share no entry.
-pub fn query_labels_explain(
-    lu: &DistanceLabel,
-    lv: &DistanceLabel,
-) -> Option<(Weight, QueryWitness)> {
-    let (stats, best) = merge_join_best(
-        with_inline_mins(lu.entry_slices()),
-        with_inline_mins(lv.entry_slices()),
-    );
-    record_query(stats);
-    best.map(|(w, key, pu, pv)| (w, QueryWitness::new(key, pu, pv)))
-}
-
-/// Label-only distance estimate over two flat views — same contract as
-/// [`query_labels`], zero materialization.
 pub fn query_label_refs(lu: LabelRef<'_>, lv: LabelRef<'_>) -> Weight {
     let (stats, best) = merge_join_best(lu.entries_with_min(), lv.entries_with_min());
     record_query(stats);
@@ -620,12 +566,6 @@ mod tests {
                 threads: 1,
             },
         )
-    }
-
-    /// The builder's nested labels behind [`build`]'s oracle.
-    fn nested_labels(g: &Graph, eps: f64) -> Vec<DistanceLabel> {
-        let tree = DecompositionTree::build(g, &AutoStrategy::default());
-        build_labels(g, &tree, eps, 1)
     }
 
     #[test]
@@ -730,7 +670,6 @@ mod tests {
     fn explain_agrees_with_query_and_decomposes_the_estimate() {
         let g = grids::grid2d(6, 6, 1);
         let o = build(&g, 0.25);
-        let labels = nested_labels(&g, 0.25);
         for u in g.nodes() {
             for v in g.nodes() {
                 if u == v {
@@ -740,12 +679,7 @@ mod tests {
                 let (w_est, w) = o.explain(u, v).unwrap();
                 assert_eq!(est, w_est);
                 assert_eq!(w.dist_u + w.along + w.dist_v, est);
-                // the nested-label paths agree with the flat paths
-                assert_eq!(query_labels(&labels[u.index()], &labels[v.index()]), est);
-                assert_eq!(
-                    query_labels_explain(&labels[u.index()], &labels[v.index()]),
-                    Some((w_est, w))
-                );
+                // two labels alone give the same answer
                 assert_eq!(query_label_refs(o.label(u), o.label(v)), est);
             }
         }
@@ -755,7 +689,7 @@ mod tests {
     fn space_accounting() {
         let g = grids::grid2d(6, 6, 1);
         let o = build(&g, 0.25);
-        let total: usize = nested_labels(&g, 0.25).iter().map(|l| l.size()).sum();
+        let total: usize = g.nodes().map(|v| o.label(v).size()).sum();
         assert_eq!(o.space_entries(), total);
         assert!(total > 0);
     }

@@ -238,7 +238,7 @@ fn leg(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::label::build_labels;
+    use crate::flat::FlatLabels;
     use crate::oracle::{build_oracle, OracleParams};
     use psep_core::strategy::AutoStrategy;
     use psep_graph::dijkstra::{dijkstra, path_cost};
@@ -357,9 +357,8 @@ mod tests {
     #[test]
     fn shifted_portal_distances_are_typed_errors() {
         let g = grids::grid2d(7, 7, 1);
-        let tree = DecompositionTree::build(&g, &AutoStrategy::default());
-        let labels = build_labels(&g, &tree, 0.25, 1);
-        let o = DistanceOracle::from_labels(labels.clone(), 0.25);
+        let (tree, o) = build(&g, 0.25);
+        let (es, keys, ps, portals) = o.flat_labels().as_parts();
         for shift in [1i64, -1] {
             let mut rejected = 0;
             for u in g.nodes() {
@@ -372,15 +371,17 @@ mod tests {
                     if pu.dist == 0 && shift < 0 {
                         continue; // u is its own portal
                     }
-                    let mut bad = labels.clone();
-                    let entry = bad[u.index()]
-                        .entries
+                    let (lo, hi) = (es[u.index()] as usize, es[u.index() + 1] as usize);
+                    let e = lo + keys[lo..hi].binary_search(&key).unwrap();
+                    let mut bad = portals.to_vec();
+                    let portal = bad[ps[e] as usize..ps[e + 1] as usize]
                         .iter_mut()
-                        .find(|e| e.packed_key() == key)
+                        .find(|p| **p == pu)
                         .unwrap();
-                    let portal = entry.portals.iter_mut().find(|p| **p == pu).unwrap();
                     portal.dist = portal.dist.checked_add_signed(shift).unwrap();
-                    let bad = DistanceOracle::from_labels(bad, 0.25);
+                    let bad = FlatLabels::from_parts(es.to_vec(), keys.to_vec(), ps.to_vec(), bad)
+                        .unwrap();
+                    let bad = DistanceOracle::from_flat(bad, 0.25);
                     match bad.try_query_path(&g, &tree, u, v) {
                         Err(Error::Wire(_)) => rejected += 1,
                         // +1 can hand the win to another, intact candidate

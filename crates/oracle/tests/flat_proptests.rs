@@ -1,7 +1,6 @@
 //! Property tests for the flat label arena and the `psep-labels/v1`
-//! wire format: `FlatLabels` is a lossless re-encoding of
-//! `Vec<DistanceLabel>`, the wire round-trip is bit-exact, and any
-//! corrupted byte is rejected.
+//! wire format: the builder's arena satisfies every CSR invariant, the
+//! wire round-trip is bit-exact, and any corrupted byte is rejected.
 
 use proptest::prelude::*;
 use psep_core::strategy::AutoStrategy;
@@ -26,23 +25,23 @@ fn make_graph(pick: u8, size: usize, seed: u64) -> Graph {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Flattening nested labels is lossless: the per-vertex views agree
-    /// with the builder's output entry by entry.
+    /// The builder's arena reassembles through the validating
+    /// constructor unchanged, and every vertex's label holds at least
+    /// one entry with non-empty portals (the root separator reaches it).
     #[test]
-    fn flat_labels_roundtrip_nested(pick in 0u8..4, size in 2usize..6, seed in any::<u64>(), eps_tenths in 1u32..8) {
+    fn built_labels_are_valid_arenas(pick in 0u8..4, size in 2usize..6, seed in any::<u64>(), eps_tenths in 1u32..8) {
         let g = make_graph(pick, size, seed);
         let tree = DecompositionTree::build(&g, &AutoStrategy::default());
-        let labels = build_labels(&g, &tree, eps_tenths as f64 / 10.0, 1);
-        let flat = FlatLabels::from_labels(&labels);
-        prop_assert_eq!(flat.num_labels(), labels.len());
-        for (v, nested) in labels.iter().enumerate() {
-            let view = flat.label(psep_graph::NodeId(v as u32));
-            prop_assert_eq!(view.num_entries(), nested.num_entries());
-            prop_assert_eq!(view.size(), nested.size());
-            for ((ka, pa), (kb, pb)) in view.entries().zip(nested.entry_slices()) {
-                prop_assert_eq!(ka, kb);
-                prop_assert_eq!(pa, pb);
-            }
+        let flat = build_labels(&g, &tree, eps_tenths as f64 / 10.0, 1);
+        prop_assert_eq!(flat.num_labels(), g.num_nodes());
+        let (es, keys, ps, portals) = flat.as_parts();
+        let again = FlatLabels::from_parts(es.to_vec(), keys.to_vec(), ps.to_vec(), portals.to_vec())
+            .expect("the builder's arena is valid");
+        prop_assert_eq!(&again, &flat);
+        for v in g.nodes() {
+            let view = flat.label(v);
+            prop_assert!(view.num_entries() > 0, "{:?} has no entry", v);
+            prop_assert!(view.entries().all(|(_, p)| !p.is_empty()));
         }
     }
 
@@ -52,8 +51,7 @@ proptest! {
     fn wire_roundtrip_is_bit_exact(pick in 0u8..4, size in 2usize..6, seed in any::<u64>()) {
         let g = make_graph(pick, size, seed);
         let tree = DecompositionTree::build(&g, &AutoStrategy::default());
-        let labels = build_labels(&g, &tree, 0.25, 1);
-        let flat = FlatLabels::from_labels(&labels);
+        let flat = build_labels(&g, &tree, 0.25, 1);
         let bytes = encode_labels(&flat, 0.25);
         let (back, eps) = decode_labels(&bytes).expect("own artifact decodes");
         prop_assert_eq!(&back, &flat);
@@ -66,8 +64,7 @@ proptest! {
     fn any_corrupted_byte_is_rejected(size in 2usize..5, seed in any::<u64>(), flip in any::<u16>(), bit in 0u8..8) {
         let g = make_graph(1, size, seed);
         let tree = DecompositionTree::build(&g, &AutoStrategy::default());
-        let labels = build_labels(&g, &tree, 0.5, 1);
-        let flat = FlatLabels::from_labels(&labels);
+        let flat = build_labels(&g, &tree, 0.5, 1);
         let bytes = encode_labels(&flat, 0.5);
         let mut bad = bytes.clone();
         let at = flip as usize % bad.len();

@@ -40,7 +40,7 @@ fn label_construction_runs_one_dijkstra_per_alive_path_vertex() {
             .counter("graph.dijkstra.invocations")
             .unwrap_or(0);
         let labels = build_labels(&g, &tree, 0.25, threads);
-        assert_eq!(labels.len(), n);
+        assert_eq!(labels.num_labels(), n);
         let after = psep_obs::snapshot()
             .counter("graph.dijkstra.invocations")
             .unwrap_or(0);

@@ -10,7 +10,6 @@ use psep_core::strategy::AutoStrategy;
 use psep_core::DecompositionTree;
 use psep_oracle::label::build_labels;
 use psep_oracle::wire::encode_labels;
-use psep_oracle::FlatLabels;
 use psep_testkit::{arb_graph, equivalence_families, THREAD_COUNTS};
 
 const EPSILON: f64 = 0.25;
@@ -22,7 +21,7 @@ fn parallel_tree_and_labels_are_bit_identical_on_every_family() {
         let base_tree = DecompositionTree::build(&g, &strategy);
         let base_tree_bytes = base_tree.encode();
         let base_labels = build_labels(&g, &base_tree, EPSILON, 1);
-        let base_label_bytes = encode_labels(&FlatLabels::from_labels(&base_labels), EPSILON);
+        let base_label_bytes = encode_labels(&base_labels, EPSILON);
         for threads in THREAD_COUNTS {
             let params = DecompositionParams { threads };
             let tree = DecompositionTree::build_with(&g, &strategy, &params);
@@ -33,7 +32,7 @@ fn parallel_tree_and_labels_are_bit_identical_on_every_family() {
             );
             let labels = build_labels(&g, &tree, EPSILON, threads);
             assert_eq!(
-                encode_labels(&FlatLabels::from_labels(&labels), EPSILON),
+                encode_labels(&labels, EPSILON),
                 base_label_bytes,
                 "family {name}: label wire bytes differ at {threads} threads"
             );
@@ -63,8 +62,8 @@ proptest! {
         let base_labels = build_labels(&g, &base_tree, EPSILON, 1);
         let labels = build_labels(&g, &tree, EPSILON, threads);
         prop_assert_eq!(
-            encode_labels(&FlatLabels::from_labels(&labels), EPSILON),
-            encode_labels(&FlatLabels::from_labels(&base_labels), EPSILON)
+            encode_labels(&labels, EPSILON),
+            encode_labels(&base_labels, EPSILON)
         );
     }
 }

@@ -12,25 +12,29 @@
 //! compares its delivery rate and stretch against the plan router.
 
 use psep_graph::graph::{Graph, NodeId, Weight, INFINITY};
-use psep_oracle::label::DistanceLabel;
-use psep_oracle::oracle::query_labels;
+use psep_oracle::oracle::{query_label_refs, DistanceOracle};
 
 use crate::router::RouteOutcome;
 
 /// The oracle-greedy router baseline.
 #[derive(Clone, Debug)]
-pub struct OracleGreedyRouter {
+pub struct OracleGreedyRouter<'a> {
     graph: Graph,
-    labels: Vec<DistanceLabel>,
+    oracle: DistanceOracle<'a>,
 }
 
-impl OracleGreedyRouter {
-    /// Builds the baseline from a graph and its Theorem 2 labels.
-    pub fn new(g: &Graph, labels: Vec<DistanceLabel>) -> Self {
-        assert_eq!(g.num_nodes(), labels.len(), "one label per vertex");
+impl<'a> OracleGreedyRouter<'a> {
+    /// Builds the baseline from a graph and the oracle holding its
+    /// Theorem 2 labels.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the oracle has one label per vertex of `g`.
+    pub fn new(g: &Graph, oracle: DistanceOracle<'a>) -> Self {
+        assert_eq!(g.num_nodes(), oracle.num_nodes(), "one label per vertex");
         OracleGreedyRouter {
             graph: g.clone(),
-            labels,
+            oracle,
         }
     }
 
@@ -45,7 +49,7 @@ impl OracleGreedyRouter {
             });
         }
         let budget = 4 * self.graph.num_nodes() + 16;
-        let label_t = &self.labels[t.index()];
+        let label_t = self.oracle.label(t);
         let mut route = vec![u];
         let mut cost: Weight = 0;
         let mut cur = u;
@@ -65,7 +69,7 @@ impl OracleGreedyRouter {
                     best = Some((e.to, e.weight, 0));
                     break;
                 }
-                let est = query_labels(&self.labels[e.to.index()], label_t);
+                let est = query_label_refs(self.oracle.label(e.to), label_t);
                 if est == INFINITY {
                     continue;
                 }
@@ -94,11 +98,15 @@ mod tests {
     use psep_core::DecompositionTree;
     use psep_graph::dijkstra::dijkstra;
     use psep_graph::generators::{grids, trees};
-    use psep_oracle::label::build_labels;
+    use psep_oracle::oracle::{build_oracle, OracleParams};
 
-    fn build(g: &Graph, eps: f64) -> OracleGreedyRouter {
+    fn build(g: &Graph, eps: f64) -> OracleGreedyRouter<'static> {
         let tree = DecompositionTree::build(g, &AutoStrategy::default());
-        OracleGreedyRouter::new(g, build_labels(g, &tree, eps, 1))
+        let params = OracleParams {
+            epsilon: eps,
+            threads: 1,
+        };
+        OracleGreedyRouter::new(g, build_oracle(g, &tree, params))
     }
 
     #[test]

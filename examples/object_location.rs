@@ -12,8 +12,8 @@ use path_separators::core::DecompositionTree;
 use path_separators::graph::dijkstra::dijkstra;
 use path_separators::graph::generators::ktree;
 use path_separators::graph::NodeId;
-use path_separators::oracle::label::build_labels;
-use path_separators::oracle::oracle::query_labels;
+use path_separators::oracle::directory::ObjectDirectory;
+use path_separators::oracle::oracle::{build_oracle, query_label_refs, OracleParams};
 
 fn main() {
     // an overlay network with bounded treewidth (series-parallel-ish
@@ -24,8 +24,15 @@ fn main() {
 
     let tree = DecompositionTree::build(g, &AutoStrategy::default());
     let eps = 0.25;
-    let labels = build_labels(g, &tree, eps, 4);
-    let mean: f64 = labels.iter().map(|l| l.size()).sum::<usize>() as f64 / labels.len() as f64;
+    let oracle = build_oracle(
+        g,
+        &tree,
+        OracleParams {
+            epsilon: eps,
+            threads: 4,
+        },
+    );
+    let mean = oracle.stats().mean_size;
     println!("labels built: ε = {eps}, mean size {mean:.1} portal entries");
 
     // replicas of "object X" at three nodes
@@ -36,7 +43,7 @@ fn main() {
     let client = NodeId(42);
     let (best, est) = replicas
         .iter()
-        .map(|&r| (r, query_labels(&labels[client.index()], &labels[r.index()])))
+        .map(|&r| (r, query_label_refs(oracle.label(client), oracle.label(r))))
         .min_by_key(|&(_, d)| d)
         .unwrap();
     println!("client {client:?} estimates: closest replica = {best:?} at ≈ {est}");
@@ -49,7 +56,7 @@ fn main() {
         .min_by_key(|&(_, d)| d)
         .unwrap();
     println!("exact        : closest replica = {true_best:?} at {true_d}");
-    let est_of_true = query_labels(&labels[client.index()], &labels[true_best.index()]);
+    let est_of_true = query_label_refs(oracle.label(client), oracle.label(true_best));
     assert!(est_of_true as f64 <= (1.0 + eps) * true_d as f64);
     println!(
         "label estimate of the true best is within 1+ε: {} ≤ {:.1}",
@@ -58,9 +65,7 @@ fn main() {
     );
 
     // the same flow through the first-class directory API
-    use path_separators::oracle::directory::ObjectDirectory;
-    use path_separators::oracle::oracle::DistanceOracle;
-    let mut dir = ObjectDirectory::new(DistanceOracle::from_labels(labels, eps));
+    let mut dir = ObjectDirectory::new(oracle);
     for &r in &replicas {
         dir.register(0xBEEF, r);
     }

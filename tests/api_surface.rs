@@ -69,7 +69,7 @@ fn star_apex_is_detected_by_iterative_strategy() {
 }
 
 #[test]
-fn oracle_from_labels_matches_built_oracle() {
+fn oracle_from_built_labels_matches_built_oracle() {
     let g = path_separators::graph::generators::grids::grid2d(5, 5, 1);
     let tree = DecompositionTree::build(&g, &AutoStrategy::default());
     let built = build_oracle(
@@ -81,7 +81,7 @@ fn oracle_from_labels_matches_built_oracle() {
         },
     );
     let labels = path_separators::oracle::label::build_labels(&g, &tree, 0.5, 1);
-    let relabeled = DistanceOracle::from_labels(labels, 0.5);
+    let relabeled = DistanceOracle::from_flat(labels, 0.5);
     assert_eq!(relabeled.flat_labels(), built.flat_labels());
     for u in g.nodes() {
         for v in g.nodes() {

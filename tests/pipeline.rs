@@ -95,7 +95,7 @@ fn labels_alone_answer_queries() {
     let labels = path_separators::oracle::label::build_labels(&g, &tree, 0.5, 1);
     let u = path_separators::graph::NodeId(0);
     let v = path_separators::graph::NodeId(63);
-    let est = path_separators::oracle::oracle::query_labels(&labels[u.index()], &labels[v.index()]);
+    let est = path_separators::oracle::oracle::query_label_refs(labels.label(u), labels.label(v));
     assert!((14..=21).contains(&est)); // d = 14, ε = 0.5
 }
 
