@@ -256,14 +256,13 @@ impl ShardedRunner {
         (results, total_units)
     }
 
-    /// [`run`](Self::run) with a locality schedule: each worker
-    /// stable-sorts the indices of its claimed block by `key` and
-    /// processes items in that order, so items sharing a key (e.g. batch
-    /// queries from the same source vertex) run back-to-back and keep
-    /// their working set hot in cache. Results are still placed at their
-    /// original input offsets, so the output is bit-identical to
-    /// [`run`](Self::run) — the schedule can only change *when* an item
-    /// runs, never what it returns or where it lands.
+    /// [`run`](Self::run) with a locality schedule: items are
+    /// stable-sorted by `key` and run in that order, so items sharing a
+    /// key (e.g. batch queries from the same source vertex) run
+    /// back-to-back and keep their working set hot in cache. Results are
+    /// scattered back to their original input offsets, so the output is
+    /// bit-identical to [`run`](Self::run) — the schedule can only change
+    /// *when* an item runs, never what it returns or where it lands.
     ///
     /// # Panics
     ///
@@ -273,7 +272,7 @@ impl ShardedRunner {
         items: &[I],
         obs: Option<&ShardObs>,
         scratches: &mut [S],
-        key: impl Fn(&I) -> K + Sync,
+        key: impl Fn(&I) -> K,
         work: impl Fn(&mut S, &I) -> (T, u64) + Sync,
     ) -> (Vec<T>, u64)
     where
@@ -282,73 +281,19 @@ impl ShardedRunner {
         T: Send,
         K: Ord,
     {
-        assert!(!scratches.is_empty(), "ShardedRunner needs >= 1 scratch");
-        let workers = self.worker_count(items.len()).min(scratches.len());
+        let mut order: Vec<usize> = (0..items.len()).collect();
+        order.sort_by_key(|&i| key(&items[i]));
+        let (sorted, units) = self.run(&order, obs, scratches, |s, &i| work(s, &items[i]));
         let mut slots: Vec<Option<T>> = Vec::with_capacity(items.len());
         slots.resize_with(items.len(), || None);
-        let mut total_units = 0u64;
-        if workers <= 1 {
-            let scratch = &mut scratches[0];
-            let mut order: Vec<usize> = (0..items.len()).collect();
-            order.sort_by_key(|&i| key(&items[i]));
-            for i in order {
-                let (t, u) = work(scratch, &items[i]);
-                total_units += u;
-                slots[i] = Some(t);
-            }
-            if let Some(o) = obs {
-                o.record(0, items.len() as u64, total_units);
-            }
-        } else {
-            let block = self.min_chunk;
-            let cursor = AtomicUsize::new(0);
-            std::thread::scope(|s| {
-                let (cursor_ref, key_ref, work_ref) = (&cursor, &key, &work);
-                let handles: Vec<_> = scratches
-                    .iter_mut()
-                    .take(workers)
-                    .map(|scratch| {
-                        s.spawn(move || {
-                            let mut claimed: Vec<(usize, T)> = Vec::new();
-                            let (mut count, mut units) = (0u64, 0u64);
-                            let mut order: Vec<usize> = Vec::with_capacity(block);
-                            loop {
-                                let start = cursor_ref.fetch_add(block, Ordering::Relaxed);
-                                if start >= items.len() {
-                                    break;
-                                }
-                                let end = items.len().min(start + block);
-                                order.clear();
-                                order.extend(start..end);
-                                order.sort_by_key(|&i| key_ref(&items[i]));
-                                for &i in &order {
-                                    let (t, u) = work_ref(scratch, &items[i]);
-                                    units += u;
-                                    claimed.push((i, t));
-                                }
-                                count += (end - start) as u64;
-                            }
-                            (claimed, count, units)
-                        })
-                    })
-                    .collect();
-                for (wi, handle) in handles.into_iter().enumerate() {
-                    let (claimed, count, units) = handle.join().expect("sharded worker panicked");
-                    if let Some(o) = obs {
-                        o.record(wi, count, units);
-                    }
-                    total_units += units;
-                    for (i, t) in claimed {
-                        slots[i] = Some(t);
-                    }
-                }
-            });
+        for (&i, t) in order.iter().zip(sorted) {
+            slots[i] = Some(t);
         }
         let results = slots
             .into_iter()
-            .map(|t| t.expect("unclaimed work item"))
+            .map(|t| t.expect("every slot filled"))
             .collect();
-        (results, total_units)
+        (results, units)
     }
 }
 

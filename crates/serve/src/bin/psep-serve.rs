@@ -20,6 +20,7 @@
 use std::sync::Arc;
 
 use path_separators::core::wire::AlignedBytes;
+use path_separators::oracle::Error::InvalidEpsilon;
 use path_separators::{LocationService, ServiceParams};
 use psep_serve::{install_signal_handlers, ServeConfig, Server};
 use psep_testkit::families::{Family, ALL_FAMILIES};
@@ -104,8 +105,13 @@ fn build(flags: Flags) {
     };
     let n: usize = flags.num("n", 400);
     let seed: u64 = flags.num("seed", 1);
+    let epsilon: f64 = flags.num("epsilon", 0.25);
+    if !(epsilon.is_finite() && epsilon > 0.0) {
+        eprintln!("--epsilon: {}", InvalidEpsilon(epsilon));
+        usage()
+    }
     let params = ServiceParams {
-        epsilon: flags.num("epsilon", 0.25),
+        epsilon,
         threads: flags.num("threads", 1),
     };
     let g = family.make(n, seed);
