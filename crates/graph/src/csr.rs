@@ -51,6 +51,40 @@ impl CsrGraph {
         }
     }
 
+    /// Re-fills `self` with the subgraph of `g` induced by `verts`, with
+    /// local ids: vertex `verts[l]` becomes `NodeId(l)`, and each
+    /// adjacency list keeps `g`'s order minus the edges that leave
+    /// `verts`. The buffers are reused, so a graph re-filled many times
+    /// allocates only when it grows past every earlier size.
+    ///
+    /// `verts` must ascend, so local ids order exactly like global ids
+    /// and every `(distance, id)` tie-break runs the same on both.
+    ///
+    /// # Panics
+    ///
+    /// Panics in debug builds if `verts` is not strictly ascending.
+    pub fn induce(&mut self, g: &Graph, verts: &[NodeId]) {
+        debug_assert!(
+            verts.windows(2).all(|w| w[0] < w[1]),
+            "unsorted vertex list"
+        );
+        self.offsets.clear();
+        self.edges.clear();
+        self.offsets.push(0);
+        for &v in verts {
+            self.edges.extend(g.edges(v).iter().filter_map(|e| {
+                let l = verts.binary_search(&e.to).ok()?;
+                Some(Edge {
+                    to: NodeId::from_index(l),
+                    weight: e.weight,
+                })
+            }));
+            let end = u32::try_from(self.edges.len()).expect("edge count fits u32");
+            self.offsets.push(end);
+        }
+        self.num_edges = self.edges.len() / 2;
+    }
+
     /// Number of vertices.
     pub fn num_nodes(&self) -> usize {
         self.offsets.len() - 1
@@ -67,6 +101,17 @@ impl CsrGraph {
         let lo = self.offsets[v.index()] as usize;
         let hi = self.offsets[v.index() + 1] as usize;
         &self.edges[lo..hi]
+    }
+}
+
+impl Default for CsrGraph {
+    /// The graph with no vertex.
+    fn default() -> Self {
+        CsrGraph {
+            offsets: vec![0],
+            edges: Vec::new(),
+            num_edges: 0,
+        }
     }
 }
 
@@ -128,8 +173,43 @@ mod tests {
         assert_eq!(a.dist_raw(), b.dist_raw());
     }
 
+    /// The induced CSR answers exactly like a masked view, with ids
+    /// renumbered in ascending order.
+    #[test]
+    fn induced_matches_the_masked_view() {
+        use crate::view::{NodeMask, SubgraphView};
+        let g = randomize_weights(&grids::grid2d(7, 6, 1), 1, 9, 4);
+        let verts: Vec<NodeId> = g.nodes().filter(|v| v.0 % 5 != 2).collect();
+        let mask = NodeMask::from_nodes(g.num_nodes(), verts.iter().copied());
+        let view = SubgraphView::new(&g, &mask);
+        let mut j = CsrGraph::from_graph(&g);
+        j.induce(&g, &verts);
+        assert_eq!(j.num_nodes(), verts.len());
+        for (l, &v) in verts.iter().enumerate() {
+            let local: Vec<Edge> = j.edges(NodeId::from_index(l)).to_vec();
+            let global: Vec<Edge> = view
+                .neighbors(v)
+                .map(|e| Edge {
+                    to: NodeId::from_index(verts.binary_search(&e.to).unwrap()),
+                    weight: e.weight,
+                })
+                .collect();
+            assert_eq!(local, global, "{v:?}");
+        }
+        let (a, b) = (dijkstra(&view, &[verts[3]]), dijkstra(&j, &[NodeId(3)]));
+        for (l, &v) in verts.iter().enumerate() {
+            let local_parent = a
+                .parent(v)
+                .map(|p| NodeId::from_index(verts.binary_search(&p).unwrap()));
+            assert_eq!(b.dist(NodeId::from_index(l)), a.dist(v));
+            assert_eq!(b.parent(NodeId::from_index(l)), local_parent);
+        }
+    }
+
     #[test]
     fn empty_and_single_vertex() {
+        let empty = CsrGraph::default();
+        assert_eq!((empty.num_nodes(), empty.num_edges()), (0, 0));
         let g = Graph::new(1);
         let c = CsrGraph::from_graph(&g);
         assert_eq!(c.num_nodes(), 1);

@@ -155,6 +155,26 @@ impl DijkstraScratch {
         self.dist.len()
     }
 
+    /// Re-sizes the scratch for graphs with id universe `universe` and
+    /// forgets the last run. The arenas' capacity never shrinks, so a
+    /// scratch reused over many small graphs (e.g. the local-id residual
+    /// graphs of label construction) allocates only when a graph is
+    /// larger than every earlier one.
+    pub fn resize(&mut self, universe: usize) {
+        self.clear();
+        self.dist.resize(universe, INFINITY);
+        self.parent.resize(universe, None);
+    }
+
+    /// Resets every entry the last run touched.
+    fn clear(&mut self) {
+        for &t in &self.touched {
+            self.dist[t as usize] = INFINITY;
+            self.parent[t as usize] = None;
+        }
+        self.touched.clear();
+    }
+
     /// Runs Dijkstra from `sources` over `g`, reusing the arenas.
     /// Distances and parents are readable until the next run.
     ///
@@ -202,11 +222,7 @@ impl DijkstraScratch {
             "scratch sized for a different universe"
         );
         psep_obs::counter!("graph.dijkstra.invocations").incr();
-        for &t in &self.touched {
-            self.dist[t as usize] = INFINITY;
-            self.parent[t as usize] = None;
-        }
-        self.touched.clear();
+        self.clear();
         self.heap.clear();
         for &s in sources {
             assert!(g.contains_node(s), "source {s:?} not in graph");
@@ -434,6 +450,23 @@ mod tests {
         assert_eq!(scratch.dist(NodeId(3)), Some(6)); // forced through the 5-edge
         assert_eq!(scratch.dist(NodeId(1)), None); // stale entry was reset
         assert_eq!(scratch.reached().count(), 3);
+    }
+
+    #[test]
+    fn resized_scratch_runs_like_a_fresh_one() {
+        let g = weighted_diamond();
+        let mut scratch = DijkstraScratch::new(2);
+        for universe in [4, 2, 4] {
+            scratch.resize(universe);
+            assert_eq!(scratch.universe(), universe);
+            if universe == 4 {
+                scratch.run(&g, &[NodeId(3)]);
+                let fresh = dijkstra(&g, &[NodeId(3)]);
+                assert_eq!(scratch.dist_raw(), fresh.dist_raw());
+            } else {
+                assert!(scratch.dist_raw().iter().all(|&d| d == INFINITY));
+            }
+        }
     }
 
     #[test]
