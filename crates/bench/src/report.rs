@@ -22,14 +22,19 @@ pub struct ExperimentReport {
 }
 
 /// Renders a complete `psep-bench-report/v2` JSON document (trailing
-/// newline included).
+/// newline included). The document records the machine's
+/// `available_parallelism`, so a reader can tell a one-core timing (or
+/// thread sweep) from a many-core one.
 pub fn render_report(reports: &[ExperimentReport], mode: &str) -> String {
+    let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
     let mut w = psep_obs::JsonWriter::new();
     w.begin_object();
     w.key("schema");
     w.string("psep-bench-report/v2");
     w.key("mode");
     w.string(mode);
+    w.key("available_parallelism");
+    w.number(cores as f64);
     w.key("experiments");
     w.begin_array();
     for r in reports {
