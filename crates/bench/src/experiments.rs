@@ -399,7 +399,11 @@ pub fn epath_reporting(families: &[Family], n: usize, pair_count: usize) -> Stri
         );
         for threads in [1usize, 2, 4, 8] {
             let engine = BatchQueryEngine::new(threads);
-            let (paths, batch_s) = timed(|| engine.run_paths(&oracle, &g, &tree, &pairs));
+            let (paths, batch_s) = timed(|| {
+                engine
+                    .try_run_paths(&oracle, &g, &tree, &pairs)
+                    .expect("pairs in range")
+            });
             assert_eq!(paths, seq_paths, "batch paths diverge at t={threads}");
             let pps = pairs.len() as f64 / batch_s;
             if psep_obs::enabled() {
@@ -1178,8 +1182,10 @@ pub fn escale_bundles(entries: &[(Family, usize)], pair_count: usize) -> String 
 
         // Queries out of the borrowed arenas, bit-identical to owned.
         let pairs = crate::measure::random_pairs(nn, pair_count, SEED ^ 47);
-        let (owned_answers, owned_s) = timed(|| svc.query_many(&pairs));
-        let (mapped_answers, mapped_s) = timed(|| mapped.query_many(&pairs));
+        let (owned_answers, owned_s) =
+            timed(|| svc.try_query_many(&pairs).expect("pairs in range"));
+        let (mapped_answers, mapped_s) =
+            timed(|| mapped.try_query_many(&pairs).expect("pairs in range"));
         assert_eq!(mapped_answers, owned_answers, "mapped answers diverge");
         assert_eq!(
             decode_counts(),

@@ -9,7 +9,7 @@
 //!   its [`LocationService`], spawn a real [`psep_serve::Server`] on an
 //!   ephemeral loopback port, and hammer it. Because the service is in
 //!   hand, every wire answer is first verified **bit-identical** to
-//!   in-process `query_many`/`route_many` over the whole pair pool.
+//!   in-process `try_query_many`/`try_route_many` over the whole pair pool.
 //!   Server-side `serve.*` metrics land in the same process-wide
 //!   snapshot as the client-side `serve.loadgen.*` ones, so one report
 //!   carries both ends of every request.
@@ -288,17 +288,17 @@ fn verify(addr: SocketAddr, local: Option<&LocationService>, pairs: &[(NodeId, N
     if let Some(svc) = local {
         assert_eq!(
             wire_distances,
-            svc.query_many(pairs),
+            svc.try_query_many(pairs).expect("pairs in range"),
             "wire batch distances diverge from in-process answers"
         );
         assert_eq!(
             wire_routes,
-            svc.route_many(pairs),
+            svc.try_route_many(pairs).expect("pairs in range"),
             "wire batch routes diverge from in-process answers"
         );
         assert_eq!(
             wire_paths,
-            svc.query_path_many(pairs),
+            svc.try_query_path_many(pairs).expect("pairs in range"),
             "wire batch paths diverge from in-process answers"
         );
         // every served path must survive the ground-truth checker, and

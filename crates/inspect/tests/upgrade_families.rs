@@ -63,14 +63,14 @@ fn upgrade_is_canonical_and_bit_identity_preserving_on_every_family() {
         let back = LocationService::from_bytes(&compressed).unwrap();
         let pairs = random_pairs(svc.num_nodes(), 200, SEED ^ 3);
         assert_eq!(
-            svc.query_many(&pairs),
-            back.query_many(&pairs),
+            svc.try_query_many(&pairs).unwrap(),
+            back.try_query_many(&pairs).unwrap(),
             "{}: queries diverge after upgrade",
             fam.name()
         );
         assert_eq!(
-            svc.route_many(&pairs),
-            back.route_many(&pairs),
+            svc.try_route_many(&pairs).unwrap(),
+            back.try_route_many(&pairs).unwrap(),
             "{}: routes diverge after upgrade",
             fam.name()
         );

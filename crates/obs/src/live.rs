@@ -33,7 +33,7 @@ pub fn enable_from_env() -> bool {
     enabled()
 }
 
-/// A monotonic event counter. Obtain via [`counter!`] (static name,
+/// A monotonic event counter. Obtain via [`counter!`](crate::counter!) (static name,
 /// cached per call site) or [`counter`] (dynamic name).
 #[derive(Debug, Default)]
 pub struct Counter {
@@ -111,7 +111,7 @@ impl Gauge {
 }
 
 /// A lock-free log-linear-bucketed histogram. Obtain via
-/// [`histogram!`] (static name, cached per call site) or [`histogram`]
+/// [`histogram!`](crate::histogram!) (static name, cached per call site) or [`histogram`]
 /// (dynamic name). Recording is one bucket-index computation plus five
 /// relaxed atomic RMWs; concurrent recorders never contend on a lock.
 pub struct Histogram {
@@ -242,7 +242,7 @@ fn registry() -> &'static Registry {
 
 /// Looks up (or registers) the counter `name`. The returned reference
 /// is `'static`: counters live for the process (they are leaked once).
-/// Prefer [`counter!`] on hot paths — it caches this lookup per call
+/// Prefer [`counter!`](crate::counter!) on hot paths — it caches this lookup per call
 /// site.
 pub fn counter(name: &str) -> &'static Counter {
     let mut map = registry().counters.lock().unwrap();
@@ -266,7 +266,7 @@ pub fn gauge(name: &str) -> &'static Gauge {
 }
 
 /// Looks up (or registers) the histogram `name`. Prefer
-/// [`histogram!`] on hot paths — it caches this lookup per call site.
+/// [`histogram!`](crate::histogram!) on hot paths — it caches this lookup per call site.
 pub fn histogram(name: &str) -> &'static Histogram {
     let mut map = registry().histograms.lock().unwrap();
     if let Some(h) = map.get(name) {

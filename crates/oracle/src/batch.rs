@@ -4,7 +4,7 @@
 //! [`BatchQueryEngine`] fans a pair list out across a
 //! [`psep_core::exec::ShardedRunner`] — `std::thread` workers over the
 //! shared [`FlatLabels`] arena (reads only — no locks) — and the runner
-//! stitches the answers back in input order, so `query_many` is
+//! stitches the answers back in input order, so a batch is
 //! observationally identical to a sequential `query` loop. Workers skip
 //! per-query instrumentation and publish aggregated per-thread counters
 //! (`oracle.batch.workerNN.pairs`) once per run — experiment E3t
@@ -153,27 +153,10 @@ impl BatchQueryEngine {
 
     /// Reconstructs a witness path for every pair, in input order —
     /// bit-identical to a sequential
-    /// [`DistanceOracle::query_path`] loop at every thread count
-    /// (reconstruction is per-pair independent and deterministic).
-    ///
-    /// # Panics
-    ///
-    /// Panics if any vertex id is out of range or the oracle disagrees
-    /// with `g`/`tree`; [`Self::try_run_paths`] returns typed errors
-    /// instead.
-    pub fn run_paths(
-        &self,
-        oracle: &DistanceOracle,
-        g: &Graph,
-        tree: &DecompositionTree,
-        pairs: &[(NodeId, NodeId)],
-    ) -> Vec<Option<WitnessPath>> {
-        self.try_run_paths(oracle, g, tree, pairs)
-            .expect("vertex id out of range or mismatched oracle artifacts")
-    }
-
-    /// [`Self::run_paths`] with every vertex id validated first and
-    /// oracle/tree disagreements surfaced as typed errors.
+    /// [`DistanceOracle::try_query_path`] loop at every thread count
+    /// (reconstruction is per-pair independent and deterministic). Every
+    /// vertex id is validated first, and oracle/tree disagreements come
+    /// back as typed errors.
     pub fn try_run_paths(
         &self,
         oracle: &DistanceOracle,
@@ -218,39 +201,6 @@ impl BatchQueryEngine {
     }
 }
 
-impl DistanceOracle<'_> {
-    /// Answers every `(u, v)` pair, in input order, chunked across the
-    /// machine's available parallelism — equivalent to (and on
-    /// multi-core hardware much faster than) a sequential
-    /// [`DistanceOracle::query`] loop.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any vertex id is out of range; use
-    /// [`BatchQueryEngine::try_run`] to validate instead.
-    pub fn query_many(&self, pairs: &[(NodeId, NodeId)]) -> Vec<Option<Weight>> {
-        BatchQueryEngine::default().run(self, pairs)
-    }
-
-    /// Reconstructs a witness path for every `(u, v)` pair, in input
-    /// order, chunked across the machine's available parallelism —
-    /// equivalent to a sequential [`DistanceOracle::query_path`] loop.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any vertex id is out of range or the oracle disagrees
-    /// with `g`/`tree`; use [`BatchQueryEngine::try_run_paths`] to
-    /// validate instead.
-    pub fn query_path_many(
-        &self,
-        g: &Graph,
-        tree: &DecompositionTree,
-        pairs: &[(NodeId, NodeId)],
-    ) -> Vec<Option<WitnessPath>> {
-        BatchQueryEngine::default().run_paths(self, g, tree, pairs)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -277,7 +227,7 @@ mod tests {
         let (_, o) = grid_oracle(7);
         let pairs = all_pairs(49);
         let sequential: Vec<_> = pairs.iter().map(|&(u, v)| o.query(u, v)).collect();
-        assert_eq!(o.query_many(&pairs), sequential);
+        assert_eq!(BatchQueryEngine::default().run(&o, &pairs), sequential);
         for threads in [1, 2, 3, 4, 8] {
             let engine = BatchQueryEngine::new(threads).min_chunk(16);
             assert_eq!(engine.run(&o, &pairs), sequential, "threads = {threads}");
@@ -287,7 +237,10 @@ mod tests {
     #[test]
     fn empty_and_tiny_batches() {
         let (_, o) = grid_oracle(3);
-        assert_eq!(o.query_many(&[]), Vec::<Option<Weight>>::new());
+        assert_eq!(
+            BatchQueryEngine::default().run(&o, &[]),
+            Vec::<Option<Weight>>::new()
+        );
         let one = [(NodeId(0), NodeId(8))];
         assert_eq!(
             BatchQueryEngine::new(8).run(&o, &one),
@@ -331,11 +284,10 @@ mod tests {
             .iter()
             .map(|&(u, v)| o.query_path(&g, &tree, u, v))
             .collect();
-        assert_eq!(o.query_path_many(&g, &tree, &pairs), sequential);
         for threads in [1, 2, 3, 4, 8] {
             let engine = BatchQueryEngine::new(threads);
             assert_eq!(
-                engine.run_paths(&o, &g, &tree, &pairs),
+                engine.try_run_paths(&o, &g, &tree, &pairs).unwrap(),
                 sequential,
                 "threads = {threads}"
             );

@@ -331,28 +331,30 @@ mod tests {
 
     #[test]
     fn parallel_equals_serial() {
-        let (x, y, z) = (4, 3, 3);
+        // 100 vertices: the top-level residual is above the 64-vertex
+        // cutoff, so threads > 1 really take the threaded branch
+        let (x, y, z) = (5, 5, 4);
         let g = grids::grid3d(x, y, z);
+        assert!(g.num_nodes() >= 64);
         let tree = DoublingDecompositionTree::build(&g, &GridPlaneStrategy { dims: (x, y, z) });
-        let a = build_doubling_oracle(
-            &g,
-            &tree,
-            DoublingOracleParams {
-                epsilon: 0.5,
-                threads: 1,
-            },
-        );
-        let b = build_doubling_oracle(
-            &g,
-            &tree,
-            DoublingOracleParams {
-                epsilon: 0.5,
-                threads: 4,
-            },
-        );
-        for u in g.nodes() {
-            for v in g.nodes() {
-                assert_eq!(a.query(u, v), b.query(u, v));
+        let build = |threads| {
+            build_doubling_oracle(
+                &g,
+                &tree,
+                DoublingOracleParams {
+                    epsilon: 0.5,
+                    threads,
+                },
+            )
+        };
+        let serial = build(1);
+        for threads in [2, 4] {
+            let parallel = build(threads);
+            assert_eq!(parallel.labels(), serial.labels(), "threads = {threads}");
+            for u in g.nodes() {
+                for v in g.nodes() {
+                    assert_eq!(parallel.query(u, v), serial.query(u, v));
+                }
             }
         }
     }

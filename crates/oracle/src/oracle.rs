@@ -254,6 +254,10 @@ impl<'a> DistanceOracle<'a> {
     /// [`TraceEvent::QueryEnd`] with candidates scanned and wall time —
     /// enough to explain why *this* query was slow. Tracing is per-call
     /// opt-in and records regardless of the global obs gate.
+    ///
+    /// [`TraceEvent::QueryStart`]: psep_obs::TraceEvent::QueryStart
+    /// [`TraceEvent::MergeKey`]: psep_obs::TraceEvent::MergeKey
+    /// [`TraceEvent::QueryEnd`]: psep_obs::TraceEvent::QueryEnd
     pub fn query_traced(
         &self,
         u: NodeId,

@@ -14,7 +14,7 @@
 //! so plan selection binary-searches one contiguous key slice and the
 //! interval descent scans a contiguous child slice. Each column is
 //! [`ArenaStorage`]: owned when built or decoded, borrowed in place
-//! from an aligned `psep-bundle/v2` section. [`EntryRecord`] is a
+//! from an aligned `psep-bundle/v2` section. `EntryRecord` is a
 //! plain-old-data struct whose in-memory layout equals its wire layout,
 //! so a mapped tables section is served without touching a single
 //! entry. Lookups borrow [`TableRef`]/[`EntryRef`] views.
@@ -152,7 +152,7 @@ impl EntryRecord {
 /// * every vertex id (parent, child, on-path prev/next) is `< num_nodes()`
 ///   and every DFS interval is non-empty (`dfs < subtree_end`);
 /// * records are canonical: off-path records have zero `path_pos`,
-///   [`NO_NODE`] links, no stray flag bits, and a parent (the interval
+///   `NO_NODE` (`u32::MAX`) links, no stray flag bits, and a parent (the interval
 ///   descent in `route` relies on it), while on-path records have none.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct FlatTables<'a> {

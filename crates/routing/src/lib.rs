@@ -32,7 +32,7 @@
 //! in a CSR-style [`FlatTables`] arena, encode as a bundle's tables
 //! section ([`wire`]: raw columns or checksummed `psep-routing/v1`), build
 //! in parallel bit-identically at every thread count, answer batch
-//! requests via [`Router::route_many`], and reject bad input through
+//! requests via [`Router::route_many_with`], and reject bad input through
 //! typed [`Error`]s ([`Router::try_route`]) instead of panicking.
 
 pub mod adaptive;

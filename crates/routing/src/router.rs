@@ -295,21 +295,15 @@ impl<'a> Router<'a> {
         Ok(self.route(u, t, label_t))
     }
 
-    /// Routes every `(u, t)` pair, in input order, fanning out across
-    /// the machine's available parallelism (honoring `PSEP_THREADS`) —
-    /// bit-identical to a sequential [`Self::route`] loop with each
-    /// target's own label.
+    /// Routes every `(u, t)` pair, in input order, over `threads`
+    /// workers (`0` means the machine's available parallelism, honoring
+    /// `PSEP_THREADS`) — bit-identical to a sequential [`Self::route`]
+    /// loop with each target's own label.
     ///
     /// # Panics
     ///
     /// Panics if any vertex id is out of range; use
     /// [`Self::try_route_many`] to validate instead.
-    pub fn route_many(&self, pairs: &[(NodeId, NodeId)]) -> Vec<Option<RouteOutcome>> {
-        self.route_many_with(pairs, 0)
-    }
-
-    /// [`Self::route_many`] with an explicit thread budget (`0` means
-    /// available parallelism).
     pub fn route_many_with(
         &self,
         pairs: &[(NodeId, NodeId)],
@@ -342,7 +336,8 @@ impl<'a> Router<'a> {
         outcomes
     }
 
-    /// [`Self::route_many`] with every vertex id validated first.
+    /// [`Self::route_many_with`] at available parallelism, with every
+    /// vertex id validated first.
     pub fn try_route_many(
         &self,
         pairs: &[(NodeId, NodeId)],
@@ -355,7 +350,7 @@ impl<'a> Router<'a> {
                 }
             }
         }
-        Ok(self.route_many(pairs))
+        Ok(self.route_many_with(pairs, 0))
     }
 
     pub(crate) fn edge_weight(&self, u: NodeId, v: NodeId) -> Weight {

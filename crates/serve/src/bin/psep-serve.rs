@@ -168,8 +168,6 @@ fn serve(flags: Flags) {
         }
     };
     install_signal_handlers();
-    // don't touch the graph section here: cold-start stays O(checksum),
-    // the first route decodes it on demand
     println!(
         "psep-serve: {} vertices, eps={}, {} storage",
         svc.num_nodes(),

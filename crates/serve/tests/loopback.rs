@@ -80,7 +80,7 @@ fn served_answers_are_bit_identical_across_families() {
                     pairs: pairs.clone()
                 })
                 .unwrap(),
-            Response::Distances(svc.query_many(&pairs)),
+            Response::Distances(svc.try_query_many(&pairs).unwrap()),
             "{fam:?}: batch queries diverge"
         );
         assert_eq!(
@@ -89,7 +89,7 @@ fn served_answers_are_bit_identical_across_families() {
                     pairs: pairs.clone()
                 })
                 .unwrap(),
-            Response::Routes(svc.route_many(&pairs)),
+            Response::Routes(svc.try_route_many(&pairs).unwrap()),
             "{fam:?}: batch routes diverge"
         );
         assert_eq!(
@@ -98,7 +98,7 @@ fn served_answers_are_bit_identical_across_families() {
                     pairs: pairs.clone()
                 })
                 .unwrap(),
-            Response::Paths(svc.query_path_many(&pairs)),
+            Response::Paths(svc.try_query_path_many(&pairs).unwrap()),
             "{fam:?}: batch paths diverge"
         );
 
@@ -185,7 +185,7 @@ fn malformed_payloads_are_answered_and_broken_frames_close_only_their_connection
 fn concurrent_clients_get_consistent_answers() {
     let (svc, addr, handle, runner) = spawn_service(Family::KTree3, 100);
     let pairs = random_pairs(svc.num_nodes(), 40, 3);
-    let expected = Response::Distances(svc.query_many(&pairs));
+    let expected = Response::Distances(svc.try_query_many(&pairs).unwrap());
     std::thread::scope(|scope| {
         for _ in 0..4 {
             let pairs = pairs.clone();

@@ -9,7 +9,7 @@
 //! `psep-bundle/v2` artifact (graph + decomposition tree + distance
 //! labels + routing tables); a serving process maps the bundle
 //! zero-copy and answers distance queries *and* routes requests in parallel with
-//! `query_many` / `route_many`. The final comparison is generic over
+//! `try_query_many` / `try_route_many`. The final comparison is generic over
 //! `DistanceEstimator`, the trait every oracle in the crate implements.
 
 use std::time::Instant;
@@ -87,11 +87,11 @@ fn main() {
     );
 
     let t0 = Instant::now();
-    let batched = served.query_many(&pairs);
+    let batched = served.try_query_many(&pairs).expect("pairs in range");
     let s = t0.elapsed().as_secs_f64();
     assert_eq!(batched, sequential); // same answers, same order
     println!(
-        "query_many: {} pairs in {s:.2}s ({:.0} pairs/s, {:.2}× sequential)",
+        "try_query_many: {} pairs in {s:.2}s ({:.0} pairs/s, {:.2}× sequential)",
         pairs.len(),
         pairs.len() as f64 / s,
         seq_s / s
@@ -100,11 +100,11 @@ fn main() {
     // routing the same workload, in parallel
     let route_pairs = &pairs[..10_000];
     let t0 = Instant::now();
-    let routes = served.route_many(route_pairs);
+    let routes = served.try_route_many(route_pairs).expect("pairs in range");
     let s = t0.elapsed().as_secs_f64();
     let hops: usize = routes.iter().flatten().map(|o| o.hops).sum();
     println!(
-        "route_many: {} routes in {s:.2}s ({:.0} routes/s, {} total hops)",
+        "try_route_many: {} routes in {s:.2}s ({:.0} routes/s, {} total hops)",
         route_pairs.len(),
         route_pairs.len() as f64 / s,
         hops

@@ -11,7 +11,7 @@
 //! answers to the same requests over TCP.
 
 use psep_graph::{NodeId, Weight};
-use psep_oracle::{BatchQueryEngine, WitnessPath};
+use psep_oracle::WitnessPath;
 use psep_routing::RouteOutcome;
 
 use crate::error::ServiceError;
@@ -261,38 +261,6 @@ impl LocationService<'_> {
             table_entries: self.router().tables().flat().num_entries() as u64,
         }
     }
-
-    /// [`Self::query_many`] with every vertex id validated first
-    /// (canonical fallible form).
-    pub fn try_query_many(
-        &self,
-        pairs: &[(NodeId, NodeId)],
-    ) -> Result<Vec<Option<Weight>>, ServiceError> {
-        Ok(BatchQueryEngine::default().try_run(self.oracle(), pairs)?)
-    }
-
-    /// [`Self::query_path_many`] with every vertex id validated first
-    /// (canonical fallible form).
-    pub fn try_query_path_many(
-        &self,
-        pairs: &[(NodeId, NodeId)],
-    ) -> Result<Vec<Option<WitnessPath>>, ServiceError> {
-        Ok(BatchQueryEngine::default().try_run_paths(
-            self.oracle(),
-            self.graph(),
-            self.tree(),
-            pairs,
-        )?)
-    }
-
-    /// [`Self::route_many`] with every vertex id validated first
-    /// (canonical fallible form).
-    pub fn try_route_many(
-        &self,
-        pairs: &[(NodeId, NodeId)],
-    ) -> Result<Vec<Option<RouteOutcome>>, ServiceError> {
-        Ok(self.router().try_route_many(pairs)?)
-    }
 }
 
 #[cfg(test)]
@@ -323,7 +291,7 @@ mod tests {
             svc.handle(&Request::QueryMany {
                 pairs: pairs.clone()
             }),
-            Response::Distances(svc.query_many(&pairs))
+            Response::Distances(svc.try_query_many(&pairs).unwrap())
         );
         assert_eq!(
             svc.handle(&Request::QueryPath {
@@ -336,7 +304,7 @@ mod tests {
             svc.handle(&Request::QueryPathMany {
                 pairs: pairs.clone()
             }),
-            Response::Paths(svc.query_path_many(&pairs))
+            Response::Paths(svc.try_query_path_many(&pairs).unwrap())
         );
         assert_eq!(
             svc.handle(&Request::Route {
@@ -349,7 +317,7 @@ mod tests {
             svc.handle(&Request::RouteMany {
                 pairs: pairs.clone()
             }),
-            Response::Routes(svc.route_many(&pairs))
+            Response::Routes(svc.try_route_many(&pairs).unwrap())
         );
         let Response::Stats(stats) = svc.handle(&Request::Stats) else {
             panic!("stats request must answer with stats");

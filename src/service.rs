@@ -29,10 +29,11 @@
 //! `psep-tables-flat` section formats). On a little-endian machine the
 //! column layout **is** the in-memory layout, so [`map_bytes`] builds
 //! the oracle and routing views directly over the caller's buffer —
-//! cold-start work is O(checksum), independent of the number of label
-//! entries, and N replicas mapping one file share a single page cache.
-//! The graph and tree sections stay deferred until an API that needs
-//! them (routing, witness paths) forces a decode.
+//! the label and table arenas cost O(checksum) at open, independent of
+//! the number of label entries, and N replicas mapping one file share a
+//! single page cache. The graph and tree sections, which are small
+//! beside the arenas, are decoded at open, so a section that does not
+//! decode is rejected by the loader, not by a later call.
 //!
 //! v2 is the only persisted form: any other version is
 //! [`WireError::UnsupportedVersion`]. Write a bundle to disk with
@@ -43,13 +44,13 @@
 //! [`from_bytes`]: LocationService::from_bytes
 //! [`AlignedBytes::read_file`]: psep_core::wire::AlignedBytes::read_file
 
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::Arc;
 
 use psep_core::wire::{crc32, put_varint, seal, unseal, Cursor, WireError};
 use psep_core::{AutoStrategy, DecompositionParams, DecompositionTree};
 use psep_graph::{Graph, NodeId, Weight};
-use psep_oracle::{build_oracle, DistanceOracle, OracleParams, WitnessPath};
-use psep_routing::{RouteOutcome, Router, RoutingLabel, RoutingTables};
+use psep_oracle::{build_oracle, BatchQueryEngine, DistanceOracle, OracleParams, WitnessPath};
+use psep_routing::{RouteOutcome, Router, RoutingTables};
 
 // The error type moved to its own module; this re-export keeps the
 // original `path_separators::service::ServiceError` path compiling.
@@ -298,125 +299,6 @@ impl Default for ServiceParams {
     }
 }
 
-/// A part of the service that may still live as validated wire bytes:
-/// mapped bundles defer the graph and tree decodes until an API needs
-/// them, keeping cold-start O(checksum).
-#[derive(Clone, Debug)]
-enum LazyPart<'a, T> {
-    /// Decoded (or built in memory to begin with).
-    Ready(T),
-    /// CRC-validated section bytes, decoded at most once on demand.
-    Deferred { bytes: &'a [u8], cell: OnceLock<T> },
-}
-
-impl<'a, T> LazyPart<'a, T> {
-    /// The raw section bytes, when this part was mapped (forced or not).
-    fn raw(&self) -> Option<&'a [u8]> {
-        match self {
-            LazyPart::Ready(_) => None,
-            LazyPart::Deferred { bytes, .. } => Some(bytes),
-        }
-    }
-
-    /// The decoded value, decoding deferred bytes with `decode` on
-    /// first use. Concurrent racers may decode redundantly; the decode
-    /// is deterministic, so every racer observes the same value.
-    fn force_with<E>(&self, decode: impl FnOnce(&'a [u8]) -> Result<T, E>) -> Result<&T, E> {
-        match self {
-            LazyPart::Ready(v) => Ok(v),
-            LazyPart::Deferred { bytes, cell } => {
-                if let Some(v) = cell.get() {
-                    return Ok(v);
-                }
-                let v = decode(bytes)?;
-                Ok(cell.get_or_init(|| v))
-            }
-        }
-    }
-}
-
-/// The router slot of a service: mapped bundles hold the (zero-copy)
-/// tables here until the first routing call forces the graph decode and
-/// builds the [`Router`].
-#[derive(Debug)]
-struct RouterCell<'a> {
-    /// Tables waiting for a graph; `None` once the router is built.
-    pending: Mutex<Option<RoutingTables<'a>>>,
-    /// The built router.
-    cell: OnceLock<Router<'a>>,
-}
-
-impl<'a> RouterCell<'a> {
-    fn ready(router: Router<'a>) -> Self {
-        RouterCell {
-            pending: Mutex::new(None),
-            cell: OnceLock::from(router),
-        }
-    }
-
-    fn deferred(tables: RoutingTables<'a>) -> Self {
-        RouterCell {
-            pending: Mutex::new(Some(tables)),
-            cell: OnceLock::new(),
-        }
-    }
-
-    /// The router, building it from the pending tables on first use.
-    /// On a graph-decode error the tables are restored, so a later call
-    /// can retry (and fail the same way).
-    fn force(
-        &self,
-        graph: impl FnOnce() -> Result<Arc<Graph>, ServiceError>,
-    ) -> Result<&Router<'a>, ServiceError> {
-        if let Some(r) = self.cell.get() {
-            return Ok(r);
-        }
-        let mut pending = self.pending.lock().unwrap();
-        if let Some(r) = self.cell.get() {
-            return Ok(r);
-        }
-        let tables = pending.take().expect("tables pending while router unbuilt");
-        match graph() {
-            Ok(g) => {
-                let _ = self.cell.set(Router::with_shared(g, tables));
-                Ok(self.cell.get().expect("router was just built"))
-            }
-            Err(e) => {
-                *pending = Some(tables);
-                Err(e)
-            }
-        }
-    }
-
-    /// Runs `f` over the tables wherever they live (pending or inside
-    /// the built router) without forcing a router build.
-    fn with_tables<R>(&self, f: impl FnOnce(&RoutingTables<'a>) -> R) -> R {
-        if let Some(r) = self.cell.get() {
-            return f(r.tables());
-        }
-        let pending = self.pending.lock().unwrap();
-        match pending.as_ref() {
-            Some(t) => f(t),
-            // A racer finished building between the two checks; the
-            // build publishes the cell before releasing the lock.
-            None => f(self.cell.get().expect("router built").tables()),
-        }
-    }
-}
-
-impl Clone for RouterCell<'_> {
-    fn clone(&self) -> Self {
-        if let Some(r) = self.cell.get() {
-            return RouterCell::ready(r.clone());
-        }
-        let pending = self.pending.lock().unwrap();
-        match pending.as_ref() {
-            Some(t) => RouterCell::deferred(t.clone()),
-            None => RouterCell::ready(self.cell.get().expect("router built").clone()),
-        }
-    }
-}
-
 /// The full serving stack for one graph: decomposition tree, distance
 /// oracle, and compact-routing tables, built together and persisted as
 /// one `psep-bundle` artifact.
@@ -452,10 +334,10 @@ impl Clone for RouterCell<'_> {
 /// ```
 #[derive(Clone, Debug)]
 pub struct LocationService<'a> {
-    graph: LazyPart<'a, Arc<Graph>>,
-    tree: LazyPart<'a, DecompositionTree>,
+    graph: Arc<Graph>,
+    tree: DecompositionTree,
     oracle: DistanceOracle<'a>,
-    router: RouterCell<'a>,
+    router: Router<'a>,
 }
 
 impl<'a> LocationService<'a> {
@@ -487,10 +369,10 @@ impl<'a> LocationService<'a> {
         }
         drop(span);
         LocationService {
-            graph: LazyPart::Ready(graph),
-            tree: LazyPart::Ready(tree),
+            graph,
+            tree,
             oracle,
-            router: RouterCell::ready(router),
+            router,
         }
     }
 
@@ -507,52 +389,21 @@ impl<'a> LocationService<'a> {
             return Err(WireError::Corrupt("bundle sections disagree on vertex count").into());
         }
         Ok(LocationService {
-            graph: LazyPart::Ready(Arc::new(graph)),
-            tree: LazyPart::Ready(tree),
+            graph: Arc::new(graph),
+            tree,
             oracle,
-            router: RouterCell::ready(router),
+            router,
         })
     }
 
-    /// The served graph, decoding a mapped bundle's deferred graph
-    /// section on first use.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a deferred graph section fails to decode (possible
-    /// only for an adversarially re-sealed bundle — the section CRC was
-    /// already verified); [`Self::warm`] surfaces the same condition as
-    /// a typed error.
+    /// The served graph.
     pub fn graph(&self) -> &Graph {
-        self.try_graph().expect("bundle graph section decodes")
+        &self.graph
     }
 
-    fn try_graph(&self) -> Result<&Arc<Graph>, ServiceError> {
-        self.graph.force_with(|bytes| {
-            let g = decode_graph(bytes)?;
-            if g.num_nodes() != self.oracle.num_nodes() {
-                return Err(ServiceError::from(WireError::Corrupt(
-                    "bundle sections disagree on vertex count",
-                )));
-            }
-            Ok(Arc::new(g))
-        })
-    }
-
-    /// The decomposition tree the oracle and tables were built over,
-    /// decoding a mapped bundle's deferred tree section on first use.
-    ///
-    /// # Panics
-    ///
-    /// Panics under the same (adversarial re-seal) condition as
-    /// [`Self::graph`].
+    /// The decomposition tree the oracle and tables were built over.
     pub fn tree(&self) -> &DecompositionTree {
-        self.try_tree().expect("bundle tree section decodes")
-    }
-
-    fn try_tree(&self) -> Result<&DecompositionTree, ServiceError> {
-        self.tree
-            .force_with(|bytes| DecompositionTree::decode(bytes).map_err(ServiceError::from))
+        &self.tree
     }
 
     /// The distance oracle.
@@ -560,39 +411,25 @@ impl<'a> LocationService<'a> {
         &self.oracle
     }
 
-    /// The compact router, building it (and decoding a mapped bundle's
-    /// graph section) on first use.
-    ///
-    /// # Panics
-    ///
-    /// Panics under the same (adversarial re-seal) condition as
-    /// [`Self::graph`].
+    /// The compact router.
     pub fn router(&self) -> &Router<'a> {
-        self.try_router().expect("bundle graph section decodes")
+        &self.router
     }
 
-    fn try_router(&self) -> Result<&Router<'a>, ServiceError> {
-        self.router.force(|| self.try_graph().map(Arc::clone))
-    }
-
-    /// Forces every deferred part — graph, tree, and router — so later
-    /// calls are uniformly warm, reporting any decode error as a typed
-    /// error instead of a panic.
+    /// Does nothing and returns `Ok(())`: every section is decoded and
+    /// checked when the service is opened, so there is nothing left to
+    /// warm. Kept so callers that time a warm-up step still compile.
     pub fn warm(&self) -> Result<(), ServiceError> {
-        self.try_graph()?;
-        self.try_tree()?;
-        self.try_router()?;
         Ok(())
     }
 
     /// `true` when any arena serves straight out of a mapped buffer
     /// (zero-copy); `false` when the service owns all its data.
     pub fn is_borrowed(&self) -> bool {
-        self.oracle.is_borrowed() || self.router.with_tables(|t| t.is_borrowed())
+        self.oracle.is_borrowed() || self.router.is_borrowed()
     }
 
-    /// Number of vertices served (available without forcing a deferred
-    /// graph section).
+    /// Number of vertices served.
     pub fn num_nodes(&self) -> usize {
         self.oracle.num_nodes()
     }
@@ -625,28 +462,14 @@ impl<'a> LocationService<'a> {
         Ok(out)
     }
 
-    /// [`Self::try_query`] narrated into `ring`: query start/end plus
-    /// one event per merge-join key — the end-to-end way to explain one
-    /// slow distance request (see
-    /// [`DistanceOracle::query_traced`](psep_oracle::DistanceOracle::query_traced)).
-    pub fn query_traced(
+    /// Answers a batch of distance queries in parallel, in input order
+    /// (identical to querying one by one), with every vertex id
+    /// validated first.
+    pub fn try_query_many(
         &self,
-        u: NodeId,
-        v: NodeId,
-        ring: &mut psep_obs::TraceRing,
-    ) -> Result<Option<Weight>, ServiceError> {
-        Ok(self.oracle.query_traced(u, v, ring)?)
-    }
-
-    /// Answers a batch of distance queries in parallel (identical to
-    /// querying one by one). Thin wrapper over the canonical
-    /// [`Self::try_query_many`](LocationService::try_query_many).
-    ///
-    /// # Panics
-    ///
-    /// Panics if a vertex id is out of range.
-    pub fn query_many(&self, pairs: &[(NodeId, NodeId)]) -> Vec<Option<Weight>> {
-        self.try_query_many(pairs).expect("vertex id out of range")
+        pairs: &[(NodeId, NodeId)],
+    ) -> Result<Vec<Option<Weight>>, ServiceError> {
+        Ok(BatchQueryEngine::default().try_run(&self.oracle, pairs)?)
     }
 
     /// Reconstructs a witness path for `query(u, v)`: a real walk of
@@ -670,25 +493,26 @@ impl<'a> LocationService<'a> {
         v: NodeId,
     ) -> Result<Option<WitnessPath>, ServiceError> {
         let t0 = psep_obs::now_if_enabled();
-        let graph = self.try_graph()?;
-        let out = self.oracle.try_query_path(graph, self.try_tree()?, u, v)?;
+        let out = self.oracle.try_query_path(&self.graph, &self.tree, u, v)?;
         if let Some(t0) = t0 {
             psep_obs::histogram!("service.query_path.latency_ns").record_elapsed(t0);
         }
         Ok(out)
     }
 
-    /// Reconstructs witness paths for a batch of pairs in parallel
-    /// (identical to reconstructing one by one). Thin wrapper over the
-    /// canonical
-    /// [`Self::try_query_path_many`](LocationService::try_query_path_many).
-    ///
-    /// # Panics
-    ///
-    /// Panics if a vertex id is out of range.
-    pub fn query_path_many(&self, pairs: &[(NodeId, NodeId)]) -> Vec<Option<WitnessPath>> {
-        self.try_query_path_many(pairs)
-            .expect("vertex id out of range")
+    /// Reconstructs witness paths for a batch of pairs in parallel, in
+    /// input order (identical to reconstructing one by one), with every
+    /// vertex id validated first.
+    pub fn try_query_path_many(
+        &self,
+        pairs: &[(NodeId, NodeId)],
+    ) -> Result<Vec<Option<WitnessPath>>, ServiceError> {
+        Ok(BatchQueryEngine::default().try_run_paths(
+            &self.oracle,
+            &self.graph,
+            &self.tree,
+            pairs,
+        )?)
     }
 
     /// Routes a message from `u` to `t`, resolving `t`'s routing label
@@ -707,65 +531,32 @@ impl<'a> LocationService<'a> {
     /// as typed errors (canonical fallible form).
     pub fn try_route(&self, u: NodeId, t: NodeId) -> Result<Option<RouteOutcome>, ServiceError> {
         let t0 = psep_obs::now_if_enabled();
-        let router = self.try_router()?;
-        let label = router.tables().try_label(t)?;
-        let out = router.try_route(u, t, &label)?;
+        let label = self.router.tables().try_label(t)?;
+        let out = self.router.try_route(u, t, &label)?;
         if let Some(t0) = t0 {
             psep_obs::histogram!("service.route.latency_ns").record_elapsed(t0);
         }
         Ok(out)
     }
 
-    /// [`Self::try_route`] narrated into `ring`: route start/end plus
-    /// one hop event per forwarded edge, tagged with its phase (see
-    /// [`Router::route_traced`]).
-    pub fn route_traced(
+    /// Routes a batch of `(source, target)` pairs in parallel, in input
+    /// order (identical to routing one by one), with every vertex id
+    /// validated first.
+    pub fn try_route_many(
         &self,
-        u: NodeId,
-        t: NodeId,
-        ring: &mut psep_obs::TraceRing,
-    ) -> Result<Option<RouteOutcome>, ServiceError> {
-        let router = self.try_router()?;
-        let label = router.tables().try_label(t)?;
-        Ok(router.route_traced(u, t, &label, ring))
-    }
-
-    /// The routing label (address) of `t` — what `t` would publish in a
-    /// distributed deployment, for use with [`Router::route`]. Reads
-    /// the tables directly, so it never forces a deferred graph decode.
-    pub fn routing_label(&self, t: NodeId) -> RoutingLabel {
-        self.router.with_tables(|tables| tables.label(t))
-    }
-
-    /// Routes a batch of `(source, target)` pairs in parallel (identical
-    /// to routing one by one). Thin wrapper over the canonical
-    /// [`Self::try_route_many`](LocationService::try_route_many).
-    ///
-    /// # Panics
-    ///
-    /// Panics if a vertex id is out of range.
-    pub fn route_many(&self, pairs: &[(NodeId, NodeId)]) -> Vec<Option<RouteOutcome>> {
-        self.try_route_many(pairs).expect("vertex id out of range")
+        pairs: &[(NodeId, NodeId)],
+    ) -> Result<Vec<Option<RouteOutcome>>, ServiceError> {
+        Ok(self.router.try_route_many(pairs)?)
     }
 
     /// Encodes the whole service as one `psep-bundle/v2` artifact with
-    /// raw (zero-copy) label and table sections. Mapped raw bundles
-    /// re-emit their deferred graph and tree sections verbatim, so
-    /// `map_bytes(b).to_bytes() == b` bit-for-bit.
+    /// raw (zero-copy) label and table sections. Every section encoding
+    /// is canonical, so `map_bytes(b).to_bytes() == b` bit-for-bit.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let graph = self.graph_section_bytes();
-        let tree = self.tree_section_bytes();
         let labels =
             psep_oracle::wire::encode_labels_flat(self.oracle.flat_labels(), self.oracle.epsilon());
-        let tables = self
-            .router
-            .with_tables(|t| psep_routing::wire::encode_tables_flat(t.flat()));
-        encode_v2([
-            (SECTION_GRAPH, &graph),
-            (SECTION_TREE, &tree),
-            (SECTION_LABELS, &labels),
-            (SECTION_TABLES, &tables),
-        ])
+        let tables = psep_routing::wire::encode_tables_flat(self.router.tables().flat());
+        self.seal_with((SECTION_LABELS, &labels), (SECTION_TABLES, &tables))
     }
 
     /// Encodes the whole service as a `psep-bundle/v2` artifact whose
@@ -779,46 +570,32 @@ impl<'a> LocationService<'a> {
     /// the compressed form round-trips bit-identically through
     /// [`Self::map_bytes`]/[`Self::from_bytes`].
     pub fn to_bytes_compressed(&self) -> Vec<u8> {
-        let graph = self.graph_section_bytes();
-        let tree = self.tree_section_bytes();
         let labels =
             psep_oracle::wire::encode_labels(self.oracle.flat_labels(), self.oracle.epsilon());
-        let tables = self
-            .router
-            .with_tables(|t| psep_routing::wire::encode_tables(t.flat()));
-        encode_v2([
-            (SECTION_GRAPH, &graph),
-            (SECTION_TREE, &tree),
+        let tables = psep_routing::wire::encode_tables(self.router.tables().flat());
+        self.seal_with(
             (SECTION_LABELS_COMPRESSED, &labels),
             (SECTION_TABLES_COMPRESSED, &tables),
+        )
+    }
+
+    /// Seals the canonical graph and tree sections with the given
+    /// `(kind, body)` label and table sections.
+    fn seal_with(&self, labels: (u32, &[u8]), tables: (u32, &[u8])) -> Vec<u8> {
+        encode_v2([
+            (SECTION_GRAPH, &encode_graph(&self.graph)),
+            (SECTION_TREE, &self.tree.encode()),
+            labels,
+            tables,
         ])
     }
 
-    /// The canonical graph section: the mapped bytes verbatim when this
-    /// service was mapped, a fresh (identical, the encoding is
-    /// canonical) encode otherwise.
-    fn graph_section_bytes(&self) -> Vec<u8> {
-        match self.graph.raw() {
-            Some(bytes) => bytes.to_vec(),
-            None => encode_graph(self.graph()),
-        }
-    }
-
-    /// The tree section (a sealed `psep-tree/v1` artifact), verbatim
-    /// when mapped.
-    fn tree_section_bytes(&self) -> Vec<u8> {
-        match self.tree.raw() {
-            Some(bytes) => bytes.to_vec(),
-            None => self.tree().encode(),
-        }
-    }
-
     /// Decodes a `psep-bundle/v2` artifact (raw or delta sections) into
-    /// a service that owns all its arenas, re-validating every section
-    /// and their mutual consistency.
+    /// a service that owns all its arenas: [`Self::map_bytes`] followed
+    /// by a copy of any borrowed arena.
     pub fn from_bytes(data: &[u8]) -> Result<Self, ServiceError> {
         let t0 = psep_obs::now_if_enabled();
-        let svc = Self::decode_owned(data)?;
+        let svc = LocationService::open(data)?.into_owned();
         if let Some(t0) = t0 {
             psep_obs::histogram!("service.load_ns").record_elapsed(t0);
         }
@@ -826,14 +603,14 @@ impl<'a> LocationService<'a> {
     }
 
     /// Builds a service directly **over** `data` without copying the
-    /// label or table arenas out of it. For a v2 bundle the cold-start
-    /// work is validation only — envelope and per-section CRCs plus a
-    /// vertex-count cross-check — independent of how many label entries
-    /// the bundle holds; the graph and tree sections stay deferred
-    /// until an API that needs them (routing, witness paths, batch
-    /// paths) forces a one-time decode. Delta-compressed label and table
-    /// sections have no mappable layout, so they decode into owned
-    /// arenas.
+    /// label or table arenas out of it. Opening validates the envelope
+    /// and every section CRC, cross-checks the vertex counts, and
+    /// decodes the graph and tree sections, so a section that does not
+    /// decode is an error here rather than a panic in a later call.
+    /// The label and table arenas are not decoded entry by entry: their
+    /// cost is O(checksum), however many label entries the bundle
+    /// holds. Delta-compressed label and table sections have no mappable
+    /// layout, so they decode into owned arenas.
     ///
     /// Zero-copy needs `data` to be little-endian-compatible and
     /// 8-aligned (e.g. [`psep_core::wire::AlignedBytes`]); otherwise
@@ -841,57 +618,49 @@ impl<'a> LocationService<'a> {
     /// works. Answers are bit-identical either way.
     pub fn map_bytes(data: &'a [u8]) -> Result<Self, ServiceError> {
         let t0 = psep_obs::now_if_enabled();
-        let (secs, oracle, tables) = open_sections(data)?;
-        let svc = LocationService {
-            graph: LazyPart::Deferred {
-                bytes: secs.graph(),
-                cell: OnceLock::new(),
-            },
-            tree: LazyPart::Deferred {
-                bytes: secs.tree(),
-                cell: OnceLock::new(),
-            },
-            oracle,
-            router: RouterCell::deferred(tables),
-        };
+        let svc = LocationService::open(data)?;
         if let Some(t0) = t0 {
             psep_obs::histogram!("service.map_ns").record_elapsed(t0);
         }
         Ok(svc)
     }
 
-    /// Decodes a bundle into fully owned parts (the eager counterpart of
-    /// [`Self::map_bytes`]).
-    fn decode_owned(data: &[u8]) -> Result<Self, ServiceError> {
-        let (secs, oracle, tables) = open_sections(data)?;
+    /// The one open path behind [`Self::map_bytes`] and
+    /// [`Self::from_bytes`]: validates the bundle, maps or decodes the
+    /// labels and tables, and cross-checks their vertex counts against
+    /// the graph section's header — peeked without decoding (or
+    /// allocating) the edge list, so a bundle whose sections disagree is
+    /// rejected before any graph-sized work. Then decodes the graph and
+    /// tree sections.
+    fn open(data: &'a [u8]) -> Result<Self, ServiceError> {
+        let secs = unseal_v2(data)?;
+        let oracle = decode_labels_section(secs.labels_kind(), secs.labels())?;
+        let tables = decode_tables_section(secs.tables_kind(), secs.tables())?;
+        let n = Cursor::new(secs.graph()).length(u32::MAX as usize)?;
+        if oracle.num_nodes() != n || tables.num_nodes() != n {
+            return Err(WireError::Corrupt("bundle sections disagree on vertex count").into());
+        }
         let graph = Arc::new(decode_graph(secs.graph())?);
         let tree = DecompositionTree::decode(secs.tree())?;
-        let router = Router::with_shared(graph.clone(), tables.into_owned());
+        let router = Router::with_shared(graph.clone(), tables);
         Ok(LocationService {
-            graph: LazyPart::Ready(graph),
-            tree: LazyPart::Ready(tree),
-            oracle: oracle.into_owned(),
-            router: RouterCell::ready(router),
+            graph,
+            tree,
+            oracle,
+            router,
         })
     }
-}
 
-/// A bundle's validated sections with its oracle and tables decoded.
-type OpenedSections<'a> = (V2Sections<'a>, DistanceOracle<'a>, RoutingTables<'a>);
-
-/// Validates a bundle and decodes its labels and tables, cross-checking
-/// their vertex counts against the graph section's header — peeked
-/// without decoding (or allocating) the edge list, so a bundle whose
-/// sections disagree is rejected before any graph-sized work.
-fn open_sections(data: &[u8]) -> Result<OpenedSections<'_>, ServiceError> {
-    let secs = unseal_v2(data)?;
-    let oracle = decode_labels_section(secs.labels_kind(), secs.labels())?;
-    let tables = decode_tables_section(secs.tables_kind(), secs.tables())?;
-    let n = Cursor::new(secs.graph()).length(u32::MAX as usize)?;
-    if oracle.num_nodes() != n || tables.num_nodes() != n {
-        return Err(WireError::Corrupt("bundle sections disagree on vertex count").into());
+    /// Copies any borrowed label or table arena so the service owns all
+    /// its data.
+    fn into_owned(self) -> LocationService<'static> {
+        LocationService {
+            graph: self.graph,
+            tree: self.tree,
+            oracle: self.oracle.into_owned(),
+            router: self.router.into_owned(),
+        }
     }
-    Ok((secs, oracle, tables))
 }
 
 /// Decodes a v2 labels slot by its directory kind: the raw column
@@ -1021,8 +790,8 @@ mod tests {
             assert_eq!(svc.route(u, v).unwrap(), direct);
         }
         let pairs: Vec<_> = g.nodes().map(|v| (NodeId(0), v)).collect();
-        let many = svc.query_many(&pairs);
-        let routes = svc.route_many(&pairs);
+        let many = svc.try_query_many(&pairs).unwrap();
+        let routes = svc.try_route_many(&pairs).unwrap();
         for (i, &(u, v)) in pairs.iter().enumerate() {
             assert_eq!(many[i], svc.query(u, v));
             assert_eq!(routes[i], svc.route(u, v));
@@ -1096,7 +865,6 @@ mod tests {
             mapped.route(NodeId(0), NodeId(35)),
             svc.route(NodeId(0), NodeId(35))
         );
-        mapped.warm().unwrap();
     }
 
     #[test]
@@ -1104,12 +872,10 @@ mod tests {
         let (_, svc) = service();
         // a compressed labels body in the raw labels slot must not pass:
         // the kind says raw, the body is sealed varints
-        let graph = svc.graph_section_bytes();
-        let tree = svc.tree_section_bytes();
+        let graph = encode_graph(svc.graph());
+        let tree = svc.tree().encode();
         let labels_c = psep_oracle::wire::encode_labels(svc.oracle.flat_labels(), svc.epsilon());
-        let tables = svc
-            .router
-            .with_tables(|t| psep_routing::wire::encode_tables_flat(t.flat()));
+        let tables = psep_routing::wire::encode_tables_flat(svc.router().tables().flat());
         let spliced = encode_v2([
             (SECTION_GRAPH, &graph),
             (SECTION_TREE, &tree),
@@ -1162,10 +928,9 @@ mod tests {
             );
         }
         assert_eq!(
-            mapped.routing_label(NodeId(7)),
-            svc.routing_label(NodeId(7))
+            mapped.router().label(NodeId(7)),
+            svc.router().label(NodeId(7))
         );
-        mapped.warm().unwrap();
         assert_eq!(mapped.graph().num_edges(), g.num_edges());
     }
 
@@ -1254,6 +1019,26 @@ mod tests {
         seal(BUNDLE_MAGIC, &payload)
     }
 
+    /// Edits the body of section `slot` with `tamper` and re-stamps the
+    /// section CRC as well, so the directory still validates and only
+    /// decoding the section can catch the damage.
+    fn tampered_section(bytes: &[u8], slot: usize, tamper: impl FnOnce(&mut [u8])) -> Vec<u8> {
+        let out = tampered(bytes, |p| {
+            let e = DIR_START + 4 + slot * DIR_ROW;
+            let offset = u64::from_le_bytes(p[e + 4..e + 12].try_into().unwrap()) as usize;
+            let len = u64::from_le_bytes(p[e + 12..e + 20].try_into().unwrap()) as usize;
+            let sec = &mut p[offset..offset + len];
+            tamper(sec);
+            let crc = crc32(sec);
+            p[e + 20..e + 24].copy_from_slice(&crc.to_le_bytes());
+        });
+        assert!(
+            bundle_sections(&out).is_ok(),
+            "the directory still validates"
+        );
+        out
+    }
+
     #[test]
     fn resealed_header_payload_disagreements_are_rejected() {
         let (_, svc) = service();
@@ -1295,6 +1080,24 @@ mod tests {
                     p.truncate(p.len() - 8);
                 }),
             ),
+            // Valid section CRCs over bodies that do not decode: open must
+            // reject them, not defer them to a later call.
+            (
+                "zero edge weight",
+                tampered_section(&bytes, 0, |sec| {
+                    // the edge list ends in the last edge's weight varint
+                    let last = sec.len() - 1;
+                    assert_eq!(sec[last], 1, "unit grid weight is one varint byte");
+                    sec[last] = 0;
+                }),
+            ),
+            (
+                "byte flipped inside the embedded psep-tree/v1",
+                tampered_section(&bytes, 1, |sec| {
+                    let mid = sec.len() / 2;
+                    sec[mid] ^= 0x01;
+                }),
+            ),
         ];
         for (what, bad) in cases {
             let err = LocationService::from_bytes(&bad);
@@ -1316,22 +1119,14 @@ mod tests {
             // bytes to keep the section length, and re-stamp the section
             // CRC: only the vertex-count cross-check can catch it, and it
             // must do so before `Graph::new(n)` allocates.
-            let bad = tampered(&bytes, |p| {
-                let e = DIR_START + 4;
-                let len = u64::from_le_bytes(p[e + 12..e + 20].try_into().unwrap()) as usize;
-                let sec = &mut p[SECTIONS_START..SECTIONS_START + len];
+            let bad = tampered_section(&bytes, 0, |sec| {
+                let len = sec.len();
                 assert!(sec[0] < 0x80, "original vertex count is one varint byte");
                 sec.copy_within(1..len - 4, 5);
                 let mut n = Vec::new();
                 put_varint(&mut n, u32::MAX as u64);
                 sec[..5].copy_from_slice(&n);
-                let crc = crc32(sec);
-                p[e + 20..e + 24].copy_from_slice(&crc.to_le_bytes());
             });
-            assert!(
-                bundle_sections(&bad).is_ok(),
-                "the directory still validates"
-            );
             assert!(matches!(
                 LocationService::from_bytes(&bad),
                 Err(ServiceError::Wire(WireError::Corrupt(_)))

@@ -31,6 +31,12 @@ fn mapped_bundles_answer_bit_identically_across_families() {
             "{}: aligned v2 map must borrow in place",
             fam.name()
         );
+        assert_eq!(
+            mapped.to_bytes(),
+            bytes,
+            "{}: a mapped bundle must re-encode to itself",
+            fam.name()
+        );
 
         let n = svc.num_nodes();
         let pairs = random_pairs(n, 400, SEED ^ 7);
@@ -47,9 +53,9 @@ fn mapped_bundles_answer_bit_identically_across_families() {
         for v in 0..n {
             let v = NodeId(v as u32);
             assert_eq!(
-                svc.routing_label(v),
-                mapped.routing_label(v),
-                "{}: routing_label",
+                svc.router().label(v),
+                mapped.router().label(v),
+                "{}: routing label",
                 fam.name()
             );
         }
@@ -65,9 +71,9 @@ fn batch_forms_agree_between_storages_at_every_thread_count() {
         assert!(mapped.is_borrowed());
 
         let pairs = random_pairs(svc.num_nodes(), 600, SEED ^ 13);
-        let base_queries = svc.query_many(&pairs);
-        let base_paths = svc.query_path_many(&pairs);
-        let base_routes = svc.route_many(&pairs);
+        let base_queries = svc.try_query_many(&pairs).unwrap();
+        let base_paths = svc.try_query_path_many(&pairs).unwrap();
+        let base_routes = svc.try_route_many(&pairs).unwrap();
         for threads in [1usize, 2, 4] {
             let engine = BatchQueryEngine::new(threads).min_chunk(16);
             assert_eq!(
@@ -77,7 +83,9 @@ fn batch_forms_agree_between_storages_at_every_thread_count() {
                 fam.name()
             );
             assert_eq!(
-                engine.run_paths(mapped.oracle(), mapped.graph(), mapped.tree(), &pairs),
+                engine
+                    .try_run_paths(mapped.oracle(), mapped.graph(), mapped.tree(), &pairs)
+                    .unwrap(),
                 base_paths,
                 "{} t={threads}: batch paths",
                 fam.name()
@@ -102,6 +110,12 @@ fn owned_fallback_for_misaligned_maps_is_equivalent_too() {
     let mapped = LocationService::map_bytes(&shifted[1..]).expect("misaligned bundle maps");
     assert!(!mapped.is_borrowed());
     let pairs = random_pairs(svc.num_nodes(), 300, SEED ^ 19);
-    assert_eq!(svc.query_many(&pairs), mapped.query_many(&pairs));
-    assert_eq!(svc.route_many(&pairs), mapped.route_many(&pairs));
+    assert_eq!(
+        svc.try_query_many(&pairs).unwrap(),
+        mapped.try_query_many(&pairs).unwrap()
+    );
+    assert_eq!(
+        svc.try_route_many(&pairs).unwrap(),
+        mapped.try_route_many(&pairs).unwrap()
+    );
 }

@@ -48,10 +48,10 @@ fn mapped_serving_performs_zero_per_entry_decodes() {
     let aligned = AlignedBytes::from_slice(&v2);
     let mapped = LocationService::map_bytes(&aligned).expect("own bundle maps");
     assert!(mapped.is_borrowed());
-    let expected = svc.query_many(&pairs);
-    assert_eq!(mapped.query_many(&pairs), expected);
+    let expected = svc.try_query_many(&pairs).unwrap();
+    assert_eq!(mapped.try_query_many(&pairs).unwrap(), expected);
     for v in [0u32, 1, n / 2, n - 1] {
-        let _ = mapped.routing_label(NodeId(v));
+        let _ = mapped.router().label(NodeId(v));
     }
     assert_eq!(
         decode_counts(),
@@ -62,7 +62,7 @@ fn mapped_serving_performs_zero_per_entry_decodes() {
     // The delta bundle decodes every entry; every counter must move —
     // proving they are live, not dead code vacuously at zero.
     let owned = LocationService::from_bytes(&delta).expect("own delta bundle loads");
-    assert_eq!(owned.query_many(&pairs), expected);
+    assert_eq!(owned.try_query_many(&pairs).unwrap(), expected);
     assert!(
         decode_counts().iter().all(|&c| c > 0),
         "delta load did not touch the decode counters: {:?}",
