@@ -214,7 +214,7 @@ fn main() {
         ),
         (
             "eqperf",
-            "E-qperf — query plane: bound-pruned join, sorted batches, delta bundles",
+            "E-qperf — query plane: bound-pruned join, batches, delta bundles",
             Box::new(move || {
                 ex::eqperf_query_plane(
                     if quick { 300 } else { 800 },

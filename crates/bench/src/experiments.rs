@@ -945,9 +945,8 @@ pub fn e9_structures() -> String {
 /// production merge-join and the unpruned reference scan, asserting the
 /// three guarantees inline — answers **and** witnesses (winning key and
 /// portal pair) are bit-identical, the pruned scan touches strictly
-/// fewer candidates, and the locality-sorted batch engine returns
-/// input-order results identical to the sequential loop at 1, 2, and 4
-/// workers. The same service is then persisted both ways and the
+/// fewer candidates, and the batch engine returns input-order results
+/// identical to the sequential loop at 1, 2, and 4 workers. The same service is then persisted both ways and the
 /// delta-compressed bundle must be smaller than raw v2 and round-trip
 /// losslessly back to the exact raw bytes.
 ///
@@ -1035,8 +1034,8 @@ pub fn eqperf_query_plane(n: usize, pair_count: usize) -> String {
             );
         }
 
-        // Locality-sorted batches must be bit-identical to the
-        // sequential input-order loop at every worker count.
+        // Batches must be bit-identical to the sequential input-order
+        // loop at every worker count.
         let mut batch_pps = 0.0f64;
         for workers in [1usize, 2, 4] {
             let engine = BatchQueryEngine::new(workers).min_chunk(64);
@@ -1044,7 +1043,7 @@ pub fn eqperf_query_plane(n: usize, pair_count: usize) -> String {
             assert_eq!(
                 answers,
                 pruned_answers,
-                "{}: sorted batch diverges at t={workers}",
+                "{}: batch diverges at t={workers}",
                 fam.name()
             );
             batch_pps = batch_pps.max(pairs.len() as f64 / batch_s);

@@ -50,8 +50,8 @@ pub struct LoadgenConfig {
     pub seed: u64,
     /// Zipf exponent for source-vertex sampling. `0.0` keeps sources
     /// uniform; larger values concentrate the pool on a few hot
-    /// sources, exercising the locality-aware batch scheduler the way
-    /// skewed production traffic does. Targets stay uniform.
+    /// sources, the shape of skewed production traffic. Targets stay
+    /// uniform.
     pub skew: f64,
 }
 

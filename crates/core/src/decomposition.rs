@@ -404,6 +404,12 @@ impl DecompositionTree {
         &self.nodes[idx]
     }
 
+    /// Number of vertices of the graph the tree decomposes (every one
+    /// has a home).
+    pub fn num_vertices(&self) -> usize {
+        self.home.len()
+    }
+
     /// The node where `v` lies on the separator (its *home*).
     pub fn home(&self, v: NodeId) -> usize {
         self.home[v.index()] as usize

@@ -147,21 +147,6 @@ impl ShardedRunner {
         self.threads.min(items.div_ceil(self.min_chunk)).max(1)
     }
 
-    /// [`run`](Self::run) for scratchless work functions.
-    pub fn map<I, T>(
-        &self,
-        items: &[I],
-        obs: Option<&ShardObs>,
-        work: impl Fn(&I) -> (T, u64) + Sync,
-    ) -> (Vec<T>, u64)
-    where
-        I: Sync,
-        T: Send,
-    {
-        let mut scratches = vec![(); self.worker_count(items.len())];
-        self.run(items, obs, &mut scratches, |_, item| work(item))
-    }
-
     /// Maps every item through `work`, fanning out across at most
     /// `scratches.len()` workers (one scratch per worker, reusable
     /// across calls), and returns `(results in input order, summed
@@ -255,46 +240,6 @@ impl ShardedRunner {
             .collect();
         (results, total_units)
     }
-
-    /// [`run`](Self::run) with a locality schedule: items are
-    /// stable-sorted by `key` and run in that order, so items sharing a
-    /// key (e.g. batch queries from the same source vertex) run
-    /// back-to-back and keep their working set hot in cache. Results are
-    /// scattered back to their original input offsets, so the output is
-    /// bit-identical to [`run`](Self::run) — the schedule can only change
-    /// *when* an item runs, never what it returns or where it lands.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `scratches` is empty, or if a worker panics.
-    pub fn run_keyed<I, S, T, K>(
-        &self,
-        items: &[I],
-        obs: Option<&ShardObs>,
-        scratches: &mut [S],
-        key: impl Fn(&I) -> K,
-        work: impl Fn(&mut S, &I) -> (T, u64) + Sync,
-    ) -> (Vec<T>, u64)
-    where
-        I: Sync,
-        S: Send,
-        T: Send,
-        K: Ord,
-    {
-        let mut order: Vec<usize> = (0..items.len()).collect();
-        order.sort_by_key(|&i| key(&items[i]));
-        let (sorted, units) = self.run(&order, obs, scratches, |s, &i| work(s, &items[i]));
-        let mut slots: Vec<Option<T>> = Vec::with_capacity(items.len());
-        slots.resize_with(items.len(), || None);
-        for (&i, t) in order.iter().zip(sorted) {
-            slots[i] = Some(t);
-        }
-        let results = slots
-            .into_iter()
-            .map(|t| t.expect("every slot filled"))
-            .collect();
-        (results, units)
-    }
 }
 
 #[cfg(test)]
@@ -307,7 +252,8 @@ mod tests {
         let expected: Vec<u64> = items.iter().map(|x| x * x).collect();
         for threads in [1, 2, 3, 8] {
             let runner = ShardedRunner::new(threads).min_chunk(7);
-            let (out, units) = runner.map(&items, None, |&x| (x * x, 1));
+            let mut scratches = vec![(); runner.worker_count(items.len())];
+            let (out, units) = runner.run(&items, None, &mut scratches, |_, &x| (x * x, 1));
             assert_eq!(out, expected, "threads = {threads}");
             assert_eq!(units, 1000, "threads = {threads}");
         }
@@ -346,55 +292,8 @@ mod tests {
     #[test]
     fn empty_input_is_fine() {
         let runner = ShardedRunner::new(4);
-        let (out, units) = runner.map(&[] as &[u32], None, |&x| (x, 1));
-        assert!(out.is_empty());
-        assert_eq!(units, 0);
-    }
-
-    #[test]
-    fn run_keyed_matches_run_at_every_thread_count() {
-        // keys deliberately scrambled so the schedule reorders work
-        let items: Vec<u64> = (0..1000).map(|i| (i * 7919) % 1000).collect();
-        let expected: Vec<u64> = items.iter().map(|x| x * x + 1).collect();
-        for threads in [1, 2, 4, 8] {
-            let runner = ShardedRunner::new(threads).min_chunk(13);
-            let mut scratches = vec![(); runner.worker_count(items.len())];
-            let (out, units) =
-                runner.run_keyed(&items, None, &mut scratches, |&x| x, |_, &x| (x * x + 1, 1));
-            assert_eq!(out, expected, "threads = {threads}");
-            assert_eq!(units, 1000, "threads = {threads}");
-        }
-    }
-
-    #[test]
-    fn run_keyed_processes_each_block_in_key_order() {
-        use std::sync::Mutex;
-        let items: Vec<u64> = vec![5, 3, 9, 1, 8, 2, 7, 0, 6, 4];
-        let seen = Mutex::new(Vec::new());
-        let runner = ShardedRunner::new(1).min_chunk(4);
         let mut scratches = vec![()];
-        let (out, _) = runner.run_keyed(
-            &items,
-            None,
-            &mut scratches,
-            |&x| x,
-            |_, &x| {
-                seen.lock().unwrap().push(x);
-                (x, 0)
-            },
-        );
-        // single worker: the whole input is one block, processed sorted
-        assert_eq!(*seen.lock().unwrap(), (0..10).collect::<Vec<u64>>());
-        // ...but results land at their original offsets
-        assert_eq!(out, items);
-    }
-
-    #[test]
-    fn run_keyed_empty_input_is_fine() {
-        let runner = ShardedRunner::new(4);
-        let mut scratches = vec![()];
-        let (out, units) =
-            runner.run_keyed(&[] as &[u32], None, &mut scratches, |&x| x, |_, &x| (x, 1));
+        let (out, units) = runner.run(&[] as &[u32], None, &mut scratches, |_, &x| (x, 1));
         assert!(out.is_empty());
         assert_eq!(units, 0);
     }

@@ -17,8 +17,6 @@
 //!   count/sum/min/max and bounded-error p50–p999 quantiles; per-worker
 //!   histograms merge bit-identically at snapshot time regardless of
 //!   thread count ([`Snapshot::rollup_workers`]);
-//! * [`TraceRing`] — an opt-in, per-call ring buffer of structured
-//!   [`TraceEvent`]s for explaining one slow query, drained to NDJSON;
 //! * [`snapshot`] — a point-in-time [`Snapshot`] of everything, with a
 //!   hand-rolled JSON renderer and an NDJSON line emitter.
 //!
@@ -52,9 +50,6 @@ pub use json::JsonWriter;
 
 mod hist;
 pub use hist::{bucket_index, bucket_lower, HistogramStat, NUM_BUCKETS, SUB_BITS, SUB_COUNT};
-
-mod trace;
-pub use trace::{RoutePhase, TraceEvent, TraceRing};
 
 /// A span-statistics record: how often a span path ran and for how long.
 #[derive(Clone, Debug, PartialEq)]

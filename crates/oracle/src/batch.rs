@@ -105,15 +105,10 @@ impl BatchQueryEngine {
                 stats: JoinStats::default(),
             })
             .collect();
-        // keyed by source vertex: each worker serves one source's queries
-        // back-to-back so the source label slice stays hot in cache;
-        // results land at input offsets, so answers are bit-identical to
-        // the unsorted schedule.
-        let (answers, scanned) = self.runner.run_keyed(
+        let (answers, scanned) = self.runner.run(
             pairs,
             Some(&BATCH_OBS),
             &mut scratches,
-            |&(u, _)| u,
             |worker, &(u, v)| {
                 let t0 = psep_obs::now_if_enabled();
                 let (answer, stats) = oracle.query_with_stats(u, v);
@@ -180,12 +175,8 @@ impl BatchQueryEngine {
                 scratch: DijkstraScratch::new(g.num_nodes()),
             })
             .collect();
-        let (results, _nodes) = runner.run_keyed(
-            pairs,
-            Some(&PATH_OBS),
-            &mut scratches,
-            |&(u, _)| u,
-            |worker, &(u, v)| {
+        let (results, _nodes) =
+            runner.run(pairs, Some(&PATH_OBS), &mut scratches, |worker, &(u, v)| {
                 let t0 = psep_obs::now_if_enabled();
                 let out = oracle.query_path_with(g, tree, &mut worker.scratch, u, v);
                 let nodes = match &out {
@@ -194,8 +185,7 @@ impl BatchQueryEngine {
                 };
                 worker.hists.record(nodes, t0);
                 (out, nodes)
-            },
-        );
+            });
         psep_obs::counter!("oracle.path.batch.pairs").add(pairs.len() as u64);
         results.into_iter().collect()
     }
@@ -205,6 +195,7 @@ impl BatchQueryEngine {
 mod tests {
     use super::*;
     use psep_core::strategy::AutoStrategy;
+    use psep_core::wire::WireError;
     use psep_core::DecompositionTree;
     use psep_graph::generators::grids;
     use psep_graph::Graph;
@@ -315,5 +306,19 @@ mod tests {
             engine.try_run_paths(&o, &g, &tree, &[]).unwrap(),
             Vec::<Option<WitnessPath>>::new()
         );
+    }
+
+    #[test]
+    fn try_run_paths_rejects_a_tree_for_another_graph() {
+        let (g, _, o) = grid_stack(6);
+        let (_, big, _) = grid_stack(7);
+        let pairs = all_pairs(36);
+        for threads in [1, 4] {
+            let out = BatchQueryEngine::new(threads).try_run_paths(&o, &g, &big, &pairs);
+            assert!(
+                matches!(out, Err(Error::Wire(WireError::Corrupt(_)))),
+                "threads = {threads}"
+            );
+        }
     }
 }

@@ -248,62 +248,6 @@ impl<'a> DistanceOracle<'a> {
         Ok(best.map(|(w, ..)| w))
     }
 
-    /// Like [`Self::try_query`] but narrates the merge-join into `ring`:
-    /// a [`TraceEvent::QueryStart`], one [`TraceEvent::MergeKey`] per
-    /// aligned `(node, group, path)` key, and a closing
-    /// [`TraceEvent::QueryEnd`] with candidates scanned and wall time —
-    /// enough to explain why *this* query was slow. Tracing is per-call
-    /// opt-in and records regardless of the global obs gate.
-    ///
-    /// [`TraceEvent::QueryStart`]: psep_obs::TraceEvent::QueryStart
-    /// [`TraceEvent::MergeKey`]: psep_obs::TraceEvent::MergeKey
-    /// [`TraceEvent::QueryEnd`]: psep_obs::TraceEvent::QueryEnd
-    pub fn query_traced(
-        &self,
-        u: NodeId,
-        v: NodeId,
-        ring: &mut psep_obs::TraceRing,
-    ) -> Result<Option<Weight>, Error> {
-        let t0 = std::time::Instant::now();
-        ring.push(psep_obs::TraceEvent::QueryStart {
-            u: u.index() as u32,
-            v: v.index() as u32,
-        });
-        self.flat.try_label(u)?;
-        self.flat.try_label(v)?;
-        let (stats, result) = if u == v {
-            (JoinStats::default(), Some(0))
-        } else {
-            let (stats, best) = self.join_core(u, v, |key, pairs| {
-                ring.push(psep_obs::TraceEvent::MergeKey { key, pairs });
-            });
-            record_query(stats);
-            (stats, best.map(|(w, ..)| w))
-        };
-        ring.push(psep_obs::TraceEvent::QueryEnd {
-            found: result.is_some(),
-            dist: result.unwrap_or(0),
-            candidates: stats.scanned,
-            elapsed_ns: t0.elapsed().as_nanos().min(u64::MAX as u128) as u64,
-        });
-        Ok(result)
-    }
-
-    /// The one pruned merge-join the explained, batch and traced query
-    /// paths share (they differ only in their per-key observer).
-    fn join_core(
-        &self,
-        u: NodeId,
-        v: NodeId,
-        on_key: impl FnMut(u64, u64),
-    ) -> (JoinStats, Option<BestCandidate>) {
-        merge_join_core::<_, _, _, true>(
-            self.flat.label(u).entries_with_min(),
-            self.flat.label(v).entries_with_min(),
-            on_key,
-        )
-    }
-
     /// [`Self::query`] plus the merge-join statistics of the call
     /// (candidates scanned, keys and portal tails pruned), without
     /// touching global instrumentation — the batch engine's hot path
@@ -313,7 +257,10 @@ impl<'a> DistanceOracle<'a> {
         if u == v {
             return (Some(0), JoinStats::default());
         }
-        let (stats, best) = self.join_core(u, v, |_, _| ());
+        let (stats, best) = merge_join_best(
+            self.flat.label(u).entries_with_min(),
+            self.flat.label(v).entries_with_min(),
+        );
         (best.map(|(w, ..)| w), stats)
     }
 
@@ -326,10 +273,9 @@ impl<'a> DistanceOracle<'a> {
         if u == v {
             return (Some(0), JoinStats::default());
         }
-        let (stats, best) = merge_join_core::<_, _, _, false>(
+        let (stats, best) = merge_join_core::<_, _, false>(
             self.flat.label(u).entries_with_min(),
             self.flat.label(v).entries_with_min(),
-            |_, _| (),
         );
         (best.map(|(w, ..)| w), stats)
     }
@@ -338,7 +284,10 @@ impl<'a> DistanceOracle<'a> {
     /// portal pair. `None` when the labels share no entry (`u == v`
     /// included: a self-query crosses no separator path).
     pub fn explain(&self, u: NodeId, v: NodeId) -> Option<(Weight, QueryWitness)> {
-        let (stats, best) = self.join_core(u, v, |_, _| ());
+        let (stats, best) = merge_join_best(
+            self.flat.label(u).entries_with_min(),
+            self.flat.label(v).entries_with_min(),
+        );
         record_query(stats);
         best.map(|(w, key, pu, pv)| (w, QueryWitness::new(key, pu, pv)))
     }
@@ -347,10 +296,9 @@ impl<'a> DistanceOracle<'a> {
     /// equivalence tests compare witnesses (winning key and portal pair)
     /// against the pruned path.
     pub fn explain_unpruned(&self, u: NodeId, v: NodeId) -> Option<(Weight, QueryWitness)> {
-        let (_, best) = merge_join_core::<_, _, _, false>(
+        let (_, best) = merge_join_core::<_, _, false>(
             self.flat.label(u).entries_with_min(),
             self.flat.label(v).entries_with_min(),
-            |_, _| (),
         );
         best.map(|(w, key, pu, pv)| (w, QueryWitness::new(key, pu, pv)))
     }
@@ -426,8 +374,10 @@ impl JoinStats {
 type BestCandidate = (Weight, u64, PortalEntry, PortalEntry);
 
 /// The pruned merge-join over two label views
-/// ([`LabelRef::entries_with_min`]): what [`DistanceOracle::try_query`],
-/// [`query_label_refs`] and the witness-path builder run.
+/// ([`LabelRef::entries_with_min`]): what every production query
+/// path ([`DistanceOracle::try_query`], [`DistanceOracle::explain`],
+/// [`query_label_refs`], the batch engine and the witness-path builder)
+/// runs.
 ///
 /// Returns the join statistics and the best candidate (`None` when the
 /// streams share no key).
@@ -435,16 +385,12 @@ pub(crate) fn merge_join_best<'a>(
     a: impl Iterator<Item = (u64, &'a [PortalEntry], Weight)>,
     b: impl Iterator<Item = (u64, &'a [PortalEntry], Weight)>,
 ) -> (JoinStats, Option<BestCandidate>) {
-    // the no-op observer inlines away; the hot path pays nothing
-    merge_join_core::<_, _, _, true>(a, b, |_, _| ())
+    merge_join_core::<_, _, true>(a, b)
 }
 
 /// The merge-join core: walks two ascending `(key, portals, min_dist)`
 /// streams, and on each key match scans the portal-pair cross product
-/// for the cheapest `d_J(u,p) + d_Q(p,q) + d_J(q,v)` candidate. The
-/// per-matched-key observer feeds the traced query path (one
-/// [`psep_obs::TraceEvent::MergeKey`] per aligned key — pruned keys
-/// report zero pairs).
+/// for the cheapest `d_J(u,p) + d_Q(p,q) + d_J(q,v)` candidate.
 ///
 /// With `PRUNE` the admissible lower bounds skip work that provably
 /// cannot improve the running minimum: a matched key is skipped whole
@@ -454,15 +400,18 @@ pub(crate) fn merge_join_best<'a>(
 /// minimum *and* witness (first minimal candidate in ascending-key scan
 /// order) are identical to the `PRUNE = false` reference scan — only
 /// [`JoinStats`] differ.
-fn merge_join_core<'a, A, B, F, const PRUNE: bool>(
+///
+/// Inlined into every caller: out of line, the join reaches the label
+/// views through memory, and perfbench's grid query batches ran 15–22%
+/// slower.
+#[inline(always)]
+fn merge_join_core<'a, A, B, const PRUNE: bool>(
     mut a: A,
     mut b: B,
-    mut on_key: F,
 ) -> (JoinStats, Option<BestCandidate>)
 where
     A: Iterator<Item = (u64, &'a [PortalEntry], Weight)>,
     B: Iterator<Item = (u64, &'a [PortalEntry], Weight)>,
-    F: FnMut(u64, u64),
 {
     let mut stats = JoinStats::default();
     let mut best: Option<BestCandidate> = None;
@@ -476,7 +425,6 @@ where
                     if let Some((cur, ..)) = best {
                         if ma.saturating_add(mb) >= cur {
                             stats.pruned_keys += 1;
-                            on_key(ka, 0);
                             na = a.next();
                             nb = b.next();
                             continue;
@@ -503,7 +451,6 @@ where
                     pairs += pb.len() as u64;
                 }
                 stats.scanned += pairs;
-                on_key(ka, pairs);
                 na = a.next();
                 nb = b.next();
             }

@@ -134,6 +134,11 @@ impl DistanceOracle<'_> {
                 "graph does not match the oracle's vertex count",
             ));
         }
+        if tree.num_vertices() != g.num_nodes() {
+            return Err(Error::corrupt(
+                "decomposition tree does not match the graph's vertex count",
+            ));
+        }
         let (_stats, best) = merge_join_best(lu.entries_with_min(), lv.entries_with_min());
         let Some((weight, key, pu, pv)) = best else {
             return Ok(None);

@@ -139,7 +139,82 @@ impl<'a> Router<'a> {
     /// validates first and returns an error instead.
     pub fn route(&self, u: NodeId, t: NodeId, label_t: &RoutingLabel) -> Option<RouteOutcome> {
         let t0 = psep_obs::now_if_enabled();
-        let out = self.route_observed(u, t, label_t, |_, _, _, _| ());
+        let out = 'walk: {
+            if u == t {
+                break 'walk Some(RouteOutcome {
+                    route: vec![u],
+                    cost: 0,
+                    hops: 0,
+                });
+            }
+            let Some((key, _planned)) = self.plan(u, label_t) else {
+                break 'walk None;
+            };
+            let target_entry = label_t
+                .entries
+                .iter()
+                .find(|e| e.key == key)
+                .expect("plan key comes from the label");
+            let mut route = vec![u];
+            let mut cost: Weight = 0;
+            let mut cur = u;
+
+            // Phase A: climb to the path along T_Q parents.
+            loop {
+                let info = self.entry(cur, key);
+                if info.on_path().is_some() {
+                    break;
+                }
+                let parent = info.parent().expect("off-path vertex has a parent");
+                cost += self.edge_weight(cur, parent);
+                cur = parent;
+                route.push(cur);
+            }
+
+            // Phase B: walk along Q to the target's entry position.
+            loop {
+                let info = self.entry(cur, key);
+                let op = info.on_path().expect("phase B stays on the path");
+                if op.pos == target_entry.entry_pos {
+                    break;
+                }
+                let step = if op.pos < target_entry.entry_pos {
+                    op.next.expect("target position is on the path")
+                } else {
+                    op.prev.expect("target position is on the path")
+                };
+                cost += self.edge_weight(cur, step);
+                cur = step;
+                route.push(cur);
+            }
+
+            // Phase C: descend T_Q by interval routing to dfs(t).
+            while cur != t {
+                let info = self.entry(cur, key);
+                debug_assert!(
+                    info.dfs() <= target_entry.dfs && target_entry.dfs < info.subtree_end(),
+                    "target not in current subtree"
+                );
+                let child = info
+                    .children()
+                    .iter()
+                    .copied()
+                    .find(|&c| {
+                        let ci = self.entry(c, key);
+                        ci.dfs() <= target_entry.dfs && target_entry.dfs < ci.subtree_end()
+                    })
+                    .expect("some child interval contains the target");
+                cost += self.edge_weight(cur, child);
+                cur = child;
+                route.push(cur);
+            }
+
+            Some(RouteOutcome {
+                hops: route.len() - 1,
+                route,
+                cost,
+            })
+        };
         if let Some(o) = &out {
             psep_obs::histogram!("routing.route.hops").record(o.hops as u64);
         }
@@ -147,135 +222,6 @@ impl<'a> Router<'a> {
             psep_obs::histogram!("routing.route.latency_ns").record_elapsed(t0);
         }
         out
-    }
-
-    /// Like [`Self::route`] but narrates the walk into `ring`: a
-    /// [`TraceEvent::RouteStart`], one [`TraceEvent::RouteHop`] per
-    /// forwarded edge tagged with its phase (climb / path / descend),
-    /// and a closing [`TraceEvent::RouteEnd`] with hops, cost, and wall
-    /// time. Tracing is per-call opt-in and records regardless of the
-    /// global obs gate.
-    ///
-    /// [`TraceEvent::RouteStart`]: psep_obs::TraceEvent::RouteStart
-    /// [`TraceEvent::RouteHop`]: psep_obs::TraceEvent::RouteHop
-    /// [`TraceEvent::RouteEnd`]: psep_obs::TraceEvent::RouteEnd
-    pub fn route_traced(
-        &self,
-        u: NodeId,
-        t: NodeId,
-        label_t: &RoutingLabel,
-        ring: &mut psep_obs::TraceRing,
-    ) -> Option<RouteOutcome> {
-        let t0 = std::time::Instant::now();
-        ring.push(psep_obs::TraceEvent::RouteStart {
-            u: u.index() as u32,
-            target: t.index() as u32,
-        });
-        let out = self.route_observed(u, t, label_t, |phase, from, to, edge_cost| {
-            ring.push(psep_obs::TraceEvent::RouteHop {
-                phase,
-                from: from.index() as u32,
-                to: to.index() as u32,
-                edge_cost,
-            });
-        });
-        ring.push(psep_obs::TraceEvent::RouteEnd {
-            delivered: out.is_some(),
-            hops: out.as_ref().map_or(0, |o| o.hops as u64),
-            cost: out.as_ref().map_or(0, |o| o.cost),
-            elapsed_ns: t0.elapsed().as_nanos().min(u64::MAX as u128) as u64,
-        });
-        out
-    }
-
-    /// The forwarding core behind [`Self::route`] / [`Self::route_traced`]:
-    /// `on_hop(phase, from, to, edge_cost)` observes every forwarded edge
-    /// (the untraced path passes a no-op closure that inlines away).
-    fn route_observed(
-        &self,
-        u: NodeId,
-        t: NodeId,
-        label_t: &RoutingLabel,
-        mut on_hop: impl FnMut(psep_obs::RoutePhase, NodeId, NodeId, Weight),
-    ) -> Option<RouteOutcome> {
-        if u == t {
-            return Some(RouteOutcome {
-                route: vec![u],
-                cost: 0,
-                hops: 0,
-            });
-        }
-        let (key, _planned) = self.plan(u, label_t)?;
-        let target_entry = label_t
-            .entries
-            .iter()
-            .find(|e| e.key == key)
-            .expect("plan key comes from the label");
-        let mut route = vec![u];
-        let mut cost: Weight = 0;
-        let mut cur = u;
-
-        // Phase A: climb to the path along T_Q parents.
-        loop {
-            let info = self.entry(cur, key);
-            if info.on_path().is_some() {
-                break;
-            }
-            let parent = info.parent().expect("off-path vertex has a parent");
-            let w = self.edge_weight(cur, parent);
-            on_hop(psep_obs::RoutePhase::Climb, cur, parent, w);
-            cost += w;
-            cur = parent;
-            route.push(cur);
-        }
-
-        // Phase B: walk along Q to the target's entry position.
-        loop {
-            let info = self.entry(cur, key);
-            let op = info.on_path().expect("phase B stays on the path");
-            if op.pos == target_entry.entry_pos {
-                break;
-            }
-            let step = if op.pos < target_entry.entry_pos {
-                op.next.expect("target position is on the path")
-            } else {
-                op.prev.expect("target position is on the path")
-            };
-            let w = self.edge_weight(cur, step);
-            on_hop(psep_obs::RoutePhase::Path, cur, step, w);
-            cost += w;
-            cur = step;
-            route.push(cur);
-        }
-
-        // Phase C: descend T_Q by interval routing to dfs(t).
-        while cur != t {
-            let info = self.entry(cur, key);
-            debug_assert!(
-                info.dfs() <= target_entry.dfs && target_entry.dfs < info.subtree_end(),
-                "target not in current subtree"
-            );
-            let child = info
-                .children()
-                .iter()
-                .copied()
-                .find(|&c| {
-                    let ci = self.entry(c, key);
-                    ci.dfs() <= target_entry.dfs && target_entry.dfs < ci.subtree_end()
-                })
-                .expect("some child interval contains the target");
-            let w = self.edge_weight(cur, child);
-            on_hop(psep_obs::RoutePhase::Descend, cur, child, w);
-            cost += w;
-            cur = child;
-            route.push(cur);
-        }
-
-        Some(RouteOutcome {
-            hops: route.len() - 1,
-            route,
-            cost,
-        })
     }
 
     /// [`Self::route`] with both endpoints validated first; a bad
@@ -314,23 +260,14 @@ impl<'a> Router<'a> {
         let mut scratches: Vec<_> = (0..runner.worker_count(pairs.len()))
             .map(|w| ROUTE_OBS.worker_hists(w))
             .collect();
-        // keyed by source vertex: routes starting at the same vertex walk
-        // the same table rows first, so each worker's claimed chunk keeps
-        // its working set hot; results land at input offsets, so the
-        // outcomes are bit-identical to the unsorted schedule.
-        let (outcomes, hops) = runner.run_keyed(
-            pairs,
-            Some(&ROUTE_OBS),
-            &mut scratches,
-            |&(u, _)| u,
-            |hists, &(u, t)| {
+        let (outcomes, hops) =
+            runner.run(pairs, Some(&ROUTE_OBS), &mut scratches, |hists, &(u, t)| {
                 let t0 = psep_obs::now_if_enabled();
                 let out = self.route(u, t, &self.tables.label(t));
                 let hops = out.as_ref().map_or(0, |o| o.hops as u64);
                 hists.record(hops, t0);
                 (out, hops)
-            },
-        );
+            });
         psep_obs::counter!("routing.batch.routes").add(pairs.len() as u64);
         psep_obs::counter!("routing.batch.hops").add(hops);
         outcomes

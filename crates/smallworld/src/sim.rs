@@ -2,23 +2,12 @@
 
 use std::collections::HashMap;
 
-use psep_core::exec::{ShardObs, ShardedRunner};
 use psep_graph::dijkstra::{dijkstra, ShortestPaths};
 use psep_graph::graph::{Graph, NodeId};
-use rand::{Rng, SeedableRng};
-
-const SIM_OBS: ShardObs = ShardObs {
-    prefix: "smallworld.sim",
-    items: "targets",
-    units: "hops",
-};
 
 /// A source of long-range contacts: the paper's distribution, the
 /// Kleinberg baseline, uniform augmentation, etc.
-///
-/// Rules must be [`Sync`] so [`GreedySim::run_seeded`] can share them
-/// across simulation workers.
-pub trait ContactRule: Sync {
+pub trait ContactRule {
     /// Samples the long-range contact of `v` (one directed edge per
     /// vertex, per Definition 4). `None` = no usable contact this trial.
     fn sample_contact(&self, v: NodeId, rng: &mut dyn rand::RngCore) -> Option<NodeId>;
@@ -132,48 +121,6 @@ impl<'a> GreedySim<'a> {
         }
         summarize(&hops_all)
     }
-
-    /// Like [`GreedySim::run`], but fully determined by `seed` and
-    /// **independent of the thread count** (`0` = all available
-    /// threads, honouring `PSEP_THREADS`).
-    ///
-    /// The (s, t) pairs are drawn from a ChaCha8 stream seeded with
-    /// `seed`; each target group then gets its own RNG derived from
-    /// `(seed, t)`, so contact sampling inside a group never depends
-    /// on which worker runs it or in what order groups complete.
-    pub fn run_seeded(&self, trials: usize, seed: u64, threads: usize) -> SimStats {
-        let n = self.graph.num_nodes();
-        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
-        let mut by_target: HashMap<NodeId, Vec<NodeId>> = HashMap::new();
-        for _ in 0..trials {
-            let s = NodeId::from_index(rng.gen_range(0..n));
-            let t = NodeId::from_index(rng.gen_range(0..n));
-            by_target.entry(t).or_default().push(s);
-        }
-        let mut targets: Vec<(NodeId, Vec<NodeId>)> = by_target.into_iter().collect();
-        targets.sort_by_key(|(t, _)| *t);
-        let runner = ShardedRunner::new(threads);
-        let graph = self.graph;
-        let rule = self.rule;
-        let (per_target, _) = runner.map(&targets, Some(&SIM_OBS), |(t, sources)| {
-            let dist_t = dijkstra(graph, &[*t]);
-            // splitmix-style per-target seed: distinct targets get
-            // decorrelated streams regardless of scheduling
-            let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(
-                seed ^ (t.0 as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-            );
-            let mut hops: Vec<usize> = Vec::with_capacity(sources.len());
-            for &s in sources {
-                if let Some(h) = greedy_route(graph, rule, s, *t, &dist_t, &mut rng) {
-                    hops.push(h);
-                }
-            }
-            let units: u64 = hops.iter().map(|&h| h as u64).sum();
-            (hops, units)
-        });
-        let hops_all: Vec<usize> = per_target.into_iter().flatten().collect();
-        summarize(&hops_all)
-    }
 }
 
 fn summarize(hops: &[usize]) -> SimStats {
@@ -228,22 +175,6 @@ mod tests {
         // grid diameter is 18; greedy with shortcuts must average below it
         assert!(stats.mean_hops <= 18.0, "mean {}", stats.mean_hops);
         assert!(stats.max_hops <= 18);
-    }
-
-    #[test]
-    fn seeded_sim_is_thread_count_invariant() {
-        let g = grids::grid2d(8, 8, 1);
-        let tree = DecompositionTree::build(&g, &AutoStrategy::default());
-        let aug = build_augmentation(&g, &tree, 5);
-        let sim = GreedySim::new(&g, &aug);
-        let base = sim.run_seeded(150, 42, 1);
-        assert!(base.trials > 0);
-        for threads in [2, 4] {
-            assert_eq!(base, sim.run_seeded(150, 42, threads), "threads={threads}");
-        }
-        // a different seed gives a different (but still valid) draw
-        let other = sim.run_seeded(150, 43, 1);
-        assert!(other.trials > 0);
     }
 
     #[test]

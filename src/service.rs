@@ -385,7 +385,7 @@ impl<'a> LocationService<'a> {
         router: Router<'a>,
     ) -> Result<Self, ServiceError> {
         let n = graph.num_nodes();
-        if oracle.num_nodes() != n || router.tables().num_nodes() != n {
+        if oracle.num_nodes() != n || router.tables().num_nodes() != n || tree.num_vertices() != n {
             return Err(WireError::Corrupt("bundle sections disagree on vertex count").into());
         }
         Ok(LocationService {
@@ -642,6 +642,9 @@ impl<'a> LocationService<'a> {
         }
         let graph = Arc::new(decode_graph(secs.graph())?);
         let tree = DecompositionTree::decode(secs.tree())?;
+        if tree.num_vertices() != n {
+            return Err(WireError::Corrupt("tree section disagrees on vertex count").into());
+        }
         let router = Router::with_shared(graph.clone(), tables);
         Ok(LocationService {
             graph,
@@ -1139,6 +1142,31 @@ mod tests {
         }
     }
 
+    /// Replaces section `slot`'s body with `body` and re-seals the
+    /// bundle under a fresh directory, so every CRC validates.
+    fn with_section(bytes: &[u8], slot: usize, body: &[u8]) -> Vec<u8> {
+        let (_, rows) = bundle_sections(bytes).unwrap();
+        let mut secs: [(u32, &[u8]); NUM_SECTIONS] =
+            std::array::from_fn(|i| (rows[i].kind, rows[i].bytes));
+        secs[slot].1 = body;
+        encode_v2(secs)
+    }
+
+    #[test]
+    fn tree_for_a_larger_graph_is_rejected() {
+        let (_, svc) = service();
+        let big = DecompositionTree::build(&grids::grid2d(7, 7, 1), &AutoStrategy::default());
+        for bytes in [svc.to_bytes(), svc.to_bytes_compressed()] {
+            let bad = with_section(&bytes, 1, &big.encode());
+            assert!(bundle_sections(&bad).is_ok(), "every CRC validates");
+            let err = LocationService::from_bytes(&bad);
+            assert!(matches!(err, Err(ServiceError::Wire(_))), "{err:?}");
+            let buf = AlignedBytes::from_slice(&bad);
+            let err = LocationService::map_bytes(&buf);
+            assert!(matches!(err, Err(ServiceError::Wire(_))), "{err:?}");
+        }
+    }
+
     #[test]
     fn mismatched_sections_are_rejected() {
         let (g, svc) = service();
@@ -1150,6 +1178,13 @@ mod tests {
             small.oracle().clone(),
             svc.router().clone(),
         );
+        assert!(matches!(
+            spliced,
+            Err(ServiceError::Wire(WireError::Corrupt(_)))
+        ));
+        let big = DecompositionTree::build(&grids::grid2d(7, 7, 1), &AutoStrategy::default());
+        let spliced =
+            LocationService::from_parts(g, big, svc.oracle().clone(), svc.router().clone());
         assert!(matches!(
             spliced,
             Err(ServiceError::Wire(WireError::Corrupt(_)))
