@@ -224,7 +224,7 @@ fn main() {
         ),
         (
             "escale",
-            "E-scale — zero-copy bundle serving at scale (psep-bundle/v2)",
+            "E-scale — zero-copy bundle serving at scale (psep-bundle)",
             Box::new(move || {
                 ex::escale_bundles(escale_entries, if quick { 2_000 } else { 20_000 })
             }),

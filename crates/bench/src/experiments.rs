@@ -255,7 +255,7 @@ pub fn e3t_throughput(families: &[Family], n: usize, pair_count: usize) -> Strin
 /// decomposition-tree and label build throughput across worker-thread
 /// counts, with the bit-identity guarantee asserted inline — every
 /// thread count must serialize to the sequential run's exact
-/// `psep-tree/v1` and `psep-labels/v1` wire bytes.
+/// tree-section and delta labels-section bytes.
 ///
 /// Reported metrics: `core.build.nodes_per_sec` and
 /// `oracle.label.vertices_per_sec` (best observed across thread counts,
@@ -663,7 +663,7 @@ pub fn e6_routing(families: &[Family], sizes: &[usize]) -> String {
 
 /// E6t — routing as a service (PR "one serving architecture"): parallel
 /// table construction with bit-identity asserted inline, the
-/// `psep-routing/v1` wire format (size vs the in-memory arena), and
+/// delta tables-section format (size vs the in-memory arena), and
 /// `route_many` throughput vs a sequential `route` loop across
 /// worker-thread counts.
 ///
@@ -686,7 +686,7 @@ pub fn e6t_routing_serving(families: &[Family], n: usize, pair_count: usize) -> 
         let (tables, build_s) = timed(|| RoutingTables::build(&g, &tree));
 
         // every thread count must serialize to the sequential build's
-        // exact psep-routing/v1 bytes, and the round-trip is bit-exact
+        // exact delta tables-section bytes, and the round-trip is bit-exact
         let bytes = encode_tables(tables.flat());
         for threads in [2usize, 4] {
             let par_bytes = encode_tables(RoutingTables::build_with(&g, &tree, threads).flat());
@@ -1101,7 +1101,7 @@ pub fn eqperf_query_plane(n: usize, pair_count: usize) -> String {
 
 /// E-scale — zero-copy serving at scale (PR "psep-bundle/v2"): builds
 /// the full location service on large grids, 3-trees, and random
-/// planar instances, persists each as a v2 bundle, and measures the
+/// planar instances, persists each as a bundle, and measures the
 /// fleet story end to end: build rate, bundle wire size, resident
 /// arena bytes (an RSS proxy — what one replica must keep hot), cold
 /// start of an aligned map versus a full decode, and query throughput

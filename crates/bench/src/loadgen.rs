@@ -389,7 +389,7 @@ pub fn run_against(
     out
 }
 
-/// Measures cold-start time-to-first-response for the same v2 bundle
+/// Measures cold-start time-to-first-response for the same raw bundle
 /// opened two ways: a zero-copy map and an owned load. Each clock covers
 /// open-to-first-answer (validate / decode, then one distance query),
 /// the number a restarting replica cares about. Reported as

@@ -18,7 +18,7 @@ use psep_graph::view::{NodeMask, SubgraphView};
 
 use crate::separator::{PathGroup, PathSeparator, SepPath};
 use crate::strategy::SeparatorStrategy;
-use crate::wire::{put_varint, put_zigzag, seal, unseal, Cursor, WireError};
+use crate::wire::{put_varint, put_zigzag, Cursor, WireError};
 
 /// The number of worker threads construction entry points should use:
 /// the `PSEP_THREADS` environment variable when set to a positive
@@ -171,7 +171,7 @@ impl DecompositionTree {
     /// order-sensitive part — is then produced by a sequential replay of
     /// the exact depth-first stack discipline of the sequential build,
     /// consuming the precomputed separators. The equivalence suite
-    /// compares `psep-tree/v1` wire bytes across thread counts to lock
+    /// compares tree-section bytes across thread counts to lock
     /// this down.
     ///
     /// # Panics
@@ -533,7 +533,16 @@ impl DecompositionTree {
         }
     }
 
-    /// Encodes the tree as one `psep-tree/v1` artifact.
+    /// Encodes the tree as a bare `psep-bundle` tree-section body (see
+    /// [`Self::encode_into`]).
+    pub fn encode(&self) -> Vec<u8> {
+        let mut out = Vec::new();
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// Appends the tree's section body to `out`, with no envelope: the
+    /// bundle that carries it owns magic, version and checksum.
     ///
     /// Per node the wire stores `parent + 1` (0 marks a root), the
     /// component's sorted vertices (delta varints), and the separator's
@@ -541,56 +550,48 @@ impl DecompositionTree {
     /// prefix-difference varints). Depths, children, homes, and removal
     /// groups are derived data and are recomputed on decode, exactly as
     /// [`DecompositionTree::build`] assigns them.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut payload = Vec::new();
-        put_varint(&mut payload, TREE_VERSION);
-        put_varint(&mut payload, self.home.len() as u64);
-        put_varint(&mut payload, self.nodes.len() as u64);
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
+        put_varint(out, self.home.len() as u64);
+        put_varint(out, self.nodes.len() as u64);
         for node in &self.nodes {
-            put_varint(&mut payload, node.parent.map_or(0, |p| p as u64 + 1));
-            put_varint(&mut payload, node.vertices.len() as u64);
+            put_varint(out, node.parent.map_or(0, |p| p as u64 + 1));
+            put_varint(out, node.vertices.len() as u64);
             let mut prev = 0u64;
             for (i, v) in node.vertices.iter().enumerate() {
                 let cur = v.0 as u64;
-                put_varint(&mut payload, if i == 0 { cur } else { cur - prev });
+                put_varint(out, if i == 0 { cur } else { cur - prev });
                 prev = cur;
             }
-            put_varint(&mut payload, node.separator.num_groups() as u64);
+            put_varint(out, node.separator.num_groups() as u64);
             for group in &node.separator.groups {
-                put_varint(&mut payload, group.num_paths() as u64);
+                put_varint(out, group.num_paths() as u64);
                 for path in &group.paths {
-                    put_varint(&mut payload, path.len() as u64);
+                    put_varint(out, path.len() as u64);
                     let mut prev = 0i64;
                     for (i, v) in path.vertices().iter().enumerate() {
                         let cur = v.0 as i64;
                         if i == 0 {
-                            put_varint(&mut payload, cur as u64);
+                            put_varint(out, cur as u64);
                         } else {
-                            put_zigzag(&mut payload, cur - prev);
+                            put_zigzag(out, cur - prev);
                         }
                         prev = cur;
                     }
                     for i in 1..path.len() {
-                        put_varint(&mut payload, path.position(i) - path.position(i - 1));
+                        put_varint(out, path.position(i) - path.position(i - 1));
                     }
                 }
             }
         }
-        seal(TREE_MAGIC, &payload)
     }
 
-    /// Decodes a `psep-tree/v1` artifact, verifying magic, version,
-    /// checksum, and every structural invariant (parent indices precede
-    /// their children, vertex ids fit the universe, every vertex lands
-    /// on exactly one separator).
+    /// Decodes a tree-section body, verifying every structural
+    /// invariant (parent indices precede their children, vertex ids fit
+    /// the universe, every vertex lands on exactly one separator);
+    /// malformed input is a typed error, never a panic.
     pub fn decode(data: &[u8]) -> Result<Self, WireError> {
-        let payload = unseal(TREE_MAGIC, data)?;
-        let mut c = Cursor::new(payload);
-        let version = c.varint()?;
-        if version != TREE_VERSION {
-            return Err(WireError::UnsupportedVersion(version));
-        }
-        let limit = payload.len();
+        let mut c = Cursor::new(data);
+        let limit = data.len();
         let n = c.length(limit)?;
         let num_nodes = c.length(limit)?;
 
@@ -782,11 +783,6 @@ fn record_build_worker(worker: usize, components: u64, vertices: u64) {
     }
 }
 
-/// Magic bytes of a `psep-tree` artifact.
-pub const TREE_MAGIC: &[u8; 8] = b"PSEPTREE";
-/// Current tree format version.
-pub const TREE_VERSION: u64 = 1;
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -923,65 +919,46 @@ mod tests {
     }
 
     #[test]
-    fn wire_rejects_corruption() {
+    fn wire_rejects_truncation() {
         let g = grids::grid2d(5, 5, 1);
         let t = DecompositionTree::build(&g, &AutoStrategy::default());
         let buf = t.encode();
-        // checksum catches any bit flip in the body
-        for at in [9usize, buf.len() / 2, buf.len() - 5] {
-            let mut bad = buf.clone();
-            bad[at] ^= 0x02;
+        // the node count comes first, so every strict prefix runs out
+        for cut in 0..buf.len() {
             assert!(
-                matches!(
-                    DecompositionTree::decode(&bad),
-                    Err(crate::wire::WireError::ChecksumMismatch { .. })
-                ),
-                "flip at {at} not rejected"
+                DecompositionTree::decode(&buf[..cut]).is_err(),
+                "prefix of {cut} bytes accepted"
             );
         }
-        assert!(matches!(
-            DecompositionTree::decode(&buf[..7]),
-            Err(crate::wire::WireError::Truncated)
-        ));
-        let mut wrong = buf.clone();
-        wrong[3] = b'X';
-        assert!(matches!(
-            DecompositionTree::decode(&wrong),
-            Err(crate::wire::WireError::BadMagic { .. })
-        ));
     }
 
     #[test]
     fn wire_rejects_structurally_corrupt_payload() {
-        use crate::wire::{put_varint, seal};
+        use crate::wire::put_varint;
         // a node whose parent index points forward
-        let mut payload = Vec::new();
-        put_varint(&mut payload, TREE_VERSION);
-        put_varint(&mut payload, 1); // n = 1
-        put_varint(&mut payload, 1); // one node
-        put_varint(&mut payload, 2); // parent + 1 = 2 → parent 1 ≥ own index 0
-        let sealed = seal(TREE_MAGIC, &payload);
+        let mut body = Vec::new();
+        put_varint(&mut body, 1); // n = 1
+        put_varint(&mut body, 1); // one node
+        put_varint(&mut body, 2); // parent + 1 = 2 → parent 1 ≥ own index 0
         assert!(matches!(
-            DecompositionTree::decode(&sealed),
+            DecompositionTree::decode(&body),
             Err(crate::wire::WireError::Corrupt(_))
         ));
 
         // structurally fine node, but vertex 1 of 2 never gets a home
-        let mut payload = Vec::new();
-        put_varint(&mut payload, TREE_VERSION);
-        put_varint(&mut payload, 2); // n = 2
-        put_varint(&mut payload, 1); // one node
-        put_varint(&mut payload, 0); // root
-        put_varint(&mut payload, 2); // two vertices: 0, 1
-        put_varint(&mut payload, 0);
-        put_varint(&mut payload, 1);
-        put_varint(&mut payload, 1); // one group
-        put_varint(&mut payload, 1); // one path
-        put_varint(&mut payload, 1); // singleton path: vertex 0
-        put_varint(&mut payload, 0);
-        let sealed = seal(TREE_MAGIC, &payload);
+        let mut body = Vec::new();
+        put_varint(&mut body, 2); // n = 2
+        put_varint(&mut body, 1); // one node
+        put_varint(&mut body, 0); // root
+        put_varint(&mut body, 2); // two vertices: 0, 1
+        put_varint(&mut body, 0);
+        put_varint(&mut body, 1);
+        put_varint(&mut body, 1); // one group
+        put_varint(&mut body, 1); // one path
+        put_varint(&mut body, 1); // singleton path: vertex 0
+        put_varint(&mut body, 0);
         assert!(matches!(
-            DecompositionTree::decode(&sealed),
+            DecompositionTree::decode(&body),
             Err(crate::wire::WireError::Corrupt(
                 "some vertex never lands on a separator"
             ))

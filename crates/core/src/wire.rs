@@ -2,15 +2,16 @@
 //! LEB128 varints, zigzag signed encoding, a CRC-32 checksum, and a
 //! bounds-checked cursor.
 //!
-//! Artifacts built on these primitives (`psep-labels/v1` in the oracle
-//! crate, `psep-tree/v1` in this crate) share one envelope:
+//! [`seal`] and [`unseal`] frame one checksummed envelope:
 //!
 //! ```text
 //! magic (8 bytes) | version varint | payload … | crc32(version‖payload) LE (4 bytes)
 //! ```
 //!
 //! The checksum covers everything after the magic and before itself, so
-//! any bit flip in the body is rejected before decoding begins.
+//! any bit flip in the body is rejected before decoding begins. The
+//! `psep-bundle` container is the one artifact sealed this way; the
+//! section bodies inside it carry no envelope of their own.
 
 /// A wire-format decode failure.
 #[derive(Debug)]
@@ -97,9 +98,10 @@ pub fn put_zigzag(buf: &mut Vec<u8>, v: i64) {
 /// CRC-32 (IEEE 802.3, reflected polynomial `0xEDB88320`) of `bytes`.
 ///
 /// Slicing-by-8: eight bytes per table round instead of one. Checksum
-/// throughput bounds the cold start of a mapped `psep-bundle/v2` —
-/// validating sections is the *only* O(n) work on that path — so this
-/// is a serving-latency function, not just an integrity check.
+/// throughput bounds the cold start of a mapped `psep-bundle/v3` — the
+/// one pass over the envelope is the *only* O(n) work on that path for
+/// the label and table arenas — so this is a serving-latency function,
+/// not just an integrity check.
 pub fn crc32(bytes: &[u8]) -> u32 {
     const T: [[u32; 256]; 8] = crc32_tables();
     let mut crc = u32::MAX;
@@ -218,18 +220,21 @@ impl<'a> Cursor<'a> {
     }
 }
 
-/// Frames `payload` (which must begin with the version varint) with
-/// `magic` and the trailing CRC-32: the full artifact byte string.
-pub fn seal(magic: &[u8; 8], payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(8 + payload.len() + 4);
-    out.extend_from_slice(magic);
-    out.extend_from_slice(payload);
-    out.extend_from_slice(&crc32(payload).to_le_bytes());
-    out
+/// Completes an envelope in place: appends the CRC-32 of everything
+/// after `artifact`'s 8 magic bytes (version varint first), so the
+/// payload is checksummed where it was written and never copied.
+///
+/// # Panics
+///
+/// Panics if `artifact` is shorter than the 8 magic bytes.
+pub fn seal(artifact: &mut Vec<u8>) {
+    let crc = crc32(&artifact[8..]);
+    artifact.extend_from_slice(&crc.to_le_bytes());
 }
 
 /// Verifies `data`'s magic and checksum, returning the enclosed payload
-/// (version varint first).
+/// (version varint first). Every payload byte checksummed here is
+/// counted in `core.wire.crc_bytes`.
 pub fn unseal<'a>(magic: &[u8; 8], data: &'a [u8]) -> Result<&'a [u8], WireError> {
     if data.len() < 8 + 4 {
         return Err(WireError::Truncated);
@@ -245,6 +250,7 @@ pub fn unseal<'a>(magic: &[u8; 8], data: &'a [u8]) -> Result<&'a [u8], WireError
     let payload = &data[8..data.len() - 4];
     let stored = u32::from_le_bytes(data[data.len() - 4..].try_into().unwrap());
     let computed = crc32(payload);
+    psep_obs::counter!("core.wire.crc_bytes").add(payload.len() as u64);
     if stored != computed {
         return Err(WireError::ChecksumMismatch { stored, computed });
     }
@@ -252,9 +258,9 @@ pub fn unseal<'a>(magic: &[u8; 8], data: &'a [u8]) -> Result<&'a [u8], WireError
 }
 
 // ---------------------------------------------------------------------------
-// Zero-copy primitives for `psep-bundle/v2`.
+// Zero-copy primitives for `psep-bundle` raw sections.
 //
-// v2 sections are aligned little-endian arrays so the wire bytes *are*
+// Raw sections are aligned little-endian arrays so the wire bytes *are*
 // the serving representation: on little-endian hosts a properly aligned
 // buffer is borrowed in place (`ArenaStorage::Borrowed`), anywhere else
 // the same bytes decode element-by-element into an owned arena with
@@ -343,7 +349,7 @@ impl<T> From<Vec<T>> for ArenaStorage<'_, T> {
     }
 }
 
-/// A plain-old-data element of a v2 wire column.
+/// A plain-old-data element of a raw wire column.
 ///
 /// # Safety
 ///
@@ -457,7 +463,7 @@ pub fn put_pod_slice<T: Pod>(out: &mut Vec<u8>, items: &[T]) {
     }
 }
 
-/// Appends zero bytes until `out.len()` is a multiple of 8 — v2 columns
+/// Appends zero bytes until `out.len()` is a multiple of 8 — raw columns
 /// are 8-aligned relative to their section start.
 pub fn pad_to_8(out: &mut Vec<u8>) {
     while !out.len().is_multiple_of(8) {
@@ -465,7 +471,7 @@ pub fn pad_to_8(out: &mut Vec<u8>) {
     }
 }
 
-/// A structured reader over one v2 section: scalar fields, aligned pod
+/// A structured reader over one raw section: scalar fields, aligned pod
 /// columns, and explicit zero padding, with typed errors for every
 /// header/payload disagreement.
 #[derive(Debug)]
@@ -540,7 +546,7 @@ impl<'a> SectionReader<'a> {
     }
 }
 
-/// An 8-aligned owned byte buffer: the canonical way to hold v2 bundle
+/// An 8-aligned owned byte buffer: the canonical way to hold bundle
 /// bytes so every section column can be borrowed in place.
 ///
 /// `Vec<u8>` only guarantees 1-byte alignment; this buffer is backed by
@@ -646,7 +652,9 @@ mod tests {
     fn seal_unseal_roundtrip_and_rejection() {
         let magic = b"PSEPTEST";
         let payload = b"\x01hello world payload";
-        let sealed = seal(magic, payload);
+        let mut sealed = magic.to_vec();
+        sealed.extend_from_slice(payload);
+        seal(&mut sealed);
         assert_eq!(unseal(magic, &sealed).unwrap(), payload);
 
         // flipped payload byte → checksum mismatch

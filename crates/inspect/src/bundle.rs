@@ -1,7 +1,8 @@
-//! Inspection of sealed `psep-bundle/v2` artifacts.
+//! Inspection of sealed `psep-bundle/v3` artifacts.
 //!
-//! Walks the envelope without deserializing (section sizes and
-//! per-section CRCs via [`bundle_sections`]), probes the zero-copy
+//! Walks the envelope without deserializing (section sizes via
+//! [`bundle_sections`], plus a CRC-32 of each section computed here for
+//! the report), probes the zero-copy
 //! storage mode of the bundle, then loads the bundle through
 //! [`LocationService::from_bytes`] — which re-validates every inner
 //! format — and summarizes per-vertex label and routing-table entry
@@ -9,7 +10,7 @@
 
 use path_separators::service::{bundle_sections, section_name};
 use path_separators::LocationService;
-use psep_core::wire::AlignedBytes;
+use psep_core::wire::{crc32, AlignedBytes};
 use psep_graph::NodeId;
 use psep_obs::{HistogramStat, JsonWriter};
 
@@ -91,7 +92,7 @@ impl BundleStats {
             .map(|s| SectionStat {
                 name: section_name(s.kind),
                 bytes: s.bytes.len(),
-                crc32: s.crc32,
+                crc32: crc32(s.bytes),
             })
             .collect();
 
@@ -121,26 +122,16 @@ impl BundleStats {
         // Both encodings are canonical, so re-encoding the loaded
         // service measures exactly what each container variant would
         // store, whichever variant `data` is.
-        let flat_labels = psep_oracle::wire::encode_labels_flat(
-            svc.oracle().flat_labels(),
-            svc.oracle().epsilon(),
-        );
-        let delta_labels =
-            psep_oracle::wire::encode_labels(svc.oracle().flat_labels(), svc.oracle().epsilon());
-        let flat_tables = psep_routing::wire::encode_tables_flat(svc.router().tables().flat());
-        let delta_tables = psep_routing::wire::encode_tables(svc.router().tables().flat());
-        let compression = vec![
-            CompressionStat {
-                name: "labels",
-                raw_bytes: flat_labels.len(),
-                compressed_bytes: delta_labels.len(),
-            },
-            CompressionStat {
-                name: "tables",
-                raw_bytes: flat_tables.len(),
-                compressed_bytes: delta_tables.len(),
-            },
-        ];
+        let (raw_bundle, delta_bundle) = (svc.to_bytes(), svc.to_bytes_compressed());
+        let (_, raw) = bundle_sections(&raw_bundle).map_err(|e| e.to_string())?;
+        let (_, delta) = bundle_sections(&delta_bundle).map_err(|e| e.to_string())?;
+        let compression = [(2, "labels"), (3, "tables")]
+            .map(|(slot, name)| CompressionStat {
+                name,
+                raw_bytes: raw[slot].bytes.len(),
+                compressed_bytes: delta[slot].bytes.len(),
+            })
+            .to_vec();
         Ok(BundleStats {
             version,
             total_bytes: data.len(),

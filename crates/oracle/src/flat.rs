@@ -24,8 +24,8 @@ use crate::label::{LabelStats, PortalEntry};
 /// All labels of one oracle in contiguous CSR-style arrays.
 ///
 /// Each column is [`ArenaStorage`]: owned when built in memory or
-/// decoded from `psep-labels/v1`, borrowed in place from the caller's
-/// buffer when loaded from an aligned `psep-bundle/v2` section. Queries
+/// decoded from a delta labels section, borrowed in place from the
+/// caller's buffer when loaded from an aligned raw labels section. Queries
 /// are bit-identical either way.
 ///
 /// Invariants (maintained by every constructor):
@@ -42,8 +42,8 @@ use crate::label::{LabelStats, PortalEntry};
 /// merge-join uses it as an admissible lower bound — every candidate
 /// through entry `e` costs at least `min_portal_dist[e]` on `e`'s side —
 /// to skip keys and portal tails that cannot beat the running minimum.
-/// It is recomputed by every constructor (so v1 artifacts and raw or
-/// compressed v2 bundles all get it on load), never serialized, and
+/// It is recomputed by every constructor (so raw and delta label
+/// sections both get it on load), never serialized, and
 /// excluded from [`Self::as_parts`], [`Self::owned_bytes`], and
 /// [`Self::is_borrowed`]: it is arithmetic over the validated columns,
 /// not arena data.
@@ -75,7 +75,7 @@ fn compute_min_portal_dists(portal_start: &[u32], portals: &[PortalEntry]) -> Ve
 impl<'a> FlatLabels<'a> {
     /// Assembles an arena directly from its four arrays, validating the
     /// CSR invariants — the entry point of the label builder and of the
-    /// `psep-labels/v1` decoder.
+    /// delta labels-section decoder.
     pub fn from_parts(
         entry_start: Vec<u32>,
         keys: Vec<u64>,
@@ -92,7 +92,7 @@ impl<'a> FlatLabels<'a> {
 
     /// Assembles an arena from borrowed-or-owned columns, validating the
     /// CSR invariants — the zero-copy entry point of the
-    /// `psep-bundle/v2` decoder.
+    /// raw labels-section decoder.
     pub fn from_storage_parts(
         entry_start: ArenaStorage<'a, u32>,
         keys: ArenaStorage<'a, u64>,

@@ -100,7 +100,7 @@ pub fn unpack_key(key: u64) -> (u32, u16, u16) {
 /// returns each block's results in source order and greedy application
 /// stays sequential between blocks, so the output is **bit-identical**
 /// at every thread count (the equivalence suite compares
-/// `psep-labels/v1` wire bytes to lock this down).
+/// delta labels-section bytes to lock this down).
 ///
 /// # Panics
 ///

@@ -1,12 +1,11 @@
-//! `psep-labels/v1` — the versioned, checksummed binary wire format for
-//! distance labels, so an oracle can be built once, shipped, and served
-//! (Theorem 2's labels as portable artifacts).
+//! The label-section codecs of a `psep-bundle`: a varint/delta-coded
+//! body (the delta section, kind 5) and an aligned column layout (the
+//! raw section, kind 3, served in place). Neither carries an envelope of
+//! its own: the bundle that holds them owns magic, version and checksum.
 //!
-//! Layout (all integers LEB128 varints unless noted):
+//! Delta body layout (all integers LEB128 varints unless noted):
 //!
 //! ```text
-//! magic   b"PSEPLABL"                               8 bytes
-//! version 1
 //! epsilon f64 bit pattern, little-endian            8 bytes
 //! n       number of labels
 //! E       total entries        P  total portals
@@ -15,7 +14,6 @@
 //! portal count per entry                            E varints
 //! positions per entry: first absolute, then zigzag  P varints
 //! dists   raw varints                               P varints
-//! crc32   over version‖…‖dists, little-endian       4 bytes
 //! ```
 //!
 //! Keys are strictly ascending within a vertex and portal positions are
@@ -25,34 +23,36 @@
 //! in experiment E3t reports the measured ratio against the in-memory
 //! arena.
 //!
-//! Decoding verifies magic, version, and checksum before touching the
-//! payload, and every structural invariant after; corrupt input yields
+//! Decoding verifies every structural invariant; corrupt input yields
 //! an [`Error`], never a panic.
 
-use psep_core::wire::{put_varint, put_zigzag, seal, unseal, Cursor, WireError};
+use psep_core::wire::{put_varint, put_zigzag, Cursor};
 use psep_graph::graph::Weight;
 
 use crate::error::Error;
 use crate::flat::FlatLabels;
 use crate::label::PortalEntry;
 
-/// Magic bytes of a `psep-labels` artifact.
-pub const LABELS_MAGIC: &[u8; 8] = b"PSEPLABL";
-/// Current format version.
-pub const LABELS_VERSION: u64 = 1;
-
-/// Encodes a label arena and its `ε` as one `psep-labels/v1` artifact.
+/// Encodes a label arena and its `ε` as a delta labels-section body
+/// (see [`encode_labels_into`]).
 pub fn encode_labels(flat: &FlatLabels, epsilon: f64) -> Vec<u8> {
+    let mut out = Vec::new();
+    encode_labels_into(flat, epsilon, &mut out);
+    out
+}
+
+/// Appends the delta labels-section body of a label arena and its `ε`
+/// to `out`.
+pub fn encode_labels_into(flat: &FlatLabels, epsilon: f64, out: &mut Vec<u8>) {
     let (entry_start, keys, portal_start, portals) = flat.as_parts();
     let n = entry_start.len() - 1;
-    let mut payload = Vec::with_capacity(16 + n + keys.len() * 2 + portals.len() * 3);
-    put_varint(&mut payload, LABELS_VERSION);
-    payload.extend_from_slice(&epsilon.to_bits().to_le_bytes());
-    put_varint(&mut payload, n as u64);
-    put_varint(&mut payload, keys.len() as u64);
-    put_varint(&mut payload, portals.len() as u64);
+    out.reserve(16 + n + keys.len() * 2 + portals.len() * 3);
+    out.extend_from_slice(&epsilon.to_bits().to_le_bytes());
+    put_varint(out, n as u64);
+    put_varint(out, keys.len() as u64);
+    put_varint(out, portals.len() as u64);
     for v in 0..n {
-        put_varint(&mut payload, (entry_start[v + 1] - entry_start[v]) as u64);
+        put_varint(out, (entry_start[v + 1] - entry_start[v]) as u64);
     }
     for v in 0..n {
         let mut prev = 0u64;
@@ -60,12 +60,12 @@ pub fn encode_labels(flat: &FlatLabels, epsilon: f64) -> Vec<u8> {
             .iter()
             .enumerate()
         {
-            put_varint(&mut payload, if i == 0 { key } else { key - prev });
+            put_varint(out, if i == 0 { key } else { key - prev });
             prev = key;
         }
     }
     for e in 0..keys.len() {
-        put_varint(&mut payload, (portal_start[e + 1] - portal_start[e]) as u64);
+        put_varint(out, (portal_start[e + 1] - portal_start[e]) as u64);
     }
     for e in 0..keys.len() {
         let mut prev = 0u64;
@@ -74,40 +74,31 @@ pub fn encode_labels(flat: &FlatLabels, epsilon: f64) -> Vec<u8> {
             .enumerate()
         {
             if i == 0 {
-                put_varint(&mut payload, p.pos);
+                put_varint(out, p.pos);
             } else {
                 let delta = i128::from(p.pos) - i128::from(prev);
-                put_zigzag(
-                    &mut payload,
-                    i64::try_from(delta).expect("position delta fits i64"),
-                );
+                put_zigzag(out, i64::try_from(delta).expect("position delta fits i64"));
             }
             prev = p.pos;
         }
     }
     for p in portals {
-        put_varint(&mut payload, p.dist);
+        put_varint(out, p.dist);
     }
-    seal(LABELS_MAGIC, &payload)
 }
 
-/// Decodes a `psep-labels/v1` artifact into `(labels, epsilon)`.
+/// Decodes a delta labels-section body into `(labels, epsilon)`.
 pub fn decode_labels(data: &[u8]) -> Result<(FlatLabels<'static>, f64), Error> {
-    let payload = unseal(LABELS_MAGIC, data)?;
-    let mut c = Cursor::new(payload);
-    let version = c.varint()?;
-    if version != LABELS_VERSION {
-        return Err(WireError::UnsupportedVersion(version).into());
-    }
+    let mut c = Cursor::new(data);
     let epsilon = f64::from_bits(u64::from_le_bytes(
         c.bytes(8)?.try_into().expect("read exactly 8 bytes"),
     ));
     if !(epsilon.is_finite() && epsilon > 0.0) {
         return Err(Error::InvalidEpsilon(epsilon));
     }
-    // every vertex, entry, and portal costs at least one payload byte,
-    // so the input length bounds all three counts
-    let limit = payload.len();
+    // every vertex, entry, and portal costs at least one body byte, so
+    // the input length bounds all three counts
+    let limit = data.len();
     let n = c.length(limit)?;
     let num_entries = c.length(limit)?;
     let num_portals = c.length(limit)?;
@@ -182,7 +173,7 @@ pub fn decode_labels(data: &[u8]) -> Result<(FlatLabels<'static>, f64), Error> {
     if c.remaining() != 0 {
         return Err(Error::corrupt("trailing bytes after payload"));
     }
-    // Per-entry decode work actually performed — the zero-copy v2 load
+    // Per-entry decode work actually performed — the zero-copy mapped load
     // path asserts these stay at zero.
     psep_obs::counter!("oracle.wire.entries_decoded").add(num_entries as u64);
     psep_obs::counter!("oracle.wire.portals_decoded").add(num_portals as u64);
@@ -191,8 +182,8 @@ pub fn decode_labels(data: &[u8]) -> Result<(FlatLabels<'static>, f64), Error> {
 }
 
 // ---------------------------------------------------------------------------
-// `psep-bundle/v2` labels section: aligned little-endian arrays, the
-// zero-copy counterpart of `psep-labels/v1`.
+// Raw labels section: aligned little-endian arrays, the zero-copy
+// counterpart of the delta body.
 //
 // ```text
 // epsilon       f64 LE                               8 bytes
@@ -212,27 +203,27 @@ pub fn decode_labels(data: &[u8]) -> Result<(FlatLabels<'static>, f64), Error> {
 
 use psep_core::wire::{pad_to_8, put_pod_slice, ArenaStorage, SectionReader};
 
-/// Encodes a label arena as a raw `psep-bundle/v2` labels section
-/// (no envelope; the bundle directory carries length and CRC).
-pub fn encode_labels_flat(flat: &FlatLabels, epsilon: f64) -> Vec<u8> {
+/// Appends a label arena's raw labels-section body to `out`, which
+/// must end on an 8-byte boundary so the columns land aligned.
+pub fn encode_labels_flat_into(flat: &FlatLabels, epsilon: f64, out: &mut Vec<u8>) {
+    debug_assert!(out.len().is_multiple_of(8), "section must start aligned");
     let (entry_start, keys, portal_start, portals) = flat.as_parts();
-    let mut out = Vec::with_capacity(
+    out.reserve(
         32 + entry_start.len() * 4 + keys.len() * 8 + portal_start.len() * 4 + portals.len() * 16,
     );
     out.extend_from_slice(&epsilon.to_bits().to_le_bytes());
     out.extend_from_slice(&(flat.num_labels() as u64).to_le_bytes());
     out.extend_from_slice(&(keys.len() as u64).to_le_bytes());
     out.extend_from_slice(&(portals.len() as u64).to_le_bytes());
-    put_pod_slice(&mut out, entry_start);
-    pad_to_8(&mut out);
-    put_pod_slice(&mut out, keys);
-    put_pod_slice(&mut out, portal_start);
-    pad_to_8(&mut out);
-    put_pod_slice(&mut out, portals);
-    out
+    put_pod_slice(out, entry_start);
+    pad_to_8(out);
+    put_pod_slice(out, keys);
+    put_pod_slice(out, portal_start);
+    pad_to_8(out);
+    put_pod_slice(out, portals);
 }
 
-/// Decodes a `psep-bundle/v2` labels section, borrowing every column in
+/// Decodes a raw labels-section body, borrowing every column in
 /// place when the host and buffer allow it. All structural invariants
 /// are re-validated; a header that disagrees with the payload is a
 /// typed error, never a panic or misaligned read.
@@ -313,54 +304,23 @@ mod tests {
     }
 
     #[test]
-    fn corrupted_byte_is_rejected_by_checksum() {
+    fn truncation_is_rejected() {
         let o = grid_oracle();
         let buf = encode_labels(o.flat_labels(), o.epsilon());
-        for at in [9usize, buf.len() / 2, buf.len() - 5] {
-            let mut bad = buf.clone();
-            bad[at] ^= 0x01;
+        // the counts come first, so every strict prefix runs out
+        for cut in 0..buf.len() {
             assert!(
-                matches!(
-                    decode_labels(&bad[..]),
-                    Err(Error::Wire(WireError::ChecksumMismatch { .. }))
-                ),
-                "flip at {at} not rejected"
+                decode_labels(&buf[..cut]).is_err(),
+                "prefix of {cut} bytes accepted"
             );
         }
     }
 
     #[test]
-    fn truncation_bad_magic_and_version_are_rejected() {
-        let o = grid_oracle();
-        let buf = encode_labels(o.flat_labels(), o.epsilon());
-        assert!(matches!(
-            decode_labels(&buf[..buf.len() - 1]),
-            Err(Error::Wire(WireError::ChecksumMismatch { .. }))
-        ));
-        assert!(matches!(
-            decode_labels(&buf[..6]),
-            Err(Error::Wire(WireError::Truncated))
-        ));
-        let mut wrong_magic = buf.clone();
-        wrong_magic[0] = b'X';
-        assert!(matches!(
-            decode_labels(&wrong_magic[..]),
-            Err(Error::Wire(WireError::BadMagic { .. }))
-        ));
-        // version bump with a re-sealed checksum → unsupported version
-        let mut payload = buf[8..buf.len() - 4].to_vec();
-        payload[0] = 2;
-        let resealed = seal(LABELS_MAGIC, &payload);
-        assert!(matches!(
-            decode_labels(&resealed[..]),
-            Err(Error::Wire(WireError::UnsupportedVersion(2)))
-        ));
-    }
-
-    #[test]
     fn v2_section_roundtrips_borrowed_and_owned() {
         let o = grid_oracle();
-        let sec = encode_labels_flat(o.flat_labels(), o.epsilon());
+        let mut sec = Vec::new();
+        encode_labels_flat_into(o.flat_labels(), o.epsilon(), &mut sec);
         // canonical: re-encoding a decoded section is bit-identical
         let aligned = psep_core::wire::AlignedBytes::from_slice(&sec);
         let (flat, eps) = decode_labels_flat(&aligned).unwrap();
@@ -370,7 +330,9 @@ mod tests {
             assert!(flat.is_borrowed());
             assert_eq!(flat.owned_bytes(), 0);
         }
-        assert_eq!(encode_labels_flat(&flat, eps), sec);
+        let mut again = Vec::new();
+        encode_labels_flat_into(&flat, eps, &mut again);
+        assert_eq!(again, sec);
         // unaligned input falls back to owned with identical contents
         let mut shifted = vec![0u8; 1];
         shifted.extend_from_slice(&sec);
@@ -390,7 +352,8 @@ mod tests {
     #[test]
     fn v2_section_rejects_header_payload_disagreement() {
         let o = grid_oracle();
-        let sec = encode_labels_flat(o.flat_labels(), o.epsilon());
+        let mut sec = Vec::new();
+        encode_labels_flat_into(o.flat_labels(), o.epsilon(), &mut sec);
         // truncation at every prefix length: typed error, never a panic
         for cut in 0..sec.len().min(64) {
             assert!(decode_labels_flat(&sec[..cut]).is_err());
@@ -408,16 +371,14 @@ mod tests {
     }
 
     #[test]
-    fn structurally_corrupt_but_checksummed_payload_is_rejected() {
-        // hand-build a payload whose counts disagree, with a valid crc
-        let mut payload = Vec::new();
-        put_varint(&mut payload, LABELS_VERSION);
-        payload.extend_from_slice(&0.25f64.to_bits().to_le_bytes());
-        put_varint(&mut payload, 1); // n = 1
-        put_varint(&mut payload, 5); // E = 5 …
-        put_varint(&mut payload, 0); // P = 0
-        put_varint(&mut payload, 2); // … but vertex 0 claims 2 entries
-        let sealed = seal(LABELS_MAGIC, &payload);
-        assert!(decode_labels(&sealed[..]).is_err());
+    fn structurally_corrupt_body_is_rejected() {
+        // hand-build a body whose counts disagree
+        let mut body = Vec::new();
+        body.extend_from_slice(&0.25f64.to_bits().to_le_bytes());
+        put_varint(&mut body, 1); // n = 1
+        put_varint(&mut body, 5); // E = 5 …
+        put_varint(&mut body, 0); // P = 0
+        put_varint(&mut body, 2); // … but vertex 0 claims 2 entries
+        assert!(decode_labels(&body).is_err());
     }
 }

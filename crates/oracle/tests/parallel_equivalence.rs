@@ -1,6 +1,6 @@
 //! Bit-identity of parallel construction: the decomposition tree and the
 //! distance labels built at any thread count serialize to exactly the
-//! same `psep-tree/v1` / `psep-labels/v1` wire bytes as the sequential
+//! same tree-section / delta labels-section bytes as the sequential
 //! build, on every generator family and on random graphs.
 
 use proptest::prelude::*;

@@ -1,5 +1,5 @@
 //! Label persistence: Theorem 2's labels are the shippable artifact of a
-//! distributed deployment; they encode to `psep-labels/v1` and reload
+//! distributed deployment; they encode to a delta labels-section body and reload
 //! without losing any query precision.
 
 use psep_core::strategy::AutoStrategy;

@@ -2,8 +2,8 @@
 //! and on random graphs, the pruned production path returns the same
 //! answer — and the same witness (winning key and portal pair) — as the
 //! unpruned reference scan, while touching no more candidates. The
-//! locality-sorted batch engine must agree with the sequential
-//! input-order loop at every thread count.
+//! sharded batch engine must agree with the sequential input-order
+//! loop at every thread count.
 
 use proptest::prelude::*;
 

@@ -14,7 +14,7 @@
 //! so plan selection binary-searches one contiguous key slice and the
 //! interval descent scans a contiguous child slice. Each column is
 //! [`ArenaStorage`]: owned when built or decoded, borrowed in place
-//! from an aligned `psep-bundle/v2` section. `EntryRecord` is a
+//! from an aligned raw `psep-bundle` section. `EntryRecord` is a
 //! plain-old-data struct whose in-memory layout equals its wire layout,
 //! so a mapped tables section is served without touching a single
 //! entry. Lookups borrow [`TableRef`]/[`EntryRef`] views.
@@ -166,7 +166,7 @@ pub struct FlatTables<'a> {
 impl<'a> FlatTables<'a> {
     /// Assembles an arena directly from its five owned arrays, validating
     /// every invariant — the entry point of the table builder and of the
-    /// `psep-routing/v1` decoder.
+    /// delta tables-section decoder.
     pub(crate) fn from_parts(
         entry_start: Vec<u32>,
         keys: Vec<u64>,
@@ -185,7 +185,7 @@ impl<'a> FlatTables<'a> {
 
     /// Assembles an arena from borrowed-or-owned columns, validating
     /// every invariant — the zero-copy entry point of the
-    /// `psep-bundle/v2` decoder.
+    /// raw tables-section decoder.
     pub(crate) fn from_storage_parts(
         entry_start: ArenaStorage<'a, u32>,
         keys: ArenaStorage<'a, u64>,

@@ -30,7 +30,7 @@
 //!
 //! The crate has the same serving shape as `psep-oracle`: tables live
 //! in a CSR-style [`FlatTables`] arena, encode as a bundle's tables
-//! section ([`wire`]: raw columns or checksummed `psep-routing/v1`), build
+//! section ([`wire`]: raw columns or a varint/delta body), build
 //! in parallel bit-identically at every thread count, answer batch
 //! requests via [`Router::route_many_with`], and reject bad input through
 //! typed [`Error`]s ([`Router::try_route`]) instead of panicking.

@@ -5,7 +5,6 @@ use psep_core::exec::{ShardObs, ShardedRunner};
 use psep_graph::graph::{Graph, NodeId, Weight};
 
 use crate::error::Error;
-use crate::flat::EntryRef;
 use crate::tables::{RouteKey, RoutingLabel, RoutingTables};
 
 /// Counter names for batch-routing workers.
@@ -117,15 +116,6 @@ impl<'a> Router<'a> {
         best
     }
 
-    /// The table entry of `cur` for `key`, which every phase of an
-    /// executing route relies on.
-    fn entry(&self, cur: NodeId, key: RouteKey) -> EntryRef<'_> {
-        self.tables
-            .table(cur)
-            .get(key)
-            .expect("route stays within T_Q, where every vertex has the key")
-    }
-
     /// Routes a message from `u` to `t` (whose label the caller supplies,
     /// playing the role of the address on the envelope). Returns `None`
     /// when `u` and `t` share no decomposition path (disconnected).
@@ -135,9 +125,44 @@ impl<'a> Router<'a> {
     ///
     /// # Panics
     ///
-    /// Panics if `u` or `t` is out of range; [`Self::try_route`]
-    /// validates first and returns an error instead.
+    /// Panics if `u` or `t` is out of range, or if the tables disagree
+    /// with the graph (tables from a corrupt or foreign bundle);
+    /// [`Self::try_route`] returns an error for both instead.
     pub fn route(&self, u: NodeId, t: NodeId, label_t: &RoutingLabel) -> Option<RouteOutcome> {
+        self.walk(u, t, label_t)
+            .unwrap_or_else(|e| panic!("route {u:?}->{t:?}: {e}"))
+    }
+
+    /// [`Self::route`] with both endpoints validated first; a bad
+    /// request is an [`Error::NodeOutOfRange`], and tables that disagree
+    /// with the graph are an [`Error::Wire`], not a panic.
+    pub fn try_route(
+        &self,
+        u: NodeId,
+        t: NodeId,
+        label_t: &RoutingLabel,
+    ) -> Result<Option<RouteOutcome>, Error> {
+        let n = self.tables.num_nodes();
+        for node in [u, t] {
+            if node.index() >= n {
+                return Err(Error::NodeOutOfRange { node, num_nodes: n });
+            }
+        }
+        self.walk(u, t, label_t)
+    }
+
+    /// The one forwarding walk behind every route: climb to the planned
+    /// path, walk along it, descend by interval routing. Every step is
+    /// checked against the tables and the graph, so tables that do not
+    /// describe the graph end the walk with a corrupt-data error rather
+    /// than a panic or an endless loop: a valid route takes at most
+    /// `n − 1` hops per phase, so `3n` hops bound the whole walk.
+    fn walk(
+        &self,
+        u: NodeId,
+        t: NodeId,
+        label_t: &RoutingLabel,
+    ) -> Result<Option<RouteOutcome>, Error> {
         let t0 = psep_obs::now_if_enabled();
         let out = 'walk: {
             if u == t {
@@ -155,58 +180,66 @@ impl<'a> Router<'a> {
                 .iter()
                 .find(|e| e.key == key)
                 .expect("plan key comes from the label");
+            let entry = |v: NodeId| {
+                self.tables
+                    .table(v)
+                    .get(key)
+                    .ok_or(Error::corrupt("route left the tree of its path"))
+            };
+            let max_hops = 3 * self.tables.num_nodes();
             let mut route = vec![u];
             let mut cost: Weight = 0;
             let mut cur = u;
+            let mut step = |cur: &mut NodeId, next: Option<NodeId>| -> Result<(), Error> {
+                let next = next.ok_or(Error::corrupt("route step has no next vertex"))?;
+                let w = self
+                    .graph
+                    .edge_weight(*cur, next)
+                    .ok_or(Error::corrupt("route step is not an edge"))?;
+                if route.len() > max_hops {
+                    return Err(Error::corrupt("route does not reach its target"));
+                }
+                cost = cost
+                    .checked_add(w)
+                    .ok_or(Error::corrupt("route cost overflows"))?;
+                *cur = next;
+                route.push(next);
+                Ok(())
+            };
 
             // Phase A: climb to the path along T_Q parents.
             loop {
-                let info = self.entry(cur, key);
+                let info = entry(cur)?;
                 if info.on_path().is_some() {
                     break;
                 }
-                let parent = info.parent().expect("off-path vertex has a parent");
-                cost += self.edge_weight(cur, parent);
-                cur = parent;
-                route.push(cur);
+                step(&mut cur, info.parent())?;
             }
 
             // Phase B: walk along Q to the target's entry position.
             loop {
-                let info = self.entry(cur, key);
-                let op = info.on_path().expect("phase B stays on the path");
+                let op = entry(cur)?
+                    .on_path()
+                    .ok_or(Error::corrupt("route left its path"))?;
                 if op.pos == target_entry.entry_pos {
                     break;
                 }
-                let step = if op.pos < target_entry.entry_pos {
-                    op.next.expect("target position is on the path")
+                let next = if op.pos < target_entry.entry_pos {
+                    op.next
                 } else {
-                    op.prev.expect("target position is on the path")
+                    op.prev
                 };
-                cost += self.edge_weight(cur, step);
-                cur = step;
-                route.push(cur);
+                step(&mut cur, next)?;
             }
 
             // Phase C: descend T_Q by interval routing to dfs(t).
             while cur != t {
-                let info = self.entry(cur, key);
-                debug_assert!(
-                    info.dfs() <= target_entry.dfs && target_entry.dfs < info.subtree_end(),
-                    "target not in current subtree"
-                );
-                let child = info
-                    .children()
-                    .iter()
-                    .copied()
-                    .find(|&c| {
-                        let ci = self.entry(c, key);
+                let child = entry(cur)?.children().iter().copied().find(|&c| {
+                    entry(c).is_ok_and(|ci| {
                         ci.dfs() <= target_entry.dfs && target_entry.dfs < ci.subtree_end()
                     })
-                    .expect("some child interval contains the target");
-                cost += self.edge_weight(cur, child);
-                cur = child;
-                route.push(cur);
+                });
+                step(&mut cur, child)?;
             }
 
             Some(RouteOutcome {
@@ -221,24 +254,7 @@ impl<'a> Router<'a> {
         if let Some(t0) = t0 {
             psep_obs::histogram!("routing.route.latency_ns").record_elapsed(t0);
         }
-        out
-    }
-
-    /// [`Self::route`] with both endpoints validated first; a bad
-    /// request is an [`Error::NodeOutOfRange`], not a panic.
-    pub fn try_route(
-        &self,
-        u: NodeId,
-        t: NodeId,
-        label_t: &RoutingLabel,
-    ) -> Result<Option<RouteOutcome>, Error> {
-        let n = self.tables.num_nodes();
-        for node in [u, t] {
-            if node.index() >= n {
-                return Err(Error::NodeOutOfRange { node, num_nodes: n });
-            }
-        }
-        Ok(self.route(u, t, label_t))
+        Ok(out)
     }
 
     /// Routes every `(u, t)` pair, in input order, over `threads`
@@ -248,33 +264,21 @@ impl<'a> Router<'a> {
     ///
     /// # Panics
     ///
-    /// Panics if any vertex id is out of range; use
-    /// [`Self::try_route_many`] to validate instead.
+    /// Panics if any vertex id is out of range, or if the tables
+    /// disagree with the graph; use [`Self::try_route_many`] to get an
+    /// error instead.
     pub fn route_many_with(
         &self,
         pairs: &[(NodeId, NodeId)],
         threads: usize,
     ) -> Vec<Option<RouteOutcome>> {
-        psep_obs::counter!("routing.batch.runs").incr();
-        let runner = ShardedRunner::new(threads).min_chunk(64);
-        let mut scratches: Vec<_> = (0..runner.worker_count(pairs.len()))
-            .map(|w| ROUTE_OBS.worker_hists(w))
-            .collect();
-        let (outcomes, hops) =
-            runner.run(pairs, Some(&ROUTE_OBS), &mut scratches, |hists, &(u, t)| {
-                let t0 = psep_obs::now_if_enabled();
-                let out = self.route(u, t, &self.tables.label(t));
-                let hops = out.as_ref().map_or(0, |o| o.hops as u64);
-                hists.record(hops, t0);
-                (out, hops)
-            });
-        psep_obs::counter!("routing.batch.routes").add(pairs.len() as u64);
-        psep_obs::counter!("routing.batch.hops").add(hops);
-        outcomes
+        self.walk_many(pairs, threads)
+            .unwrap_or_else(|e| panic!("route_many: {e}"))
     }
 
     /// [`Self::route_many_with`] at available parallelism, with every
-    /// vertex id validated first.
+    /// vertex id validated first and tables that disagree with the
+    /// graph reported as an [`Error::Wire`].
     pub fn try_route_many(
         &self,
         pairs: &[(NodeId, NodeId)],
@@ -287,7 +291,35 @@ impl<'a> Router<'a> {
                 }
             }
         }
-        Ok(self.route_many_with(pairs, 0))
+        self.walk_many(pairs, 0)
+    }
+
+    /// Runs [`Self::walk`] over `pairs` on sharded workers, in input
+    /// order; the first failed walk (in input order) is the error.
+    fn walk_many(
+        &self,
+        pairs: &[(NodeId, NodeId)],
+        threads: usize,
+    ) -> Result<Vec<Option<RouteOutcome>>, Error> {
+        psep_obs::counter!("routing.batch.runs").incr();
+        let runner = ShardedRunner::new(threads).min_chunk(64);
+        let mut scratches: Vec<_> = (0..runner.worker_count(pairs.len()))
+            .map(|w| ROUTE_OBS.worker_hists(w))
+            .collect();
+        let (outcomes, hops) =
+            runner.run(pairs, Some(&ROUTE_OBS), &mut scratches, |hists, &(u, t)| {
+                let t0 = psep_obs::now_if_enabled();
+                let out = self.walk(u, t, &self.tables.label(t));
+                let hops = match &out {
+                    Ok(Some(o)) => o.hops as u64,
+                    _ => 0,
+                };
+                hists.record(hops, t0);
+                (out, hops)
+            });
+        psep_obs::counter!("routing.batch.routes").add(pairs.len() as u64);
+        psep_obs::counter!("routing.batch.hops").add(hops);
+        outcomes.into_iter().collect()
     }
 
     pub(crate) fn edge_weight(&self, u: NodeId, v: NodeId) -> Weight {
@@ -442,5 +474,27 @@ mod tests {
             router.try_route(NodeId(0), NodeId(3), &label).unwrap(),
             router.route(NodeId(0), NodeId(3), &label)
         );
+    }
+
+    #[test]
+    fn tables_that_disagree_with_the_graph_are_typed_errors() {
+        let g = grids::grid2d(4, 4, 1);
+        let tree = DecompositionTree::build(&g, &AutoStrategy::default());
+        // the grid's tables over an edgeless graph on the same vertices:
+        // every forwarding step leaves the graph
+        let router = Router::new(&Graph::new(16), RoutingTables::build(&g, &tree));
+        let label = router.label(NodeId(15));
+        assert!(matches!(
+            router.try_route(NodeId(0), NodeId(15), &label),
+            Err(Error::Wire(_))
+        ));
+        assert!(matches!(
+            router.try_route_many(&[(NodeId(5), NodeId(5)), (NodeId(0), NodeId(15))]),
+            Err(Error::Wire(_))
+        ));
+        // a route that takes no step never touches the graph
+        assert!(router
+            .try_route(NodeId(5), NodeId(5), &router.label(NodeId(5)))
+            .is_ok());
     }
 }

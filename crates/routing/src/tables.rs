@@ -6,7 +6,7 @@
 //! path regardless of thread count — and each task emits its entries
 //! group-major. The emissions merge in input order and one stable
 //! counting sort ([`psep_core::csr::by_vertex`]) turns them into the
-//! arena, so the arena (and its `psep-routing/v1` wire bytes) is
+//! arena, so the arena (and its delta tables-section bytes) is
 //! **bit-identical** at every thread count.
 //!
 //! Each task searches its residual graph `J` as the local-id CSR of
@@ -234,7 +234,7 @@ impl<'a> RoutingTables<'a> {
     /// Each `(node, group)` of the decomposition is one independent
     /// task; the Dijkstra count and the resulting arena are identical at
     /// every thread count — the `routing_equivalence` suite compares
-    /// `psep-routing/v1` wire bytes to lock this down.
+    /// delta tables-section bytes to lock this down.
     pub fn build_with(g: &Graph, tree: &DecompositionTree, threads: usize) -> Self {
         let _span = psep_obs::span!("routing_build");
         RoutingTables {

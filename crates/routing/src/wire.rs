@@ -1,12 +1,11 @@
-//! `psep-routing/v1` — the versioned, checksummed binary wire format
-//! for routing tables, so a compact-routing scheme can be built once,
-//! shipped, and served (abstract item 3's tables as portable artifacts).
+//! The table-section codecs of a `psep-bundle`: a varint/delta-coded
+//! body (the delta section, kind 6) and an aligned column layout (the
+//! raw section, kind 4, served in place). Neither carries an envelope of
+//! its own: the bundle that holds them owns magic, version and checksum.
 //!
-//! Layout (all integers LEB128 varints unless noted):
+//! Delta body layout (all integers LEB128 varints unless noted):
 //!
 //! ```text
-//! magic   b"PSEPROUT"                               8 bytes
-//! version 1
 //! n       number of vertices
 //! E       total entries        C  total children
 //! entry count per vertex                            n varints
@@ -20,42 +19,42 @@
 //!         prev + 1 | 0, next + 1 | 0                E records
 //! child count per entry                             E varints
 //! children per entry: first absolute, then deltas   C varints
-//! crc32   over version‖…‖children, little-endian    4 bytes
 //! ```
 //!
 //! Keys are strictly ascending within a vertex and children within an
 //! entry, so both streams delta-code to a byte or two per element.
-//! Decoding verifies magic, version, and checksum before touching the
-//! payload, and every structural invariant after (via
+//! Decoding verifies every structural invariant (via
 //! `FlatTables::from_parts`); corrupt input yields an [`Error`], never
 //! a panic.
 
-use psep_core::wire::{put_varint, seal, unseal, Cursor, WireError};
+use psep_core::wire::{put_varint, Cursor};
 use psep_graph::graph::NodeId;
 
 use crate::error::Error;
 use crate::flat::{EntryRecord, FlatTables, NO_NODE};
 
-/// Magic bytes of a `psep-routing` artifact.
-pub const TABLES_MAGIC: &[u8; 8] = b"PSEPROUT";
-/// Current format version.
-pub const TABLES_VERSION: u64 = 1;
-
 fn put_opt_node(payload: &mut Vec<u8>, v: Option<NodeId>) {
     put_varint(payload, v.map_or(0, |v| v.0 as u64 + 1));
 }
 
-/// Encodes a table arena as one `psep-routing/v1` artifact.
+/// Encodes a table arena as a delta tables-section body (see
+/// [`encode_tables_into`]).
 pub fn encode_tables(flat: &FlatTables) -> Vec<u8> {
+    let mut out = Vec::new();
+    encode_tables_into(flat, &mut out);
+    out
+}
+
+/// Appends the delta tables-section body of a table arena to `out`.
+pub fn encode_tables_into(flat: &FlatTables, out: &mut Vec<u8>) {
     let (entry_start, keys, infos, child_start, children) = flat.as_parts();
     let n = entry_start.len() - 1;
-    let mut payload = Vec::with_capacity(16 + n + keys.len() * 6 + children.len() * 2);
-    put_varint(&mut payload, TABLES_VERSION);
-    put_varint(&mut payload, n as u64);
-    put_varint(&mut payload, keys.len() as u64);
-    put_varint(&mut payload, children.len() as u64);
+    out.reserve(16 + n + keys.len() * 6 + children.len() * 2);
+    put_varint(out, n as u64);
+    put_varint(out, keys.len() as u64);
+    put_varint(out, children.len() as u64);
     for v in 0..n {
-        put_varint(&mut payload, (entry_start[v + 1] - entry_start[v]) as u64);
+        put_varint(out, (entry_start[v + 1] - entry_start[v]) as u64);
     }
     for v in 0..n {
         let mut prev = 0u64;
@@ -63,38 +62,38 @@ pub fn encode_tables(flat: &FlatTables) -> Vec<u8> {
             .iter()
             .enumerate()
         {
-            put_varint(&mut payload, if i == 0 { key } else { key - prev });
+            put_varint(out, if i == 0 { key } else { key - prev });
             prev = key;
         }
     }
     for rec in infos {
-        put_varint(&mut payload, rec.dist);
+        put_varint(out, rec.dist);
     }
     for rec in infos {
-        put_varint(&mut payload, rec.entry_pos);
+        put_varint(out, rec.entry_pos);
     }
     for rec in infos {
-        put_varint(&mut payload, rec.dfs as u64);
+        put_varint(out, rec.dfs as u64);
     }
     for rec in infos {
-        put_varint(&mut payload, (rec.subtree_end - rec.dfs) as u64);
+        put_varint(out, (rec.subtree_end - rec.dfs) as u64);
     }
     for rec in infos {
-        put_opt_node(&mut payload, rec.parent());
+        put_opt_node(out, rec.parent());
     }
     for rec in infos {
         match rec.on_path() {
-            None => put_varint(&mut payload, 0),
+            None => put_varint(out, 0),
             Some(op) => {
-                put_varint(&mut payload, 1);
-                put_varint(&mut payload, op.pos);
-                put_opt_node(&mut payload, op.prev);
-                put_opt_node(&mut payload, op.next);
+                put_varint(out, 1);
+                put_varint(out, op.pos);
+                put_opt_node(out, op.prev);
+                put_opt_node(out, op.next);
             }
         }
     }
     for e in 0..keys.len() {
-        put_varint(&mut payload, (child_start[e + 1] - child_start[e]) as u64);
+        put_varint(out, (child_start[e + 1] - child_start[e]) as u64);
     }
     for e in 0..keys.len() {
         let mut prev = 0u64;
@@ -103,11 +102,10 @@ pub fn encode_tables(flat: &FlatTables) -> Vec<u8> {
             .enumerate()
         {
             let raw = c.0 as u64;
-            put_varint(&mut payload, if i == 0 { raw } else { raw - prev });
+            put_varint(out, if i == 0 { raw } else { raw - prev });
             prev = raw;
         }
     }
-    seal(TABLES_MAGIC, &payload)
 }
 
 fn get_opt_node(c: &mut Cursor<'_>, n: usize) -> Result<Option<NodeId>, Error> {
@@ -118,17 +116,12 @@ fn get_opt_node(c: &mut Cursor<'_>, n: usize) -> Result<Option<NodeId>, Error> {
     }
 }
 
-/// Decodes a `psep-routing/v1` artifact back into a table arena.
+/// Decodes a delta tables-section body back into a table arena.
 pub fn decode_tables(data: &[u8]) -> Result<FlatTables<'static>, Error> {
-    let payload = unseal(TABLES_MAGIC, data)?;
-    let mut c = Cursor::new(payload);
-    let version = c.varint()?;
-    if version != TABLES_VERSION {
-        return Err(WireError::UnsupportedVersion(version).into());
-    }
-    // every vertex, entry, and child costs at least one payload byte,
-    // so the input length bounds all three counts
-    let limit = payload.len();
+    let mut c = Cursor::new(data);
+    // every vertex, entry, and child costs at least one body byte, so
+    // the input length bounds all three counts
+    let limit = data.len();
     let n = c.length(limit)?;
     let num_entries = c.length(limit)?;
     let num_children = c.length(limit)?;
@@ -251,15 +244,15 @@ pub fn decode_tables(data: &[u8]) -> Result<FlatTables<'static>, Error> {
     if c.remaining() != 0 {
         return Err(Error::corrupt("trailing bytes after payload"));
     }
-    // Per-entry decode work actually performed — the zero-copy v2 load
+    // Per-entry decode work actually performed — the zero-copy mapped load
     // path asserts this stays at zero.
     psep_obs::counter!("routing.wire.entries_decoded").add(num_entries as u64);
     FlatTables::from_parts(entry_start, keys, infos, child_start, children)
 }
 
 // ---------------------------------------------------------------------------
-// `psep-bundle/v2` tables section: aligned little-endian arrays, the
-// zero-copy counterpart of `psep-routing/v1`.
+// Raw tables section: aligned little-endian arrays, the zero-copy
+// counterpart of the delta body.
 //
 // ```text
 // n, E, C      u64 LE                        24 bytes
@@ -279,11 +272,12 @@ pub fn decode_tables(data: &[u8]) -> Result<FlatTables<'static>, Error> {
 
 use psep_core::wire::{pad_to_8, put_pod_slice, ArenaStorage, SectionReader};
 
-/// Encodes a table arena as a raw `psep-bundle/v2` tables section
-/// (no envelope; the bundle directory carries length and CRC).
-pub fn encode_tables_flat(flat: &FlatTables) -> Vec<u8> {
+/// Appends a table arena's raw tables-section body to `out`, which
+/// must end on an 8-byte boundary so the columns land aligned.
+pub fn encode_tables_flat_into(flat: &FlatTables, out: &mut Vec<u8>) {
+    debug_assert!(out.len().is_multiple_of(8), "section must start aligned");
     let (entry_start, keys, records, child_start, children) = flat.as_parts();
-    let mut out = Vec::with_capacity(
+    out.reserve(
         32 + entry_start.len() * 4
             + keys.len() * 8
             + records.len() * 48
@@ -293,17 +287,16 @@ pub fn encode_tables_flat(flat: &FlatTables) -> Vec<u8> {
     out.extend_from_slice(&(flat.num_nodes() as u64).to_le_bytes());
     out.extend_from_slice(&(keys.len() as u64).to_le_bytes());
     out.extend_from_slice(&(children.len() as u64).to_le_bytes());
-    put_pod_slice(&mut out, entry_start);
-    pad_to_8(&mut out);
-    put_pod_slice(&mut out, keys);
-    put_pod_slice(&mut out, records);
-    put_pod_slice(&mut out, child_start);
-    pad_to_8(&mut out);
-    put_pod_slice(&mut out, children);
-    out
+    put_pod_slice(out, entry_start);
+    pad_to_8(out);
+    put_pod_slice(out, keys);
+    put_pod_slice(out, records);
+    put_pod_slice(out, child_start);
+    pad_to_8(out);
+    put_pod_slice(out, children);
 }
 
-/// Decodes a `psep-bundle/v2` tables section, borrowing every column in
+/// Decodes a raw tables-section body, borrowing every column in
 /// place when the host and buffer allow it. All structural invariants
 /// are re-validated; a header that disagrees with the payload is a
 /// typed error, never a panic or misaligned read.
@@ -370,60 +363,26 @@ mod tests {
     }
 
     #[test]
-    fn corrupted_byte_is_rejected_by_checksum() {
+    fn truncation_is_rejected() {
         let t = grid_tables();
         let buf = encode_tables(t.flat());
-        for at in [9usize, buf.len() / 2, buf.len() - 5] {
-            let mut bad = buf.clone();
-            bad[at] ^= 0x01;
+        // the counts come first, so every strict prefix runs out
+        for cut in 0..buf.len() {
             assert!(
-                matches!(
-                    decode_tables(&bad[..]),
-                    Err(Error::Wire(WireError::ChecksumMismatch { .. }))
-                ),
-                "flip at {at} not rejected"
+                decode_tables(&buf[..cut]).is_err(),
+                "prefix of {cut} bytes accepted"
             );
         }
     }
 
     #[test]
-    fn truncation_bad_magic_and_version_are_rejected() {
-        let t = grid_tables();
-        let buf = encode_tables(t.flat());
-        assert!(matches!(
-            decode_tables(&buf[..buf.len() - 1]),
-            Err(Error::Wire(WireError::ChecksumMismatch { .. }))
-        ));
-        assert!(matches!(
-            decode_tables(&buf[..6]),
-            Err(Error::Wire(WireError::Truncated))
-        ));
-        let mut wrong_magic = buf.clone();
-        wrong_magic[0] = b'X';
-        assert!(matches!(
-            decode_tables(&wrong_magic[..]),
-            Err(Error::Wire(WireError::BadMagic { .. }))
-        ));
-        // version bump with a re-sealed checksum → unsupported version
-        let mut payload = buf[8..buf.len() - 4].to_vec();
-        payload[0] = 2;
-        let resealed = seal(TABLES_MAGIC, &payload);
-        assert!(matches!(
-            decode_tables(&resealed[..]),
-            Err(Error::Wire(WireError::UnsupportedVersion(2)))
-        ));
-    }
-
-    #[test]
-    fn structurally_corrupt_but_checksummed_payload_is_rejected() {
-        // hand-build a payload whose counts disagree, with a valid crc
-        let mut payload = Vec::new();
-        put_varint(&mut payload, TABLES_VERSION);
-        put_varint(&mut payload, 1); // n = 1
-        put_varint(&mut payload, 5); // E = 5 …
-        put_varint(&mut payload, 0); // C = 0
-        put_varint(&mut payload, 2); // … but vertex 0 claims 2 entries
-        let sealed = seal(TABLES_MAGIC, &payload);
-        assert!(decode_tables(&sealed[..]).is_err());
+    fn structurally_corrupt_body_is_rejected() {
+        // hand-build a body whose counts disagree
+        let mut body = Vec::new();
+        put_varint(&mut body, 1); // n = 1
+        put_varint(&mut body, 5); // E = 5 …
+        put_varint(&mut body, 0); // C = 0
+        put_varint(&mut body, 2); // … but vertex 0 claims 2 entries
+        assert!(decode_tables(&body).is_err());
     }
 }

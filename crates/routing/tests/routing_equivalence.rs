@@ -2,12 +2,9 @@
 //! family and thread count:
 //!
 //! * parallel construction serializes to exactly the sequential build's
-//!   `psep-routing/v1` wire bytes;
+//!   delta tables-section bytes;
 //! * `route_many` answers exactly like one-at-a-time `route`;
-//! * wire round-trips are bit-exact, and any single corrupted byte in
-//!   an artifact is rejected.
-
-use rand::{Rng, SeedableRng};
+//! * wire round-trips are bit-exact.
 
 use psep_core::strategy::AutoStrategy;
 use psep_core::DecompositionTree;
@@ -68,25 +65,6 @@ fn wire_roundtrip_is_bit_exact_on_every_family() {
             artifact_bytes(&loaded),
             bytes,
             "family {name}: re-encode is not bit-exact"
-        );
-    }
-}
-
-#[test]
-fn any_single_corrupted_byte_is_rejected() {
-    let (_, g) = &equivalence_families()[0];
-    let tree = DecompositionTree::build(g, &AutoStrategy::default());
-    let tables = RoutingTables::build(g, &tree);
-    let bytes = artifact_bytes(&tables);
-    let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(0xBADC0DE);
-    for _ in 0..100 {
-        let mut bad = bytes.clone();
-        let pos = rng.gen_range(0..bad.len());
-        let mask = rng.gen_range(1..=255u8); // never a no-op flip
-        bad[pos] ^= mask;
-        assert!(
-            decode_tables(&bad).is_err(),
-            "flipping byte {pos} with {mask:#04x} went undetected"
         );
     }
 }

@@ -1,4 +1,4 @@
-//! The `psep-serve` daemon: open a `psep-bundle/v2`, serve
+//! The `psep-serve` daemon: open a `psep-bundle/v3`, serve
 //! `psep-rpc/v1` over TCP until SIGINT/SIGTERM, drain, exit.
 //!
 //! ```text
@@ -7,10 +7,11 @@
 //! ```
 //!
 //! The bundle is read into an aligned buffer and opened with
-//! `LocationService::map_bytes`: a raw bundle is validated by checksum
-//! and served straight out of the buffer (cold start is O(checksum), the
-//! label/table arenas are never copied), a delta-compressed one decodes
-//! its label and table sections into owned arenas.
+//! `LocationService::map_bytes`, which checks the envelope's one CRC-32
+//! over every byte. A raw bundle is then served straight out of the
+//! buffer (cold start is O(checksum), the label/table arenas are never
+//! copied); a delta-compressed one decodes its label and table sections
+//! into owned arenas.
 //!
 //! `serve` prints `listening on <addr>` (with the resolved port) on
 //! stdout before accepting, so scripts binding port 0 can discover the

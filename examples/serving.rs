@@ -5,9 +5,9 @@
 //! ```
 //!
 //! One process builds the whole serving stack through
-//! [`LocationService`] and ships it as a single checksummed
-//! `psep-bundle/v2` artifact (graph + decomposition tree + distance
-//! labels + routing tables); a serving process maps the bundle
+//! [`LocationService`] and ships it as a single `psep-bundle/v3`
+//! artifact (graph + decomposition tree + distance labels + routing
+//! tables) under one checksummed envelope; a serving process maps the bundle
 //! zero-copy and answers distance queries *and* routes requests in parallel with
 //! `try_query_many` / `try_route_many`. The final comparison is generic over
 //! `DistanceEstimator`, the trait every oracle in the crate implements.

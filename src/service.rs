@@ -5,37 +5,40 @@
 //! applications share — the graph, its decomposition tree, the
 //! Theorem 2 distance oracle, and the compact-routing tables — behind
 //! one build call and one versioned container format. The current
-//! format is `psep-bundle/v2`:
+//! format is `psep-bundle/v3`:
 //!
 //! ```text
-//! "PSEPBNDL" | version=2 pad(7) | directory | graph | tree | labels | tables | crc32
+//! "PSEPBNDL" | version=3 pad(7) | directory | graph | tree | labels | tables | crc32
 //! ```
 //!
-//! The payload opens with the version varint zero-padded to offset 8,
-//! followed by a fixed-size directory: a `u32` section count (always 4)
-//! and one 24-byte row per section — `kind u32 | offset u64 | len u64 |
-//! crc32 u32`, all little-endian, offsets payload-relative. Sections
-//! are laid out back-to-back in kind order, each zero-padded to an
-//! 8-byte boundary, and the layout is *canonical*: the first section
-//! starts at offset 112, every later offset equals the aligned end of
-//! its predecessor, inter-section padding is zero, and the payload ends
-//! exactly at the last section's end. Any disagreement between the
-//! directory and the payload is a typed [`WireError`], never a panic.
+//! The envelope is the bundle's only integrity layer: one CRC-32 over
+//! every payload byte, checked once per open. The payload opens with
+//! the version varint zero-padded to offset 8, followed by a fixed-size
+//! directory: a `u32` section count (always 4) and one 12-byte row per
+//! section — `kind u32 | len u64`, little-endian. Sections are laid out
+//! back-to-back in kind order, each zero-padded to an 8-byte boundary,
+//! and the layout is *canonical*: the first section starts at payload
+//! offset 64, every later one at the aligned end of its predecessor,
+//! inter-section padding is zero, and the payload ends exactly at the
+//! last section's end — so the lengths alone fix every offset. Any
+//! disagreement between the directory and the payload is a typed
+//! [`WireError`], never a panic.
 //!
-//! The graph section is a canonical delta-coded edge list (edges sorted
-//! by `(u, v)`), the tree section embeds the sealed `psep-tree/v1`
-//! artifact, and the labels and tables sections store their CSR arenas
-//! as aligned little-endian columns (the `psep-labels-flat` /
-//! `psep-tables-flat` section formats). On a little-endian machine the
-//! column layout **is** the in-memory layout, so [`map_bytes`] builds
-//! the oracle and routing views directly over the caller's buffer —
-//! the label and table arenas cost O(checksum) at open, independent of
-//! the number of label entries, and N replicas mapping one file share a
-//! single page cache. The graph and tree sections, which are small
-//! beside the arenas, are decoded at open, so a section that does not
-//! decode is rejected by the loader, not by a later call.
+//! Section bodies carry no envelope of their own. The graph section is
+//! a canonical delta-coded edge list (edges sorted by `(u, v)`), the
+//! tree section is [`DecompositionTree::encode`]'s body, and the labels
+//! and tables sections store their CSR arenas either as aligned
+//! little-endian columns (raw kinds 3 and 4) or as varint deltas (delta
+//! kinds 5 and 6). On a little-endian machine the column layout **is**
+//! the in-memory layout, so [`map_bytes`] builds the oracle and routing
+//! views directly over the caller's buffer — the label and table arenas
+//! cost O(checksum) at open, independent of the number of label
+//! entries, and N replicas mapping one file share a single page cache.
+//! The graph and tree sections, which are small beside the arenas, are
+//! decoded at open, so a section that does not decode is rejected by
+//! the loader, not by a later call.
 //!
-//! v2 is the only persisted form: any other version is
+//! v3 is the only persisted form: any other version is
 //! [`WireError::UnsupportedVersion`]. Write a bundle to disk with
 //! [`std::fs::write`] and open it with [`AlignedBytes::read_file`] plus
 //! [`map_bytes`] (zero-copy) or [`std::fs::read`] plus [`from_bytes`].
@@ -46,7 +49,7 @@
 
 use std::sync::Arc;
 
-use psep_core::wire::{crc32, put_varint, seal, unseal, Cursor, WireError};
+use psep_core::wire::{pad_to_8, put_varint, seal, unseal, Cursor, WireError};
 use psep_core::{AutoStrategy, DecompositionParams, DecompositionTree};
 use psep_graph::{Graph, NodeId, Weight};
 use psep_oracle::{build_oracle, BatchQueryEngine, DistanceOracle, OracleParams, WitnessPath};
@@ -60,7 +63,7 @@ pub use crate::error::ServiceError;
 pub const BUNDLE_MAGIC: &[u8; 8] = b"PSEPBNDL";
 
 /// Current bundle format version, written by [`LocationService::to_bytes`].
-pub const BUNDLE_VERSION: u64 = 2;
+pub const BUNDLE_VERSION: u64 = 3;
 
 /// Directory kind tag of the graph section.
 pub const SECTION_GRAPH: u32 = 1;
@@ -71,20 +74,21 @@ pub const SECTION_LABELS: u32 = 3;
 /// Directory kind tag of the raw (zero-copy) routing-tables section.
 pub const SECTION_TABLES: u32 = 4;
 /// Directory kind tag of the delta-compressed distance-labels section:
-/// the body is a sealed `psep-labels/v1` artifact (varint/delta-coded
-/// keys and portals), decoded to owned arenas on load.
+/// varint/delta-coded keys and portals
+/// ([`psep_oracle::wire::encode_labels`]), decoded to owned arenas on
+/// load.
 pub const SECTION_LABELS_COMPRESSED: u32 = 5;
-/// Directory kind tag of the delta-compressed routing-tables section:
-/// the body is a sealed `psep-routing/v1` artifact.
+/// Directory kind tag of the delta-compressed routing-tables section
+/// ([`psep_routing::wire::encode_tables`]).
 pub const SECTION_TABLES_COMPRESSED: u32 = 6;
 
-/// Byte offset of the directory inside a v2 payload.
+/// Byte offset of the directory inside a payload.
 const DIR_START: usize = 8;
-/// Bytes per directory row: `kind u32 | offset u64 | len u64 | crc32 u32`.
-const DIR_ROW: usize = 24;
-/// Number of sections in a v2 bundle.
+/// Bytes per directory row: `kind u32 | len u64`.
+const DIR_ROW: usize = 12;
+/// Number of sections in a bundle.
 const NUM_SECTIONS: usize = 4;
-/// Byte offset of the first section: the directory end (108) aligned up.
+/// Byte offset of the first section: the directory end (60) aligned up.
 const SECTIONS_START: usize = align8(DIR_START + 4 + NUM_SECTIONS * DIR_ROW);
 
 /// Smallest multiple of 8 that is `>= x`.
@@ -106,16 +110,13 @@ pub fn section_name(kind: u32) -> &'static str {
 }
 
 /// One directory row of a bundle payload, as returned by
-/// [`bundle_sections`]; the CRC has already been verified against the
-/// bytes.
+/// [`bundle_sections`].
 #[derive(Clone, Copy, Debug)]
 pub struct BundleSection<'a> {
-    /// Section kind tag ([`SECTION_GRAPH`] .. [`SECTION_TABLES`]).
+    /// Section kind tag ([`SECTION_GRAPH`] .. [`SECTION_TABLES_COMPRESSED`]).
     pub kind: u32,
     /// The section's bytes within the payload.
     pub bytes: &'a [u8],
-    /// CRC-32 of the section bytes.
-    pub crc32: u32,
 }
 
 /// Validates a bundle envelope and returns its format version plus the
@@ -123,65 +124,31 @@ pub struct BundleSection<'a> {
 /// O(checksum) part of loading, shared by tooling such as
 /// `psep-inspect`.
 pub fn bundle_sections(data: &[u8]) -> Result<(u64, Vec<BundleSection<'_>>), ServiceError> {
-    let secs = unseal_v2(data)?;
-    Ok((BUNDLE_VERSION, secs.rows().to_vec()))
+    Ok((BUNDLE_VERSION, unseal_bundle(data)?.to_vec()))
 }
 
-/// Unseals a bundle envelope and validates its v2 directory; any other
-/// format version is [`WireError::UnsupportedVersion`].
-fn unseal_v2(data: &[u8]) -> Result<V2Sections<'_>, WireError> {
+/// Unseals a bundle envelope — the one checksum pass over the payload —
+/// and validates its directory; any other format version is
+/// [`WireError::UnsupportedVersion`]. Returns the four sections in slot
+/// order: graph, tree, labels, tables.
+fn unseal_bundle(data: &[u8]) -> Result<[BundleSection<'_>; NUM_SECTIONS], WireError> {
     let payload = unseal(BUNDLE_MAGIC, data)?;
     match Cursor::new(payload).varint()? {
-        BUNDLE_VERSION => split_v2_payload(payload),
+        BUNDLE_VERSION => split_payload(payload),
         v => Err(WireError::UnsupportedVersion(v)),
     }
 }
 
-/// The four validated sections of a v2 payload, in kind order.
-struct V2Sections<'a> {
-    rows: [BundleSection<'a>; NUM_SECTIONS],
-}
-
-impl<'a> V2Sections<'a> {
-    fn rows(&self) -> &[BundleSection<'a>; NUM_SECTIONS] {
-        &self.rows
-    }
-
-    fn graph(&self) -> &'a [u8] {
-        self.rows[0].bytes
-    }
-
-    fn tree(&self) -> &'a [u8] {
-        self.rows[1].bytes
-    }
-
-    fn labels(&self) -> &'a [u8] {
-        self.rows[2].bytes
-    }
-
-    fn tables(&self) -> &'a [u8] {
-        self.rows[3].bytes
-    }
-
-    fn labels_kind(&self) -> u32 {
-        self.rows[2].kind
-    }
-
-    fn tables_kind(&self) -> u32 {
-        self.rows[3].kind
-    }
-}
-
-/// Validates the directory of a v2 payload against the payload itself:
-/// section kinds in order, canonical back-to-back offsets, zero
-/// padding, exact payload end, and a matching CRC-32 per section. Every
-/// header/payload disagreement is a typed error.
-fn split_v2_payload(payload: &[u8]) -> Result<V2Sections<'_>, WireError> {
+/// Validates the directory of a payload against the payload itself:
+/// section kinds in slot order, canonical back-to-back layout, zero
+/// padding, and exact payload end. Every header/payload disagreement is
+/// a typed error.
+fn split_payload(payload: &[u8]) -> Result<[BundleSection<'_>; NUM_SECTIONS], WireError> {
     if payload.len() < SECTIONS_START {
         return Err(WireError::Truncated);
     }
-    // The version varint is the single byte 2; the rest of the first
-    // 8-byte word is canonical zero padding.
+    // The version varint is a single byte; the rest of the first 8-byte
+    // word is canonical zero padding.
     if payload[0] != BUNDLE_VERSION as u8 || payload[1..DIR_START].iter().any(|&b| b != 0) {
         return Err(WireError::Corrupt("malformed bundle version word"));
     }
@@ -198,16 +165,13 @@ fn split_v2_payload(payload: &[u8]) -> Result<V2Sections<'_>, WireError> {
     let mut rows = [BundleSection {
         kind: 0,
         bytes: &payload[..0],
-        crc32: 0,
     }; NUM_SECTIONS];
-    let mut expected_offset = SECTIONS_START;
+    let mut offset = SECTIONS_START;
     let mut end = SECTIONS_START;
     for (i, row) in rows.iter_mut().enumerate() {
         let e = DIR_START + 4 + i * DIR_ROW;
         let kind = u32::from_le_bytes(payload[e..e + 4].try_into().unwrap());
-        let offset = u64::from_le_bytes(payload[e + 4..e + 12].try_into().unwrap());
-        let len = u64::from_le_bytes(payload[e + 12..e + 20].try_into().unwrap());
-        let stored = u32::from_le_bytes(payload[e + 20..e + 24].try_into().unwrap());
+        let len = u64::from_le_bytes(payload[e + 4..e + 12].try_into().unwrap());
         // rows stay in slot order; the label/table slots may hold either
         // the raw (zero-copy) or the delta-compressed kind
         let slot_ok = match i {
@@ -219,28 +183,15 @@ fn split_v2_payload(payload: &[u8]) -> Result<V2Sections<'_>, WireError> {
         if !slot_ok {
             return Err(WireError::Corrupt("bundle directory sections out of order"));
         }
-        let offset = usize::try_from(offset)
-            .map_err(|_| WireError::Corrupt("bundle section offset overflows"))?;
-        let len = usize::try_from(len)
-            .map_err(|_| WireError::Corrupt("bundle section length overflows"))?;
-        if offset != expected_offset {
-            return Err(WireError::Corrupt(
-                "bundle section offset disagrees with layout",
-            ));
-        }
-        end = offset
-            .checked_add(len)
+        end = usize::try_from(len)
+            .ok()
+            .and_then(|len| offset.checked_add(len))
             .ok_or(WireError::Corrupt("bundle section length overflows"))?;
         if end > payload.len() {
             return Err(WireError::Truncated);
         }
-        let bytes = &payload[offset..end];
-        let computed = crc32(bytes);
-        if computed != stored {
-            return Err(WireError::ChecksumMismatch { stored, computed });
-        }
-        expected_offset = align8(end);
-        if payload[end..expected_offset.min(payload.len())]
+        let next = align8(end);
+        if payload[end..next.min(payload.len())]
             .iter()
             .any(|&b| b != 0)
         {
@@ -248,35 +199,41 @@ fn split_v2_payload(payload: &[u8]) -> Result<V2Sections<'_>, WireError> {
         }
         *row = BundleSection {
             kind,
-            bytes,
-            crc32: stored,
+            bytes: &payload[offset..end],
         };
+        offset = next;
     }
     if payload.len() != end {
         return Err(WireError::Corrupt("trailing bytes after bundle sections"));
     }
-    Ok(V2Sections { rows })
+    Ok(rows)
 }
 
-/// Assembles a canonical v2 payload from the four `(kind, body)`
-/// sections (in slot order) and seals it.
-fn encode_v2(sections: [(u32, &[u8]); NUM_SECTIONS]) -> Vec<u8> {
-    let mut payload = vec![0u8; SECTIONS_START];
-    payload[0] = BUNDLE_VERSION as u8;
-    payload[DIR_START..DIR_START + 4].copy_from_slice(&(NUM_SECTIONS as u32).to_le_bytes());
-    for (i, (kind, sec)) in sections.iter().enumerate() {
-        while !payload.len().is_multiple_of(8) {
-            payload.push(0);
-        }
-        let offset = payload.len();
-        payload.extend_from_slice(sec);
-        let e = DIR_START + 4 + i * DIR_ROW;
-        payload[e..e + 4].copy_from_slice(&kind.to_le_bytes());
-        payload[e + 4..e + 12].copy_from_slice(&(offset as u64).to_le_bytes());
-        payload[e + 12..e + 20].copy_from_slice(&(sec.len() as u64).to_le_bytes());
-        payload[e + 20..e + 24].copy_from_slice(&crc32(sec).to_le_bytes());
+/// Appends one section body to a bundle buffer.
+type SectionWriter<'s> = &'s dyn Fn(&mut Vec<u8>);
+
+/// Writes a canonical bundle into one buffer: magic, version word,
+/// directory, the four `(kind, writer)` sections in slot order — each
+/// writer appends its body in place — and the envelope CRC, computed
+/// over the buffer where it lies.
+fn write_bundle(sections: [(u32, SectionWriter); NUM_SECTIONS]) -> Vec<u8> {
+    let mut out = BUNDLE_MAGIC.to_vec();
+    out.resize(BUNDLE_MAGIC.len() + SECTIONS_START, 0);
+    let dir = BUNDLE_MAGIC.len() + DIR_START;
+    out[BUNDLE_MAGIC.len()] = BUNDLE_VERSION as u8;
+    out[dir..dir + 4].copy_from_slice(&(NUM_SECTIONS as u32).to_le_bytes());
+    for (i, (kind, write)) in sections.into_iter().enumerate() {
+        // the magic is 8 bytes, so buffer and payload alignment agree
+        pad_to_8(&mut out);
+        let start = out.len();
+        write(&mut out);
+        let len = (out.len() - start) as u64;
+        let e = dir + 4 + i * DIR_ROW;
+        out[e..e + 4].copy_from_slice(&kind.to_le_bytes());
+        out[e + 4..e + 12].copy_from_slice(&len.to_le_bytes());
     }
-    seal(BUNDLE_MAGIC, &payload)
+    seal(&mut out);
+    out
 }
 
 /// Build parameters for [`LocationService::build`].
@@ -549,17 +506,23 @@ impl<'a> LocationService<'a> {
         Ok(self.router.try_route_many(pairs)?)
     }
 
-    /// Encodes the whole service as one `psep-bundle/v2` artifact with
+    /// Encodes the whole service as one `psep-bundle/v3` artifact with
     /// raw (zero-copy) label and table sections. Every section encoding
     /// is canonical, so `map_bytes(b).to_bytes() == b` bit-for-bit.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let labels =
-            psep_oracle::wire::encode_labels_flat(self.oracle.flat_labels(), self.oracle.epsilon());
-        let tables = psep_routing::wire::encode_tables_flat(self.router.tables().flat());
-        self.seal_with((SECTION_LABELS, &labels), (SECTION_TABLES, &tables))
+        let (labels, epsilon) = (self.oracle.flat_labels(), self.oracle.epsilon());
+        let tables = self.router.tables().flat();
+        self.write_with(
+            (SECTION_LABELS, &|out| {
+                psep_oracle::wire::encode_labels_flat_into(labels, epsilon, out)
+            }),
+            (SECTION_TABLES, &|out| {
+                psep_routing::wire::encode_tables_flat_into(tables, out)
+            }),
+        )
     }
 
-    /// Encodes the whole service as a `psep-bundle/v2` artifact whose
+    /// Encodes the whole service as a `psep-bundle/v3` artifact whose
     /// label and table sections are delta-compressed
     /// ([`SECTION_LABELS_COMPRESSED`] / [`SECTION_TABLES_COMPRESSED`]):
     /// keys and portal/table columns stored as varint deltas instead of
@@ -570,27 +533,30 @@ impl<'a> LocationService<'a> {
     /// the compressed form round-trips bit-identically through
     /// [`Self::map_bytes`]/[`Self::from_bytes`].
     pub fn to_bytes_compressed(&self) -> Vec<u8> {
-        let labels =
-            psep_oracle::wire::encode_labels(self.oracle.flat_labels(), self.oracle.epsilon());
-        let tables = psep_routing::wire::encode_tables(self.router.tables().flat());
-        self.seal_with(
-            (SECTION_LABELS_COMPRESSED, &labels),
-            (SECTION_TABLES_COMPRESSED, &tables),
+        let (labels, epsilon) = (self.oracle.flat_labels(), self.oracle.epsilon());
+        let tables = self.router.tables().flat();
+        self.write_with(
+            (SECTION_LABELS_COMPRESSED, &|out| {
+                psep_oracle::wire::encode_labels_into(labels, epsilon, out)
+            }),
+            (SECTION_TABLES_COMPRESSED, &|out| {
+                psep_routing::wire::encode_tables_into(tables, out)
+            }),
         )
     }
 
-    /// Seals the canonical graph and tree sections with the given
-    /// `(kind, body)` label and table sections.
-    fn seal_with(&self, labels: (u32, &[u8]), tables: (u32, &[u8])) -> Vec<u8> {
-        encode_v2([
-            (SECTION_GRAPH, &encode_graph(&self.graph)),
-            (SECTION_TREE, &self.tree.encode()),
+    /// Writes the canonical graph and tree sections with the given
+    /// `(kind, writer)` label and table sections into one sealed bundle.
+    fn write_with(&self, labels: (u32, SectionWriter), tables: (u32, SectionWriter)) -> Vec<u8> {
+        write_bundle([
+            (SECTION_GRAPH, &|out| encode_graph(&self.graph, out)),
+            (SECTION_TREE, &|out| self.tree.encode_into(out)),
             labels,
             tables,
         ])
     }
 
-    /// Decodes a `psep-bundle/v2` artifact (raw or delta sections) into
+    /// Decodes a `psep-bundle/v3` artifact (raw or delta sections) into
     /// a service that owns all its arenas: [`Self::map_bytes`] followed
     /// by a copy of any borrowed arena.
     pub fn from_bytes(data: &[u8]) -> Result<Self, ServiceError> {
@@ -603,8 +569,9 @@ impl<'a> LocationService<'a> {
     }
 
     /// Builds a service directly **over** `data` without copying the
-    /// label or table arenas out of it. Opening validates the envelope
-    /// and every section CRC, cross-checks the vertex counts, and
+    /// label or table arenas out of it. Opening checks the envelope CRC
+    /// (one pass over every byte) and the directory, cross-checks the
+    /// vertex counts, and
     /// decodes the graph and tree sections, so a section that does not
     /// decode is an error here rather than a panic in a later call.
     /// The label and table arenas are not decoded entry by entry: their
@@ -633,15 +600,15 @@ impl<'a> LocationService<'a> {
     /// rejected before any graph-sized work. Then decodes the graph and
     /// tree sections.
     fn open(data: &'a [u8]) -> Result<Self, ServiceError> {
-        let secs = unseal_v2(data)?;
-        let oracle = decode_labels_section(secs.labels_kind(), secs.labels())?;
-        let tables = decode_tables_section(secs.tables_kind(), secs.tables())?;
-        let n = Cursor::new(secs.graph()).length(u32::MAX as usize)?;
+        let [graph, tree, labels, tables] = unseal_bundle(data)?;
+        let oracle = decode_labels_section(labels)?;
+        let tables = decode_tables_section(tables)?;
+        let n = Cursor::new(graph.bytes).length(u32::MAX as usize)?;
         if oracle.num_nodes() != n || tables.num_nodes() != n {
             return Err(WireError::Corrupt("bundle sections disagree on vertex count").into());
         }
-        let graph = Arc::new(decode_graph(secs.graph())?);
-        let tree = DecompositionTree::decode(secs.tree())?;
+        let graph = Arc::new(decode_graph(graph.bytes)?);
+        let tree = DecompositionTree::decode(tree.bytes)?;
         if tree.num_vertices() != n {
             return Err(WireError::Corrupt("tree section disagrees on vertex count").into());
         }
@@ -666,25 +633,25 @@ impl<'a> LocationService<'a> {
     }
 }
 
-/// Decodes a v2 labels slot by its directory kind: the raw column
+/// Decodes the labels slot by its directory kind: the raw column
 /// layout maps (zero-copy when aligned), the delta-compressed layout
 /// decodes into owned arenas.
-fn decode_labels_section(kind: u32, bytes: &[u8]) -> Result<DistanceOracle<'_>, ServiceError> {
-    let (flat, epsilon) = if kind == SECTION_LABELS_COMPRESSED {
-        psep_oracle::wire::decode_labels(bytes)?
+fn decode_labels_section(sec: BundleSection<'_>) -> Result<DistanceOracle<'_>, ServiceError> {
+    let (flat, epsilon) = if sec.kind == SECTION_LABELS_COMPRESSED {
+        psep_oracle::wire::decode_labels(sec.bytes)?
     } else {
-        psep_oracle::wire::decode_labels_flat(bytes)?
+        psep_oracle::wire::decode_labels_flat(sec.bytes)?
     };
     Ok(DistanceOracle::from_flat(flat, epsilon))
 }
 
-/// Decodes a v2 tables slot by its directory kind (see
+/// Decodes the tables slot by its directory kind (see
 /// [`decode_labels_section`]).
-fn decode_tables_section(kind: u32, bytes: &[u8]) -> Result<RoutingTables<'_>, ServiceError> {
-    let flat = if kind == SECTION_TABLES_COMPRESSED {
-        psep_routing::wire::decode_tables(bytes)?
+fn decode_tables_section(sec: BundleSection<'_>) -> Result<RoutingTables<'_>, ServiceError> {
+    let flat = if sec.kind == SECTION_TABLES_COMPRESSED {
+        psep_routing::wire::decode_tables(sec.bytes)?
     } else {
-        psep_routing::wire::decode_tables_flat(bytes)?
+        psep_routing::wire::decode_tables_flat(sec.bytes)?
     };
     Ok(RoutingTables::from_flat(flat))
 }
@@ -692,27 +659,25 @@ fn decode_tables_section(kind: u32, bytes: &[u8]) -> Result<RoutingTables<'_>, S
 /// Canonical graph section: `n`, `m`, then edges sorted by `(u, v)`,
 /// with `u` delta-coded across edges and `v` delta-coded within each
 /// vertex's run (both strictly ascending, so the deltas also reject
-/// self-loops and parallel edges on decode).
-fn encode_graph(g: &Graph) -> Vec<u8> {
-    let mut out = Vec::new();
-    put_varint(&mut out, g.num_nodes() as u64);
-    put_varint(&mut out, g.num_edges() as u64);
+/// self-loops and parallel edges on decode). Appends to `out`.
+fn encode_graph(g: &Graph, out: &mut Vec<u8>) {
+    put_varint(out, g.num_nodes() as u64);
+    put_varint(out, g.num_edges() as u64);
     let mut edges: Vec<(NodeId, NodeId, Weight)> = g.edge_list().collect();
     edges.sort_unstable_by_key(|&(u, v, _)| (u, v));
     let mut prev_u = 0u32;
     let mut prev_v = 0u32;
     for (u, v, w) in edges {
         let du = u.0 - prev_u;
-        put_varint(&mut out, du as u64);
+        put_varint(out, du as u64);
         if du > 0 {
             prev_v = u.0; // v > u always; restart the v deltas at u
         }
-        put_varint(&mut out, (v.0 - prev_v - 1) as u64);
-        put_varint(&mut out, w);
+        put_varint(out, (v.0 - prev_v - 1) as u64);
+        put_varint(out, w);
         prev_u = u.0;
         prev_v = v.0;
     }
-    out
 }
 
 fn decode_graph(data: &[u8]) -> Result<Graph, WireError> {
@@ -770,7 +735,8 @@ mod tests {
     #[test]
     fn graph_section_roundtrips_weighted_graphs() {
         let g = ktree::random_weighted_k_tree(40, 3, 9, 11).graph;
-        let bytes = encode_graph(&g);
+        let mut bytes = Vec::new();
+        encode_graph(&g, &mut bytes);
         let back = decode_graph(&bytes).unwrap();
         assert_eq!(back.num_nodes(), g.num_nodes());
         assert_eq!(back.num_edges(), g.num_edges());
@@ -778,7 +744,9 @@ mod tests {
             assert_eq!(back.edge_weight(u, v), Some(w));
         }
         // canonical: re-encoding reproduces the bytes
-        assert_eq!(encode_graph(&back), bytes);
+        let mut again = Vec::new();
+        encode_graph(&back, &mut again);
+        assert_eq!(again, bytes);
     }
 
     #[test]
@@ -874,25 +842,25 @@ mod tests {
     fn mixed_raw_and_compressed_slots_are_rejected_only_when_misplaced() {
         let (_, svc) = service();
         // a compressed labels body in the raw labels slot must not pass:
-        // the kind says raw, the body is sealed varints
-        let graph = encode_graph(svc.graph());
-        let tree = svc.tree().encode();
-        let labels_c = psep_oracle::wire::encode_labels(svc.oracle.flat_labels(), svc.epsilon());
-        let tables = psep_routing::wire::encode_tables_flat(svc.router().tables().flat());
-        let spliced = encode_v2([
-            (SECTION_GRAPH, &graph),
-            (SECTION_TREE, &tree),
-            (SECTION_LABELS, &labels_c),
-            (SECTION_TABLES, &tables),
+        // the kind says raw, the body is varints
+        let (raw, delta) = (svc.to_bytes(), svc.to_bytes_compressed());
+        let (_, r) = bundle_sections(&raw).unwrap();
+        let (_, d) = bundle_sections(&delta).unwrap();
+        let (graph, tree, labels_c, tables) = (r[0].bytes, r[1].bytes, d[2].bytes, r[3].bytes);
+        let spliced = bundle_of([
+            (SECTION_GRAPH, graph),
+            (SECTION_TREE, tree),
+            (SECTION_LABELS, labels_c),
+            (SECTION_TABLES, tables),
         ]);
         assert!(LocationService::from_bytes(&spliced).is_err());
         // ...while the correctly tagged mixed bundle (compressed labels,
         // raw tables) loads fine
-        let mixed = encode_v2([
-            (SECTION_GRAPH, &graph),
-            (SECTION_TREE, &tree),
-            (SECTION_LABELS_COMPRESSED, &labels_c),
-            (SECTION_TABLES, &tables),
+        let mixed = bundle_of([
+            (SECTION_GRAPH, graph),
+            (SECTION_TREE, tree),
+            (SECTION_LABELS_COMPRESSED, labels_c),
+            (SECTION_TABLES, tables),
         ]);
         let back = LocationService::from_bytes(&mixed).unwrap();
         assert_eq!(
@@ -900,11 +868,11 @@ mod tests {
             svc.query(NodeId(0), NodeId(35))
         );
         // a label kind in the tables slot is out of order
-        let swapped = encode_v2([
-            (SECTION_GRAPH, &graph),
-            (SECTION_TREE, &tree),
-            (SECTION_LABELS, &tables),
-            (SECTION_LABELS_COMPRESSED, &labels_c),
+        let swapped = bundle_of([
+            (SECTION_GRAPH, graph),
+            (SECTION_TREE, tree),
+            (SECTION_LABELS, tables),
+            (SECTION_LABELS_COMPRESSED, labels_c),
         ]);
         assert!(matches!(
             LocationService::from_bytes(&swapped),
@@ -970,25 +938,28 @@ mod tests {
                 secs.iter().map(|s| s.kind).collect::<Vec<_>>(),
                 vec![SECTION_GRAPH, SECTION_TREE, labels, tables]
             );
-            for s in &secs {
-                assert_eq!(crc32(s.bytes), s.crc32);
-            }
         }
-        // the retired version-1 envelope (length-prefixed sections) is a
-        // typed error on every entry point
+        // the retired version-1 envelope (length-prefixed sections) and a
+        // version-2 word over the current layout are typed errors on
+        // every entry point
         let mut payload = Vec::new();
         put_varint(&mut payload, 1);
         for sec in bundle_sections(&svc.to_bytes()).unwrap().1 {
             put_varint(&mut payload, sec.bytes.len() as u64);
             payload.extend_from_slice(sec.bytes);
         }
-        let v1 = AlignedBytes::from_slice(&seal(BUNDLE_MAGIC, &payload));
-        let unsupported = |r: Result<(), ServiceError>| {
-            matches!(r, Err(ServiceError::Wire(WireError::UnsupportedVersion(1))))
-        };
-        assert!(unsupported(bundle_sections(&v1).map(drop)));
-        assert!(unsupported(LocationService::from_bytes(&v1).map(drop)));
-        assert!(unsupported(LocationService::map_bytes(&v1).map(drop)));
+        let v1 = reseal(&payload);
+        let v2 = tampered(&svc.to_bytes(), |p| p[0] = 2);
+        for (version, bytes) in [(1, v1), (2, v2)] {
+            let bytes = AlignedBytes::from_slice(&bytes);
+            let unsupported = |r: Result<(), ServiceError>| match r {
+                Err(ServiceError::Wire(WireError::UnsupportedVersion(v))) => v == version,
+                _ => false,
+            };
+            assert!(unsupported(bundle_sections(&bytes).map(drop)));
+            assert!(unsupported(LocationService::from_bytes(&bytes).map(drop)));
+            assert!(unsupported(LocationService::map_bytes(&bytes).map(drop)));
+        }
     }
 
     #[test]
@@ -1014,26 +985,36 @@ mod tests {
         assert!(LocationService::from_bytes(&bytes[..bytes.len() - 5]).is_err());
     }
 
-    /// Re-seals a tampered v2 payload so the outer CRC passes and the
+    /// Seals `payload` under the bundle magic.
+    fn reseal(payload: &[u8]) -> Vec<u8> {
+        let mut out = BUNDLE_MAGIC.to_vec();
+        out.extend_from_slice(payload);
+        seal(&mut out);
+        out
+    }
+
+    /// Re-seals a tampered payload so the envelope CRC passes and the
     /// directory/payload disagreement itself must be caught.
     fn tampered(bytes: &[u8], tamper: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
         let mut payload = unseal(BUNDLE_MAGIC, bytes).unwrap().to_vec();
         tamper(&mut payload);
-        seal(BUNDLE_MAGIC, &payload)
+        reseal(&payload)
     }
 
-    /// Edits the body of section `slot` with `tamper` and re-stamps the
-    /// section CRC as well, so the directory still validates and only
-    /// decoding the section can catch the damage.
+    /// Directory length of section `slot` in `payload`.
+    fn row_len(payload: &[u8], slot: usize) -> usize {
+        let e = DIR_START + 4 + slot * DIR_ROW;
+        u64::from_le_bytes(payload[e + 4..e + 12].try_into().unwrap()) as usize
+    }
+
+    /// Edits the body of section `slot` with `tamper` and re-seals, so
+    /// the envelope and directory still validate and only decoding the
+    /// section can catch the damage.
     fn tampered_section(bytes: &[u8], slot: usize, tamper: impl FnOnce(&mut [u8])) -> Vec<u8> {
         let out = tampered(bytes, |p| {
-            let e = DIR_START + 4 + slot * DIR_ROW;
-            let offset = u64::from_le_bytes(p[e + 4..e + 12].try_into().unwrap()) as usize;
-            let len = u64::from_le_bytes(p[e + 12..e + 20].try_into().unwrap()) as usize;
-            let sec = &mut p[offset..offset + len];
-            tamper(sec);
-            let crc = crc32(sec);
-            p[e + 20..e + 24].copy_from_slice(&crc.to_le_bytes());
+            let start = (0..slot).fold(SECTIONS_START, |at, i| align8(at + row_len(p, i)));
+            let len = row_len(p, slot);
+            tamper(&mut p[start..start + len]);
         });
         assert!(
             bundle_sections(&out).is_ok(),
@@ -1056,24 +1037,15 @@ mod tests {
             (
                 "inflated first len",
                 tampered(&bytes, |p| {
-                    let e = DIR_START + 4;
-                    let len = u64::from_le_bytes(p[e + 12..e + 20].try_into().unwrap()) + 8;
-                    p[e + 12..e + 20].copy_from_slice(&len.to_le_bytes());
+                    let len = row_len(p, 0) as u64 + 8;
+                    p[DIR_START + 8..DIR_START + 16].copy_from_slice(&len.to_le_bytes());
                 }),
             ),
             (
-                "shifted second offset",
+                "deflated first len",
                 tampered(&bytes, |p| {
-                    let e = DIR_START + 4 + DIR_ROW;
-                    let off = u64::from_le_bytes(p[e + 4..e + 12].try_into().unwrap()) + 8;
-                    p[e + 4..e + 12].copy_from_slice(&off.to_le_bytes());
-                }),
-            ),
-            (
-                "section bytes flipped under a stale crc",
-                tampered(&bytes, |p| {
-                    let last = p.len() - 1;
-                    p[last] ^= 0x40;
+                    let len = row_len(p, 0) as u64 - 1;
+                    p[DIR_START + 8..DIR_START + 16].copy_from_slice(&len.to_le_bytes());
                 }),
             ),
             ("trailing payload bytes", tampered(&bytes, |p| p.push(0))),
@@ -1083,7 +1055,7 @@ mod tests {
                     p.truncate(p.len() - 8);
                 }),
             ),
-            // Valid section CRCs over bodies that do not decode: open must
+            // A valid envelope over bodies that do not decode: open must
             // reject them, not defer them to a later call.
             (
                 "zero edge weight",
@@ -1095,10 +1067,10 @@ mod tests {
                 }),
             ),
             (
-                "byte flipped inside the embedded psep-tree/v1",
+                "tree section cut short by one byte",
                 tampered_section(&bytes, 1, |sec| {
-                    let mid = sec.len() / 2;
-                    sec[mid] ^= 0x01;
+                    let last = sec.len() - 1;
+                    sec[last] = 0x80;
                 }),
             ),
         ];
@@ -1119,9 +1091,9 @@ mod tests {
         for bytes in [svc.to_bytes(), svc.to_bytes_compressed()] {
             // Declare n = u32::MAX in the graph section (a 5-byte varint
             // over the 1-byte original), drop the edge list's last four
-            // bytes to keep the section length, and re-stamp the section
-            // CRC: only the vertex-count cross-check can catch it, and it
-            // must do so before `Graph::new(n)` allocates.
+            // bytes to keep the section length, and re-seal: only the
+            // vertex-count cross-check can catch it, and it must do so
+            // before `Graph::new(n)` allocates.
             let bad = tampered_section(&bytes, 0, |sec| {
                 let len = sec.len();
                 assert!(sec[0] < 0x80, "original vertex count is one varint byte");
@@ -1142,14 +1114,23 @@ mod tests {
         }
     }
 
+    /// Writes a sealed bundle from finished `(kind, body)` sections.
+    fn bundle_of(sections: [(u32, &[u8]); NUM_SECTIONS]) -> Vec<u8> {
+        let writers = sections
+            .map(|(kind, body)| (kind, move |out: &mut Vec<u8>| out.extend_from_slice(body)));
+        write_bundle(std::array::from_fn(|i| {
+            (writers[i].0, &writers[i].1 as SectionWriter)
+        }))
+    }
+
     /// Replaces section `slot`'s body with `body` and re-seals the
-    /// bundle under a fresh directory, so every CRC validates.
+    /// bundle under a fresh directory, so the envelope validates.
     fn with_section(bytes: &[u8], slot: usize, body: &[u8]) -> Vec<u8> {
         let (_, rows) = bundle_sections(bytes).unwrap();
         let mut secs: [(u32, &[u8]); NUM_SECTIONS] =
             std::array::from_fn(|i| (rows[i].kind, rows[i].bytes));
         secs[slot].1 = body;
-        encode_v2(secs)
+        bundle_of(secs)
     }
 
     #[test]
@@ -1158,7 +1139,7 @@ mod tests {
         let big = DecompositionTree::build(&grids::grid2d(7, 7, 1), &AutoStrategy::default());
         for bytes in [svc.to_bytes(), svc.to_bytes_compressed()] {
             let bad = with_section(&bytes, 1, &big.encode());
-            assert!(bundle_sections(&bad).is_ok(), "every CRC validates");
+            assert!(bundle_sections(&bad).is_ok(), "the envelope validates");
             let err = LocationService::from_bytes(&bad);
             assert!(matches!(err, Err(ServiceError::Wire(_))), "{err:?}");
             let buf = AlignedBytes::from_slice(&bad);

@@ -1,15 +1,21 @@
-//! Adversarial-bytes properties for `psep-bundle/v2`: any single-byte
+//! Adversarial-bytes properties for `psep-bundle/v3`: any single-byte
 //! corruption of a sealed bundle is rejected with a typed error, any
 //! truncation is rejected with a typed error, and arbitrary byte soup
 //! never panics either loader. Both decode paths are exercised —
 //! `from_bytes` (owned) and `map_bytes` over an aligned buffer
-//! (borrowed) — because they walk the envelope independently.
+//! (borrowed) — because they walk the envelope independently. A byte
+//! flipped inside a section under a re-sealed envelope gets past the
+//! checksum, so it must be stopped by the section decoders or survive
+//! every request kind as a typed answer.
+
+use std::sync::OnceLock;
 
 use proptest::prelude::*;
 
-use path_separators::core::wire::AlignedBytes;
-use path_separators::service::ServiceError;
-use path_separators::{LocationService, ServiceParams};
+use path_separators::api::Request;
+use path_separators::core::wire::{seal, AlignedBytes};
+use path_separators::service::{bundle_sections, ServiceError};
+use path_separators::{LocationService, NodeId, ServiceParams};
 use psep_graph::generators::grids;
 
 fn sealed_bundle() -> Vec<u8> {
@@ -135,5 +141,77 @@ fn compressed_bundle_roundtrips_losslessly_and_rejects_directory_flips() {
         let mut b = delta.clone();
         b[pos] ^= 0x01;
         assert_rejected(&b, &format!("compressed flip at {pos}"));
+    }
+}
+
+/// Flips `mask` into byte `pos_seed % len` of section `slot` and
+/// re-seals the envelope, so the checksum passes and only the section
+/// decoders and the serving walks can see the damage.
+fn resealed_section_flip(bytes: &[u8], slot: usize, pos_seed: usize, mask: u8) -> Vec<u8> {
+    let (_, sections) = bundle_sections(bytes).expect("own bundle validates");
+    let sec = sections[slot].bytes;
+    let at = sec.as_ptr() as usize - bytes.as_ptr() as usize + pos_seed % sec.len();
+    let mut out = bytes[..bytes.len() - 4].to_vec();
+    out[at] ^= mask;
+    seal(&mut out);
+    out
+}
+
+/// Every request kind over pairs of the 7×7 grid.
+fn every_request() -> Vec<Request> {
+    // three sources to every vertex, so the routes cross most edges
+    let pairs: Vec<(NodeId, NodeId)> = [0, 24, 48]
+        .into_iter()
+        .flat_map(|u| (0..49).map(move |v| (NodeId(u), NodeId(v))))
+        .collect();
+    let (u, v) = (NodeId(3), NodeId(45));
+    vec![
+        Request::Ping,
+        Request::Stats,
+        Request::Query { u, v },
+        Request::QueryMany {
+            pairs: pairs.clone(),
+        },
+        Request::QueryPath { u, v },
+        Request::QueryPathMany {
+            pairs: pairs.clone(),
+        },
+        Request::Route { u, t: v },
+        Request::RouteMany { pairs },
+    ]
+}
+
+/// Opens a bundle with `open`; a bundle that opens must answer every
+/// request kind, where a typed `Response::Error` is an answer.
+fn open_and_serve<'a>(open: impl FnOnce() -> Result<LocationService<'a>, ServiceError>) {
+    // A section that fails its own decode is reported with that
+    // section's error type (`Oracle` for labels, `Routing` for tables),
+    // so any typed error is a rejection here.
+    if let Ok(svc) = open() {
+        for req in every_request() {
+            let _ = svc.handle(&req);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// A flipped section byte under a valid envelope never panics: both
+    /// loaders reject it with a typed error, or open it and answer
+    /// `handle` for every request kind.
+    #[test]
+    fn resealed_section_flips_never_panic(
+        compressed in any::<bool>(),
+        slot in 0usize..4,
+        pos_seed in any::<usize>(),
+        mask in 1u8..=255,
+    ) {
+        static BUNDLES: OnceLock<[Vec<u8>; 2]> = OnceLock::new();
+        let bundles = BUNDLES.get_or_init(|| [sealed_bundle(), sealed_compressed_bundle()]);
+        let bad = resealed_section_flip(&bundles[compressed as usize], slot, pos_seed, mask);
+        open_and_serve(|| LocationService::from_bytes(&bad));
+        let aligned = AlignedBytes::from_slice(&bad);
+        open_and_serve(|| LocationService::map_bytes(&aligned));
     }
 }

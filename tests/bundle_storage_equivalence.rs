@@ -1,5 +1,5 @@
 //! Borrowed-vs-owned equivalence for the full service surface: a
-//! `LocationService` mapped zero-copy from an aligned `psep-bundle/v2`
+//! `LocationService` mapped zero-copy from an aligned `psep-bundle/v3`
 //! must answer `query`, `query_path`, and `route` bit-identically to
 //! the owned service it was serialized from — sequentially and through
 //! every batch engine at 1, 2, and 4 worker threads.
@@ -12,7 +12,7 @@ use psep_testkit::random_pairs;
 
 const SEED: u64 = 20060722;
 
-/// Builds the owned service plus its sealed v2 bundle for one family.
+/// Builds the owned service plus its sealed raw bundle for one family.
 fn built(fam: Family, n: usize) -> (LocationService<'static>, Vec<u8>) {
     let g = fam.make(n, SEED);
     let svc = LocationService::build(&g, ServiceParams::default());

@@ -2,11 +2,11 @@
 //!
 //! Pins three CRC-32s per graph, at one and at four worker threads:
 //!
-//! * the `psep-tree/v1` encoding of
+//! * the tree-section encoding of
 //!   `DecompositionTree::build_with(&g, &AutoStrategy::default(), ..)`;
-//! * the `psep-labels/v1` encoding of the `ε = 0.25` oracle's labels
+//! * the delta labels-section encoding of the `ε = 0.25` oracle's labels
 //!   (`encode_labels`);
-//! * the `psep-routing/v1` encoding of the routing tables
+//! * the delta tables-section encoding of the routing tables
 //!   (`encode_tables`).
 //!
 //! The three graphs cover both routes through `AutoStrategy`:
@@ -70,7 +70,7 @@ fn grid_tree_is_pinned() {
     assert_golden(
         "grid 40x40",
         &grids::grid2d(40, 40, 1),
-        [0x0e8a_64d4, 0xfb49_c39e, 0x3c0d_96c5],
+        [0x238e_b3a2, 0x0d0e_fba4, 0x5e8f_7bfd],
     );
 }
 
@@ -79,7 +79,7 @@ fn triangulated_grid_tree_is_pinned() {
     assert_golden(
         "tri-grid 40x40",
         &planar_families::triangulated_grid(40, 40, 1),
-        [0xbc0a_edf3, 0xaa73_d7b7, 0xa3cd_adc8],
+        [0x1d93_0c1c, 0xc4f4_b952, 0x85b1_633a],
     );
 }
 
@@ -88,6 +88,6 @@ fn three_tree_is_pinned() {
     assert_golden(
         "3-tree n=2000",
         &ktree::random_k_tree(2000, 3, 1).graph,
-        [0x774b_8867, 0xc179_bda6, 0xface_31c4],
+        [0xc5fd_b1aa, 0x9d09_0413, 0xe446_032e],
     );
 }
