@@ -7,8 +7,7 @@
 //!   (the E1 upticks at `n = 4096` are a search-budget artifact);
 //! * **A2** — parallel label construction scaling;
 //! * **A3** — strategy ablation: dispatching vs per-family vs generic
-//!   engine;
-//! * **E6x** — locked-plan vs adaptive routing.
+//!   engine.
 
 use std::fmt::Write as _;
 
@@ -24,7 +23,6 @@ use psep_oracle::oracle::{build_oracle, OracleParams};
 use psep_oracle::thorup_zwick::ThorupZwickOracle;
 use psep_oracle::DistanceEstimator;
 use psep_planar::cycle::CycleSearch;
-use psep_routing::{Router, RoutingTables};
 
 use crate::families::Family;
 use crate::measure::{mean_micros, random_pairs, sample_stretch, timed};
@@ -195,42 +193,6 @@ pub fn a3_strategy_ablation(n: usize) -> String {
                 secs
             );
         }
-    }
-    out
-}
-
-/// E6x — locked-plan vs adaptive routing stretch.
-pub fn e6x_adaptive_routing(families: &[Family], n: usize) -> String {
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "| family | n | locked mean | locked max | adaptive mean | adaptive max |"
-    );
-    let _ = writeln!(out, "|---|---|---|---|---|---|");
-    for &fam in families {
-        let g = fam.make(n, SEED);
-        let strat = fam.strategy();
-        let tree = DecompositionTree::build(&g, strat.as_ref());
-        let router = Router::new(&g, RoutingTables::build(&g, &tree));
-        let labels: Vec<_> = g.nodes().map(|v| router.label(v)).collect();
-        let locked = sample_stretch(&g, 24, 32, SEED ^ 13, |u, v| {
-            router.route(u, v, &labels[v.index()]).map(|o| o.cost)
-        });
-        let adaptive = sample_stretch(&g, 24, 32, SEED ^ 13, |u, v| {
-            router
-                .route_adaptive(u, v, &labels[v.index()])
-                .map(|o| o.cost)
-        });
-        let _ = writeln!(
-            out,
-            "| {} | {} | {:.4} | {:.4} | {:.4} | {:.4} |",
-            fam.name(),
-            g.num_nodes(),
-            locked.mean,
-            locked.max,
-            adaptive.mean,
-            adaptive.max
-        );
     }
     out
 }

@@ -13,9 +13,9 @@
 //! (counters, gauges, latency/size histograms, per-phase span timings
 //! from `psep-obs`) wrapped in a CRC'd `psep-metrics/v1` envelope, and
 //! the rendered markdown table. Counters are reset between experiments,
-//! so each snapshot is that experiment's own traffic. Per-worker
-//! `*.workerNN.*` series are rolled up into aggregates; pass `--detail`
-//! to keep the raw per-worker series as well.
+//! so each snapshot is that experiment's own traffic. Every metric name
+//! is fixed: sharded stages publish one per-run total per name, never a
+//! per-worker series.
 
 use psep_bench::ablations as ab;
 use psep_bench::experiments as ex;
@@ -27,7 +27,6 @@ use psep_bench::report::{render_report, ExperimentReport};
 struct Args {
     quick: bool,
     large: bool,
-    detail: bool,
     names: Vec<String>,
     json_path: Option<String>,
 }
@@ -36,7 +35,6 @@ fn parse_args() -> Args {
     let mut args = Args {
         quick: false,
         large: false,
-        detail: false,
         names: Vec::new(),
         json_path: None,
     };
@@ -45,7 +43,6 @@ fn parse_args() -> Args {
         match a.as_str() {
             "quick" => args.quick = true,
             "large" => args.large = true,
-            "--detail" => args.detail = true,
             "--json" => {
                 let Some(path) = it.next() else {
                     eprintln!("--json requires a file path");
@@ -255,16 +252,6 @@ fn main() {
             }),
         ),
         (
-            "e6x",
-            "E6x — locked-plan vs adaptive routing",
-            Box::new(move || {
-                ab::e6x_adaptive_routing(
-                    &[Family::Grid, Family::Apollonian],
-                    if quick { 400 } else { 1600 },
-                )
-            }),
-        ),
-        (
             "a1",
             "A1 — fundamental-cycle candidate budget ablation",
             Box::new(move || ab::a1_candidate_budget(if quick { 1024 } else { 4096 })),
@@ -304,13 +291,7 @@ fn main() {
             name: name.to_string(),
             title: title.to_string(),
             wall_s,
-            // Per-worker series are rolled up into aggregates by default;
-            // `--detail` keeps the raw `*.workerNN.*` series alongside.
-            snapshot: if args.detail {
-                psep_obs::snapshot_detailed()
-            } else {
-                psep_obs::snapshot()
-            },
+            snapshot: psep_obs::snapshot(),
             table,
         });
     }

@@ -9,13 +9,12 @@
 //! the context chain that labels, routing tables, and the small-world
 //! augmentation distribution are built over.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-
 use psep_graph::components::components;
 use psep_graph::csr::CsrGraph;
 use psep_graph::graph::{Graph, NodeId, Weight};
 use psep_graph::view::{NodeMask, SubgraphView};
 
+use crate::exec::{ShardObs, ShardedRunner};
 use crate::separator::{PathGroup, PathSeparator, SepPath};
 use crate::strategy::SeparatorStrategy;
 use crate::wire::{put_varint, put_zigzag, Cursor, WireError};
@@ -34,6 +33,15 @@ pub fn available_threads() -> usize {
     }
     std::thread::available_parallelism().map_or(1, |p| p.get())
 }
+
+/// Metric names for the decomposition waves: components expanded and
+/// their summed vertices.
+const BUILD_OBS: ShardObs = ShardObs {
+    prefix: "core.build",
+    items: "components",
+    units: "vertices",
+    hist: None,
+};
 
 /// Construction parameters for [`DecompositionTree::build_with`].
 #[derive(Clone, Copy, Debug)]
@@ -163,16 +171,14 @@ impl DecompositionTree {
 
     /// Builds the decomposition tree with `params.threads` workers.
     ///
-    /// The result is **bit-identical** to [`Self::build`] at every
-    /// thread count: after a separator is removed, sibling components
-    /// are independent, so each frontier wave fans its
-    /// `strategy.separate` calls (the dominant cost) across
-    /// `std::thread::scope` workers; the node numbering — the only
+    /// The result is **bit-identical** at every thread count: after a
+    /// separator is removed, sibling components are independent, so each
+    /// frontier wave fans its `strategy.separate` calls (the dominant
+    /// cost) out on a [`ShardedRunner`]; the node numbering — the only
     /// order-sensitive part — is then produced by a sequential replay of
-    /// the exact depth-first stack discipline of the sequential build,
-    /// consuming the precomputed separators. The equivalence suite
-    /// compares tree-section bytes across thread counts to lock
-    /// this down.
+    /// a depth-first LIFO stack over the prepared components, consuming
+    /// the precomputed separators. The equivalence suite compares
+    /// tree-section bytes across thread counts to lock this down.
     ///
     /// # Panics
     ///
@@ -185,170 +191,87 @@ impl DecompositionTree {
     ) -> Self {
         let _span = psep_obs::span!("decomp_build");
         let n = g.num_nodes();
-        let mut nodes: Vec<DecompNode> = Vec::new();
-        let mut home = vec![u32::MAX; n];
-        let mut removal_group = vec![u32::MAX; n];
-        // per-level wall time: summed expansions (sequential) or wave
-        // wall time (parallel, where wave index == depth); published as
+        let runner = ShardedRunner::new(params.threads.max(1));
+        let mut scratches = vec![(); runner.threads()];
+
+        // Phase 1 — wave-parallel expansion. The *set* of components
+        // (and each component's separator) is independent of traversal
+        // order, so every frontier wave runs on the sharded runner.
+        struct Prep {
+            comp: Vec<NodeId>,
+            sep: Option<PathSeparator>,
+            children: Vec<usize>,
+        }
+        let mut preps: Vec<Prep> = components(g)
+            .into_iter()
+            .map(|c| Prep {
+                comp: c,
+                sep: None,
+                children: Vec::new(),
+            })
+            .collect();
+        let num_roots = preps.len();
+        let mut wave: Vec<usize> = (0..num_roots).collect();
+        // wall time per wave (wave index == depth), published as
         // `core.build.levelNN.build_ns` gauges below
         let mut level_ns: Vec<u128> = Vec::new();
-        let bump_level = |level_ns: &mut Vec<u128>, depth: usize, ns: u128| {
-            if level_ns.len() <= depth {
-                level_ns.resize(depth + 1, 0);
-            }
-            level_ns[depth] += ns;
-        };
-
-        if params.threads <= 1 {
-            // sequential: expand and assemble in one depth-first pass
-            let mut work: Vec<(Option<usize>, usize, Vec<NodeId>)> = components(g)
-                .into_iter()
-                .map(|c| (None, 0usize, c))
-                .collect();
-            while let Some((parent, depth, comp)) = work.pop() {
+        while !wave.is_empty() {
+            let t_wave = psep_obs::now_if_enabled();
+            let (results, _) = runner.run(&wave, Some(&BUILD_OBS), &mut scratches, |_, &idx| {
+                let comp = &preps[idx].comp;
                 let t0 = psep_obs::now_if_enabled();
-                let (sep, child_comps) = expand_component(g, strategy, &comp, n);
+                let expanded = expand_component(g, strategy, comp, n);
                 if let Some(t0) = t0 {
-                    let elapsed = t0.elapsed().as_nanos();
-                    psep_obs::histogram!("core.build.expand_ns")
-                        .record(elapsed.min(u64::MAX as u128) as u64);
-                    bump_level(&mut level_ns, depth, elapsed);
+                    psep_obs::histogram!("core.build.expand_ns").record_elapsed(t0);
                 }
-                let node_idx = nodes.len();
-                record_homes(&sep, node_idx, &mut home, &mut removal_group);
+                (expanded, comp.len() as u64)
+            });
+            let mut next = Vec::new();
+            for (&idx, (sep, child_comps)) in wave.iter().zip(results) {
+                preps[idx].sep = Some(sep);
                 for cc in child_comps {
-                    work.push((Some(node_idx), depth + 1, cc));
-                }
-                if let Some(p) = parent {
-                    nodes[p].children.push(node_idx);
-                }
-                nodes.push(DecompNode {
-                    parent,
-                    depth,
-                    vertices: comp,
-                    separator: sep,
-                    children: Vec::new(),
-                });
-            }
-        } else {
-            // Phase 1 — wave-parallel expansion. The *set* of components
-            // (and each component's separator) is independent of
-            // traversal order, so every frontier wave fans out across
-            // workers claiming slots from a shared cursor.
-            struct Prep {
-                comp: Vec<NodeId>,
-                sep: Option<PathSeparator>,
-                children: Vec<usize>,
-            }
-            let mut preps: Vec<Prep> = components(g)
-                .into_iter()
-                .map(|c| Prep {
-                    comp: c,
-                    sep: None,
-                    children: Vec::new(),
-                })
-                .collect();
-            let num_roots = preps.len();
-            let mut wave: Vec<usize> = (0..num_roots).collect();
-            let mut wave_depth = 0usize;
-            while !wave.is_empty() {
-                let t_wave = psep_obs::now_if_enabled();
-                let workers = params.threads.min(wave.len());
-                let mut results: Vec<Option<(PathSeparator, Vec<Vec<NodeId>>)>> =
-                    (0..wave.len()).map(|_| None).collect();
-                if workers <= 1 {
-                    for (slot, &idx) in wave.iter().enumerate() {
-                        let t0 = psep_obs::now_if_enabled();
-                        results[slot] = Some(expand_component(g, strategy, &preps[idx].comp, n));
-                        if let Some(t0) = t0 {
-                            psep_obs::histogram!("core.build.expand_ns").record_elapsed(t0);
-                        }
-                    }
-                } else {
-                    let cursor = AtomicUsize::new(0);
-                    let (preps_ref, wave_ref) = (&preps, &wave);
-                    std::thread::scope(|s| {
-                        let handles: Vec<_> = (0..workers)
-                            .map(|_| {
-                                s.spawn(|| {
-                                    let mut local = Vec::new();
-                                    let (mut comps, mut verts) = (0u64, 0u64);
-                                    loop {
-                                        let slot = cursor.fetch_add(1, Ordering::Relaxed);
-                                        if slot >= wave_ref.len() {
-                                            break;
-                                        }
-                                        let comp = &preps_ref[wave_ref[slot]].comp;
-                                        comps += 1;
-                                        verts += comp.len() as u64;
-                                        let t0 = psep_obs::now_if_enabled();
-                                        local.push((slot, expand_component(g, strategy, comp, n)));
-                                        if let Some(t0) = t0 {
-                                            psep_obs::histogram!("core.build.expand_ns")
-                                                .record_elapsed(t0);
-                                        }
-                                    }
-                                    (local, comps, verts)
-                                })
-                            })
-                            .collect();
-                        for (w, h) in handles.into_iter().enumerate() {
-                            let (local, comps, verts) =
-                                h.join().expect("decomposition worker panicked");
-                            record_build_worker(w, comps, verts);
-                            for (slot, res) in local {
-                                results[slot] = Some(res);
-                            }
-                        }
+                    let ci = preps.len();
+                    preps.push(Prep {
+                        comp: cc,
+                        sep: None,
+                        children: Vec::new(),
                     });
+                    preps[idx].children.push(ci);
+                    next.push(ci);
                 }
-                let mut next = Vec::new();
-                for (slot, &idx) in wave.iter().enumerate() {
-                    let (sep, child_comps) = results[slot].take().expect("unclaimed wave slot");
-                    preps[idx].sep = Some(sep);
-                    for cc in child_comps {
-                        let ci = preps.len();
-                        preps.push(Prep {
-                            comp: cc,
-                            sep: None,
-                            children: Vec::new(),
-                        });
-                        preps[idx].children.push(ci);
-                        next.push(ci);
-                    }
-                }
-                if let Some(t0) = t_wave {
-                    bump_level(&mut level_ns, wave_depth, t0.elapsed().as_nanos());
-                }
-                wave_depth += 1;
-                wave = next;
             }
+            if let Some(t0) = t_wave {
+                level_ns.push(t0.elapsed().as_nanos());
+            }
+            wave = next;
+        }
 
-            // Phase 2 — sequential replay of the sequential build's
-            // exact LIFO stack discipline over the prepared components,
-            // so the nodes vector (hence the wire encoding) comes out
-            // bit-identical.
-            let mut work: Vec<(Option<usize>, usize, usize)> =
-                (0..num_roots).map(|i| (None, 0usize, i)).collect();
-            while let Some((parent, depth, pi)) = work.pop() {
-                let node_idx = nodes.len();
-                let comp = std::mem::take(&mut preps[pi].comp);
-                let sep = preps[pi].sep.take().expect("separator missing for prep");
-                record_homes(&sep, node_idx, &mut home, &mut removal_group);
-                for &ci in &preps[pi].children {
-                    work.push((Some(node_idx), depth + 1, ci));
-                }
-                if let Some(p) = parent {
-                    nodes[p].children.push(node_idx);
-                }
-                nodes.push(DecompNode {
-                    parent,
-                    depth,
-                    vertices: comp,
-                    separator: sep,
-                    children: Vec::new(),
-                });
+        // Phase 2 — sequential replay of the depth-first LIFO stack
+        // discipline over the prepared components, so the nodes vector
+        // (hence the wire encoding) never depends on the claim schedule.
+        let mut nodes: Vec<DecompNode> = Vec::with_capacity(preps.len());
+        let mut home = vec![u32::MAX; n];
+        let mut removal_group = vec![u32::MAX; n];
+        let mut work: Vec<(Option<usize>, usize, usize)> =
+            (0..num_roots).map(|i| (None, 0usize, i)).collect();
+        while let Some((parent, depth, pi)) = work.pop() {
+            let node_idx = nodes.len();
+            let comp = std::mem::take(&mut preps[pi].comp);
+            let sep = preps[pi].sep.take().expect("separator missing for prep");
+            record_homes(&sep, node_idx, &mut home, &mut removal_group);
+            for &ci in &preps[pi].children {
+                work.push((Some(node_idx), depth + 1, ci));
             }
+            if let Some(p) = parent {
+                nodes[p].children.push(node_idx);
+            }
+            nodes.push(DecompNode {
+                parent,
+                depth,
+                vertices: comp,
+                separator: sep,
+                children: Vec::new(),
+            });
         }
 
         for (level, ns) in level_ns.iter().enumerate() {
@@ -771,15 +694,6 @@ fn record_homes(sep: &PathSeparator, node_idx: usize, home: &mut [u32], removal_
                 // keep the earliest group index
             }
         }
-    }
-}
-
-/// Publishes one build worker's aggregated counters (mirrors the batch
-/// engine's `oracle.batch.workerNN.*` rollup).
-fn record_build_worker(worker: usize, components: u64, vertices: u64) {
-    if psep_obs::enabled() {
-        psep_obs::counter(&format!("core.build.worker{worker:02}.components")).add(components);
-        psep_obs::counter(&format!("core.build.worker{worker:02}.vertices")).add(vertices);
     }
 }
 

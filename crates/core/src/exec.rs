@@ -1,105 +1,98 @@
 //! Sharded parallel execution — the workspace's one worker pattern.
 //!
-//! Every parallel surface in the workspace has the same shape: a list of
+//! Every parallel stage in the workspace has the same shape: a list of
 //! independent work items fans out across `std::thread::scope` workers,
-//! each worker owns a reusable scratch arena, per-worker progress is
-//! published as `<prefix>.workerNN.*` obs counters, and the results are
+//! each worker owns a reusable scratch arena, and the results are
 //! stitched back **in input order** so the parallel run is bit-identical
 //! to a sequential loop. [`ShardedRunner`] is that pattern extracted
-//! once: oracle batch queries, oracle label construction, routing-table
-//! construction, batch routing, and the small-world builds all run on
-//! it instead of hand-rolling the scope/claim/merge dance.
+//! once: the decomposition waves, oracle label construction, the
+//! doubling oracle's label build, routing-table construction, batch
+//! queries and batch paths, batch routing, and the small-world builds
+//! all run on it, at every thread count.
 //!
 //! Work is claimed from an atomic cursor in blocks of
 //! [`ShardedRunner::min_chunk`] items, so stragglers cannot serialize a
 //! run the way fixed pre-chunking can; because results are placed by
-//! input index, the claim schedule can never leak into the output.
+//! input index, the claim schedule can never leak into the output. A
+//! one-worker run is the same claim loop on the calling thread, taking
+//! every item in one block.
+//!
+//! A run given a [`ShardObs`] publishes fixed metric names once per
+//! run: each worker tallies its items, units and per-item distributions
+//! privately, and the runner folds the tallies into the one
+//! `<prefix>.<name>` aggregate after the workers join. Counter totals
+//! and the units distribution are therefore identical at every thread
+//! count, and no shared atomic is touched per item.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
+use psep_obs::HistogramStat;
+
 use crate::decomposition::available_threads;
 
-/// Obs counter naming for a sharded run: workers publish
-/// `<prefix>.workerNN.<items>` (items processed) and
-/// `<prefix>.workerNN.<units>` (domain-specific work units, e.g.
-/// candidates scanned or vertices reached).
+/// Metric naming for a sharded run: the runner adds the run's item
+/// count to the `<prefix>.<items>` counter and its summed work units
+/// (e.g. candidates scanned or vertices reached) to `<prefix>.<units>`.
 #[derive(Clone, Copy, Debug)]
 pub struct ShardObs {
-    /// Counter prefix, e.g. `"oracle.batch"`.
+    /// Metric prefix, e.g. `"oracle.batch"`.
     pub prefix: &'static str,
-    /// Per-worker item counter suffix, e.g. `"pairs"`.
+    /// Item counter suffix, e.g. `"pairs"`.
     pub items: &'static str,
-    /// Per-worker unit counter suffix, e.g. `"candidates"`.
+    /// Work-unit counter suffix, e.g. `"candidates_scanned"`.
     pub units: &'static str,
+    /// Per-item distributions: `Some(name)` also records each item's
+    /// work units into the `<prefix>.<name>` histogram and its wall time
+    /// into `<prefix>.latency_ns`. Histogram merge is order-independent,
+    /// so the units distribution is identical at every thread count.
+    pub hist: Option<&'static str>,
 }
 
 impl ShardObs {
-    /// Publishes one worker's aggregated counters (no-op unless obs is
-    /// enabled at runtime).
-    pub fn record(&self, worker: usize, items: u64, units: u64) {
+    /// Folds one run's totals and the workers' private distributions
+    /// into the shared metrics (no-op unless obs is enabled at runtime).
+    fn publish(&self, items: usize, units: u64, tallies: &[Tally]) {
         if !psep_obs::enabled() {
             return;
         }
-        psep_obs::counter(&format!("{}.worker{worker:02}.{}", self.prefix, self.items)).add(items);
-        psep_obs::counter(&format!("{}.worker{worker:02}.{}", self.prefix, self.units)).add(units);
-    }
-
-    /// Per-worker distribution handles for one sharded run:
-    /// `<prefix>.workerNN.<units>` (work units per item) and
-    /// `<prefix>.workerNN.latency_ns` (wall time per item). Snapshots
-    /// roll these up into `<prefix>.<units>` / `<prefix>.latency_ns`
-    /// ([`psep_obs::Snapshot::rollup_workers`]); because histogram merge
-    /// is order-independent, the rolled-up distributions are identical
-    /// at every thread count.
-    pub fn worker_hists(&self, worker: usize) -> WorkerHists {
-        if !psep_obs::enabled() {
-            return WorkerHists {
-                units: None,
-                latency: None,
-            };
-        }
-        WorkerHists {
-            units: Some(psep_obs::histogram(&format!(
-                "{}.worker{worker:02}.{}",
-                self.prefix, self.units
-            ))),
-            latency: Some(psep_obs::histogram(&format!(
-                "{}.worker{worker:02}.latency_ns",
-                self.prefix
-            ))),
+        let name = |suffix: &str| format!("{}.{suffix}", self.prefix);
+        psep_obs::counter(&name(self.items)).add(items as u64);
+        psep_obs::counter(&name(self.units)).add(units);
+        if let Some(hist) = self.hist {
+            let (units_h, latency_h) = (
+                psep_obs::histogram(&name(hist)),
+                psep_obs::histogram(&name("latency_ns")),
+            );
+            for tally in tallies {
+                units_h.merge(&tally.units);
+                latency_h.merge(&tally.latency);
+            }
         }
     }
 }
 
-/// Histogram handles held by one sharded worker (see
-/// [`ShardObs::worker_hists`]); `None` inside when recording is
-/// disabled, making construction and recording free.
-#[derive(Clone, Copy, Debug)]
-pub struct WorkerHists {
-    units: Option<&'static psep_obs::Histogram>,
-    latency: Option<&'static psep_obs::Histogram>,
+/// One worker's private per-item distributions for a run whose
+/// [`ShardObs::hist`] is set (empty otherwise).
+#[derive(Default)]
+struct Tally {
+    units: HistogramStat,
+    latency: HistogramStat,
 }
 
-impl WorkerHists {
-    /// Records one item's work units and, when `start` came from
-    /// [`psep_obs::now_if_enabled`], its wall time.
-    #[inline]
-    pub fn record(&self, units: u64, start: Option<std::time::Instant>) {
-        if let Some(h) = self.units {
-            h.record(units);
-        }
-        if let (Some(h), Some(t0)) = (self.latency, start) {
-            h.record_elapsed(t0);
-        }
-    }
+/// What one worker hands back: its claimed blocks as
+/// `(first item index, results)`, its summed units, and its tally.
+struct Shard<T> {
+    blocks: Vec<(usize, Vec<T>)>,
+    units: u64,
+    tally: Tally,
 }
 
 /// A reusable sharded executor with a fixed thread budget.
 ///
 /// The work function maps one item to `(result, units)`; [`run`] returns
 /// all results in input order plus the summed units, identically at
-/// every thread count. `threads == 1` (or a single-item list) is the
-/// pure sequential path — no threads are spawned.
+/// every thread count. A run that gets one worker (`threads == 1`, a
+/// single scratch, or fewer than two blocks of items) spawns no thread.
 ///
 /// [`run`]: ShardedRunner::run
 #[derive(Clone, Copy, Debug)]
@@ -170,75 +163,78 @@ impl ShardedRunner {
     {
         assert!(!scratches.is_empty(), "ShardedRunner needs >= 1 scratch");
         let workers = self.worker_count(items.len()).min(scratches.len());
-        if workers <= 1 {
-            let scratch = &mut scratches[0];
-            let mut units = 0u64;
-            let out: Vec<T> = items
-                .iter()
-                .map(|item| {
-                    let (t, u) = work(scratch, item);
-                    units += u;
-                    t
-                })
-                .collect();
-            if let Some(o) = obs {
-                o.record(0, items.len() as u64, units);
-            }
-            return (out, units);
-        }
-        let block = self.min_chunk;
+        let block = if workers == 1 {
+            items.len().max(1)
+        } else {
+            self.min_chunk
+        };
+        let timed = obs.is_some_and(|o| o.hist.is_some()) && psep_obs::enabled();
         let cursor = AtomicUsize::new(0);
-        let mut slots: Vec<Option<T>> = Vec::with_capacity(items.len());
-        slots.resize_with(items.len(), || None);
-        let mut total_units = 0u64;
-        std::thread::scope(|s| {
-            let (cursor_ref, work_ref) = (&cursor, &work);
-            let handles: Vec<_> = scratches
-                .iter_mut()
-                .take(workers)
-                .map(|scratch| {
-                    s.spawn(move || {
-                        let mut claimed: Vec<(usize, Vec<T>)> = Vec::new();
-                        let (mut count, mut units) = (0u64, 0u64);
-                        loop {
-                            let start = cursor_ref.fetch_add(block, Ordering::Relaxed);
-                            if start >= items.len() {
-                                break;
-                            }
-                            let end = items.len().min(start + block);
-                            let out: Vec<T> = items[start..end]
-                                .iter()
-                                .map(|item| {
-                                    let (t, u) = work_ref(scratch, item);
-                                    units += u;
-                                    t
-                                })
-                                .collect();
-                            count += (end - start) as u64;
-                            claimed.push((start, out));
+        let drain = |scratch: &mut S| {
+            let mut shard = Shard {
+                blocks: Vec::new(),
+                units: 0,
+                tally: Tally::default(),
+            };
+            loop {
+                let start = cursor.fetch_add(block, Ordering::Relaxed);
+                if start >= items.len() {
+                    break;
+                }
+                let end = items.len().min(start + block);
+                let out: Vec<T> = items[start..end]
+                    .iter()
+                    .map(|item| {
+                        let t0 = timed.then(std::time::Instant::now);
+                        let (t, u) = work(scratch, item);
+                        shard.units += u;
+                        if let Some(t0) = t0 {
+                            shard.tally.units.record(u);
+                            let ns = t0.elapsed().as_nanos();
+                            shard.tally.latency.record(ns.min(u64::MAX as u128) as u64);
                         }
-                        (claimed, count, units)
+                        t
                     })
-                })
-                .collect();
-            for (wi, handle) in handles.into_iter().enumerate() {
-                let (claimed, count, units) = handle.join().expect("sharded worker panicked");
-                if let Some(o) = obs {
-                    o.record(wi, count, units);
-                }
-                total_units += units;
-                for (start, out) in claimed {
-                    for (offset, t) in out.into_iter().enumerate() {
-                        slots[start + offset] = Some(t);
-                    }
-                }
+                    .collect();
+                shard.blocks.push((start, out));
             }
-        });
-        let results = slots
-            .into_iter()
-            .map(|t| t.expect("unclaimed work item"))
-            .collect();
-        (results, total_units)
+            shard
+        };
+        let shards: Vec<Shard<T>> = if workers == 1 {
+            vec![drain(&mut scratches[0])]
+        } else {
+            let drain = &drain;
+            std::thread::scope(|s| {
+                let handles: Vec<_> = scratches
+                    .iter_mut()
+                    .take(workers)
+                    .map(|scratch| s.spawn(move || drain(scratch)))
+                    .collect();
+                handles
+                    .into_iter()
+                    .map(|h| h.join().expect("sharded worker panicked"))
+                    .collect()
+            })
+        };
+        let mut blocks = Vec::new();
+        let mut tallies = Vec::with_capacity(shards.len());
+        let mut units = 0u64;
+        for shard in shards {
+            units += shard.units;
+            blocks.extend(shard.blocks);
+            tallies.push(shard.tally);
+        }
+        if let Some(o) = obs {
+            o.publish(items.len(), units, &tallies);
+        }
+        // blocks are disjoint and cover every item: ordering them by
+        // their first index restores input order
+        blocks.sort_unstable_by_key(|&(start, _)| start);
+        let mut results = Vec::with_capacity(items.len());
+        for (_, out) in blocks {
+            results.extend(out);
+        }
+        (results, units)
     }
 }
 

@@ -7,10 +7,10 @@
 //! buckets, so a live histogram is one flat array of atomic counters.
 //!
 //! Bucket counts are plain sums, which makes [`HistogramStat::merge`]
-//! commutative and associative — per-worker histograms recorded under a
-//! [`ShardedRunner`](../psep_core/exec) roll up to the same merged
-//! histogram regardless of thread count or interleaving, as long as the
-//! multiset of recorded values is the same.
+//! commutative and associative — the private per-worker tallies of a
+//! sharded run fold into the same histogram regardless of thread count
+//! or interleaving, as long as the multiset of recorded values is the
+//! same.
 
 /// log2 of the number of sub-buckets per power-of-two segment.
 pub const SUB_BITS: u32 = 4;

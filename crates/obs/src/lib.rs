@@ -14,11 +14,13 @@
 //!   aggregated into count/total/max per path;
 //! * [`histogram!`] — lock-free log-linear-bucketed distributions
 //!   (per-query latency, candidates scanned, hop counts) with exact
-//!   count/sum/min/max and bounded-error p50–p999 quantiles; per-worker
-//!   histograms merge bit-identically at snapshot time regardless of
-//!   thread count ([`Snapshot::rollup_workers`]);
+//!   count/sum/min/max and bounded-error p50–p999 quantiles; a worker
+//!   can tally values privately in a [`HistogramStat`] and fold them in
+//!   once with `Histogram::merge`, bit-identically at every thread count;
 //! * [`snapshot`] — a point-in-time [`Snapshot`] of everything, with a
-//!   hand-rolled JSON renderer and an NDJSON line emitter.
+//!   hand-rolled JSON renderer and an NDJSON line emitter. A snapshot
+//!   reports the registry as recorded: parallel stages publish one
+//!   total per fixed name, so there is no per-worker series to roll up.
 //!
 //! # Cost model
 //!
@@ -112,70 +114,6 @@ impl Snapshot {
             h.buckets.sort_by_key(|&(i, _)| i);
         }
         self.spans.sort_by(|a, b| a.path.cmp(&b.path));
-    }
-
-    /// Rolls per-worker `<prefix>.workerNN.<suffix>` counters and
-    /// histograms up into `<prefix>.<suffix>` aggregates. Counter
-    /// aggregates are inserted only when the aggregate name is not
-    /// already published (the batch engines publish their own totals);
-    /// histogram aggregates merge into any existing histogram of that
-    /// name. When `keep_detail` is false the per-worker series are
-    /// removed afterwards. Because histogram merge is commutative and
-    /// associative, the rolled-up snapshot is identical at every
-    /// thread count for the same multiset of recorded values.
-    pub fn rollup_workers(&mut self, keep_detail: bool) {
-        fn aggregate_name(name: &str) -> Option<String> {
-            let pos = name.find(".worker")?;
-            let rest = &name[pos + ".worker".len()..];
-            let digits = rest.bytes().take_while(|b| b.is_ascii_digit()).count();
-            if digits == 0 || !rest[digits..].starts_with('.') {
-                return None;
-            }
-            Some(format!("{}{}", &name[..pos], &rest[digits..]))
-        }
-
-        let mut counter_sums: Vec<(String, u64)> = Vec::new();
-        for (name, value) in &self.counters {
-            if let Some(agg) = aggregate_name(name) {
-                match counter_sums.iter_mut().find(|(n, _)| *n == agg) {
-                    Some((_, v)) => *v += value,
-                    None => counter_sums.push((agg, *value)),
-                }
-            }
-        }
-        for (agg, sum) in counter_sums {
-            if self.counter(&agg).is_none() {
-                self.counters.push((agg, sum));
-            }
-        }
-
-        let mut hist_merges: Vec<HistogramStat> = Vec::new();
-        for h in &self.histograms {
-            if let Some(agg) = aggregate_name(&h.name) {
-                match hist_merges.iter_mut().find(|m| m.name == agg) {
-                    Some(m) => m.merge(h),
-                    None => {
-                        let mut m = h.clone();
-                        m.name = agg;
-                        hist_merges.push(m);
-                    }
-                }
-            }
-        }
-        for merged in hist_merges {
-            match self.histograms.iter_mut().find(|h| h.name == merged.name) {
-                Some(existing) => existing.merge(&merged),
-                None => self.histograms.push(merged),
-            }
-        }
-
-        if !keep_detail {
-            self.counters.retain(|(n, _)| aggregate_name(n).is_none());
-            self.gauges.retain(|(n, _)| aggregate_name(n).is_none());
-            self.histograms
-                .retain(|h| aggregate_name(&h.name).is_none());
-        }
-        self.normalize();
     }
 
     /// Renders the snapshot as one JSON object:

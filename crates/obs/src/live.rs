@@ -166,6 +166,22 @@ impl Histogram {
         self.record(start.elapsed().as_nanos().min(u64::MAX as u128) as u64);
     }
 
+    /// Folds a privately tallied [`HistogramStat`] in if recording is
+    /// enabled: one atomic add per non-empty bucket, so a worker touches
+    /// the shared histogram once per run instead of once per value.
+    pub fn merge(&self, stat: &HistogramStat) {
+        if !enabled() || stat.count == 0 {
+            return;
+        }
+        for &(i, n) in &stat.buckets {
+            self.buckets[i as usize].fetch_add(n, Ordering::Relaxed);
+        }
+        self.count.fetch_add(stat.count, Ordering::Relaxed);
+        self.sum.fetch_add(stat.sum, Ordering::Relaxed);
+        self.min.fetch_min(stat.min, Ordering::Relaxed);
+        self.max.fetch_max(stat.max, Ordering::Relaxed);
+    }
+
     /// Number of recorded values.
     pub fn count(&self) -> u64 {
         self.count.load(Ordering::Relaxed)
@@ -337,26 +353,11 @@ pub fn reset() {
     reg.spans.lock().unwrap().clear();
 }
 
-/// Takes a sorted point-in-time copy of every metric with per-worker
-/// `*.workerNN.*` series rolled up into aggregates and dropped
-/// ([`Snapshot::rollup_workers`]). Zero-valued counters, gauges, and
-/// histograms are skipped (they carry no information and would bloat
-/// reports with every name ever registered).
+/// Takes a point-in-time copy of every metric, sorted by name.
+/// Zero-valued counters, gauges, and histograms are skipped (they carry
+/// no information and would bloat reports with every name ever
+/// registered).
 pub fn snapshot() -> Snapshot {
-    let mut snap = snapshot_raw();
-    snap.rollup_workers(false);
-    snap
-}
-
-/// Like [`snapshot`] but keeps the per-worker `*.workerNN.*` series
-/// alongside the rolled-up aggregates (the harness `--detail` flag).
-pub fn snapshot_detailed() -> Snapshot {
-    let mut snap = snapshot_raw();
-    snap.rollup_workers(true);
-    snap
-}
-
-fn snapshot_raw() -> Snapshot {
     let reg = registry();
     let counters = reg
         .counters

@@ -77,6 +77,10 @@ impl Histogram {
     #[inline(always)]
     pub fn record_elapsed(&self, _start: std::time::Instant) {}
 
+    /// No-op.
+    #[inline(always)]
+    pub fn merge(&self, _stat: &crate::HistogramStat) {}
+
     /// Always 0.
     #[inline(always)]
     pub fn count(&self) -> u64 {
@@ -139,12 +143,6 @@ pub fn reset() {}
 /// Always an empty snapshot.
 #[inline(always)]
 pub fn snapshot() -> Snapshot {
-    Snapshot::default()
-}
-
-/// Always an empty snapshot.
-#[inline(always)]
-pub fn snapshot_detailed() -> Snapshot {
     Snapshot::default()
 }
 

@@ -1,5 +1,5 @@
 //! Live (feature-on) histogram behavior: concurrent lock-free
-//! recording, registry snapshots, worker rollup, and reset.
+//! recording, registry snapshots, folding private tallies, and reset.
 //!
 //! Kept as a single test function in its own binary so no other test
 //! can pollute the process-global obs registry.
@@ -38,26 +38,18 @@ fn live_histograms_record_snapshot_and_reset() {
     psep_obs::set_enabled(true);
     assert_eq!(h.count(), 4000);
 
-    // per-worker histograms roll up in the default snapshot …
-    for (w, values) in [(0u64, [10u64, 20]), (1, [30, 40])] {
-        let wh = psep_obs::histogram(&format!("live.pool.worker{w:02}.lat"));
-        for v in values {
-            wh.record(v);
-        }
-    }
-    let snap = psep_obs::snapshot();
-    let mut expected = HistogramStat::new("live.pool.lat");
+    // a privately tallied stat folds in as if recorded directly
+    let mut tally = HistogramStat::default();
     for v in [10u64, 20, 30, 40] {
-        expected.record(v);
+        tally.record(v);
     }
-    assert_eq!(snap.histogram("live.pool.lat"), Some(&expected));
-    assert!(snap.histogram("live.pool.worker00.lat").is_none());
+    let pool = psep_obs::histogram("live.pool.lat");
+    pool.merge(&tally);
+    pool.merge(&HistogramStat::default());
+    tally.name = "live.pool.lat".into();
+    let snap = psep_obs::snapshot();
+    assert_eq!(snap.histogram("live.pool.lat"), Some(&tally));
     assert!(snap.histogram("live.concurrent").is_some());
-
-    // … and are preserved by the detailed snapshot
-    let detailed = psep_obs::snapshot_detailed();
-    assert!(detailed.histogram("live.pool.worker00.lat").is_some());
-    assert_eq!(detailed.histogram("live.pool.lat"), Some(&expected));
 
     // the histogram! macro caches a handle onto the same registry entry
     let m = psep_obs::histogram!("live.macro");

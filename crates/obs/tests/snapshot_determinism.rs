@@ -1,7 +1,6 @@
-//! Byte-stability of snapshot rendering and correctness of the
-//! per-worker rollup. These operate on [`Snapshot`] values directly
-//! (shared between live and no-op builds), so they run with or without
-//! the `obs` feature.
+//! Byte-stability of snapshot rendering. These operate on [`Snapshot`]
+//! values directly (shared between live and no-op builds), so they run
+//! with or without the `obs` feature.
 
 use psep_obs::{HistogramStat, Snapshot, SpanStat};
 
@@ -80,79 +79,4 @@ fn json_shape_includes_histograms_section() {
     assert!(json.contains(r#""histograms":[{"name":"x.lat""#), "{json}");
     assert!(json.contains(r#""p50":"#));
     assert!(json.contains(r#""buckets":[["#));
-}
-
-#[test]
-fn rollup_sums_worker_counters_and_merges_worker_histograms() {
-    let mut s = Snapshot {
-        counters: vec![
-            ("oracle.batch.worker00.pairs".into(), 10),
-            ("oracle.batch.worker01.pairs".into(), 32),
-            // an already-published aggregate must not be double-counted
-            ("oracle.batch.pairs".into(), 42),
-            ("oracle.batch.worker00.candidates".into(), 7),
-            ("oracle.batch.worker01.candidates".into(), 8),
-            ("plain.counter".into(), 5),
-        ],
-        gauges: vec![("plain.gauge".into(), 1.0)],
-        histograms: vec![
-            hist("oracle.batch.worker00.latency_ns", &[100, 200]),
-            hist("oracle.batch.worker01.latency_ns", &[300]),
-        ],
-        spans: vec![],
-    };
-    let mut expected_hist = hist("oracle.batch.latency_ns", &[100, 200, 300]);
-    expected_hist.buckets.sort_by_key(|&(i, _)| i);
-
-    let mut detailed = s.clone();
-    detailed.rollup_workers(true);
-    // aggregates appear …
-    assert_eq!(detailed.counter("oracle.batch.candidates"), Some(15));
-    assert_eq!(detailed.counter("oracle.batch.pairs"), Some(42));
-    assert_eq!(
-        detailed.histogram("oracle.batch.latency_ns"),
-        Some(&expected_hist)
-    );
-    // … and per-worker series are kept
-    assert_eq!(detailed.counter("oracle.batch.worker01.pairs"), Some(32));
-    assert!(detailed
-        .histogram("oracle.batch.worker00.latency_ns")
-        .is_some());
-
-    s.rollup_workers(false);
-    assert_eq!(s.counter("oracle.batch.candidates"), Some(15));
-    assert_eq!(s.counter("oracle.batch.pairs"), Some(42));
-    assert_eq!(s.histogram("oracle.batch.latency_ns"), Some(&expected_hist));
-    assert_eq!(s.counter("oracle.batch.worker01.pairs"), None);
-    assert!(s.histogram("oracle.batch.worker00.latency_ns").is_none());
-    assert_eq!(s.counter("plain.counter"), Some(5));
-    assert_eq!(s.gauge("plain.gauge"), Some(1.0));
-}
-
-#[test]
-fn rollup_is_idempotent_and_order_independent() {
-    let mut s = Snapshot {
-        counters: vec![
-            ("x.worker01.items".into(), 3),
-            ("x.worker00.items".into(), 4),
-        ],
-        gauges: vec![],
-        histograms: vec![
-            hist("x.worker01.lat", &[9, 9, 9]),
-            hist("x.worker00.lat", &[1]),
-        ],
-        spans: vec![],
-    };
-    let mut t = s.clone();
-    t.counters.reverse();
-    t.histograms.reverse();
-    s.rollup_workers(false);
-    t.rollup_workers(false);
-    assert_eq!(s, t);
-    let again = {
-        let mut a = s.clone();
-        a.rollup_workers(false);
-        a
-    };
-    assert_eq!(again, s);
 }

@@ -37,6 +37,7 @@ fn obs_off_operations_are_inert() {
 
     let h = psep_obs::histogram!("zst.hist");
     h.record(123);
+    h.merge(&psep_obs::HistogramStat::new("zst.tally"));
     assert_eq!(h.count(), 0);
     assert!(h.stat("zst.hist").is_empty());
     assert!(psep_obs::now_if_enabled().is_none());
@@ -48,5 +49,5 @@ fn obs_off_operations_are_inert() {
     let snap = psep_obs::snapshot();
     assert!(snap.counters.is_empty());
     assert!(snap.histograms.is_empty());
-    assert!(psep_obs::snapshot_detailed().spans.is_empty());
+    assert!(snap.spans.is_empty());
 }

@@ -5,18 +5,17 @@
 //! [`psep_core::exec::ShardedRunner`] — `std::thread` workers over the
 //! shared [`FlatLabels`] arena (reads only — no locks) — and the runner
 //! stitches the answers back in input order, so a batch is
-//! observationally identical to a sequential `query` loop. Workers skip
-//! per-query instrumentation and publish aggregated per-thread counters
-//! (`oracle.batch.workerNN.pairs`) once per run — experiment E3t
-//! measures the resulting `oracle.batch.pairs_per_sec` — plus
-//! per-worker candidates/latency histograms that snapshots roll up into
-//! `oracle.batch.candidates` / `oracle.batch.latency_ns`
-//! thread-count-independently.
+//! observationally identical to a sequential `query` loop. Workers tally
+//! privately and the runner publishes once per run: the
+//! `oracle.batch.pairs` and `oracle.batch.candidates_scanned` counters
+//! (experiment E3t measures the resulting `oracle.batch.pairs_per_sec`)
+//! and the `oracle.batch.candidates` / `oracle.batch.latency_ns`
+//! per-query distributions, thread-count-independently.
 //!
 //! [`FlatLabels`]: crate::flat::FlatLabels
 
 use psep_core::decomposition::DecompositionTree;
-use psep_core::exec::{ShardObs, ShardedRunner, WorkerHists};
+use psep_core::exec::{ShardObs, ShardedRunner};
 use psep_graph::dijkstra::DijkstraScratch;
 use psep_graph::graph::{Graph, NodeId, Weight};
 
@@ -24,39 +23,26 @@ use crate::error::Error;
 use crate::oracle::{DistanceOracle, JoinStats};
 use crate::path::WitnessPath;
 
-/// Counter names for batch-query workers.
+/// Metric names for batch queries.
 const BATCH_OBS: ShardObs = ShardObs {
     prefix: "oracle.batch",
     items: "pairs",
-    units: "candidates",
+    units: "candidates_scanned",
+    hist: Some("candidates"),
 };
 
-/// Counter names for batch path-reporting workers.
+/// Metric names for batch path reports.
 const PATH_OBS: ShardObs = ShardObs {
     prefix: "oracle.path.batch",
     items: "pairs",
     units: "nodes",
+    hist: Some("nodes"),
 };
 
 /// Claim granularity for path batches: one reconstruction runs two
 /// bounded Dijkstras, so items are orders of magnitude heavier than
 /// scalar queries and much smaller batches are worth fanning out.
 const PATH_MIN_CHUNK: usize = 8;
-
-/// One path-reporting worker's reusable state: its obs histogram
-/// handles and a Dijkstra arena shared across the pairs it claims.
-struct PathWorker {
-    hists: WorkerHists,
-    scratch: DijkstraScratch,
-}
-
-/// One query worker's reusable state: its obs histogram handles plus
-/// the merge-join statistics it accumulates across the pairs it claims
-/// (published once per run, never per pair).
-struct BatchWorker {
-    hists: WorkerHists,
-    stats: JoinStats,
-}
 
 /// A reusable parallel query engine with a fixed thread budget.
 #[derive(Clone, Copy, Debug)]
@@ -99,30 +85,19 @@ impl BatchQueryEngine {
     /// validates up front and returns an error instead.
     pub fn run(&self, oracle: &DistanceOracle, pairs: &[(NodeId, NodeId)]) -> Vec<Option<Weight>> {
         psep_obs::counter!("oracle.batch.runs").incr();
-        let mut scratches: Vec<BatchWorker> = (0..self.runner.worker_count(pairs.len()))
-            .map(|w| BatchWorker {
-                hists: BATCH_OBS.worker_hists(w),
-                stats: JoinStats::default(),
-            })
-            .collect();
-        let (answers, scanned) = self.runner.run(
-            pairs,
-            Some(&BATCH_OBS),
-            &mut scratches,
-            |worker, &(u, v)| {
-                let t0 = psep_obs::now_if_enabled();
-                let (answer, stats) = oracle.query_with_stats(u, v);
-                worker.stats.merge(stats);
-                worker.hists.record(stats.scanned, t0);
-                (answer, stats.scanned)
-            },
-        );
+        // each worker's merge-join statistics, published once per run
+        let mut scratches = vec![JoinStats::default(); self.runner.worker_count(pairs.len())];
+        let (answers, _) =
+            self.runner
+                .run(pairs, Some(&BATCH_OBS), &mut scratches, |total, &(u, v)| {
+                    let (answer, stats) = oracle.query_with_stats(u, v);
+                    total.merge(stats);
+                    (answer, stats.scanned)
+                });
         let mut total = JoinStats::default();
         for w in &scratches {
-            total.merge(w.stats);
+            total.merge(*w);
         }
-        psep_obs::counter!("oracle.batch.pairs").add(pairs.len() as u64);
-        psep_obs::counter!("oracle.batch.candidates_scanned").add(scanned);
         psep_obs::counter!("oracle.batch.pruned_keys").add(total.pruned_keys);
         psep_obs::counter!("oracle.batch.pruned_portals").add(total.pruned_portals);
         answers
@@ -169,24 +144,23 @@ impl BatchQueryEngine {
         }
         psep_obs::counter!("oracle.path.batch.runs").incr();
         let runner = self.runner.min_chunk(PATH_MIN_CHUNK);
-        let mut scratches: Vec<PathWorker> = (0..runner.worker_count(pairs.len()))
-            .map(|w| PathWorker {
-                hists: PATH_OBS.worker_hists(w),
-                scratch: DijkstraScratch::new(g.num_nodes()),
-            })
+        // one Dijkstra arena per worker, shared across the pairs it claims
+        let mut scratches: Vec<DijkstraScratch> = (0..runner.worker_count(pairs.len()))
+            .map(|_| DijkstraScratch::new(g.num_nodes()))
             .collect();
-        let (results, _nodes) =
-            runner.run(pairs, Some(&PATH_OBS), &mut scratches, |worker, &(u, v)| {
-                let t0 = psep_obs::now_if_enabled();
-                let out = oracle.query_path_with(g, tree, &mut worker.scratch, u, v);
+        let (results, _) = runner.run(
+            pairs,
+            Some(&PATH_OBS),
+            &mut scratches,
+            |scratch, &(u, v)| {
+                let out = oracle.query_path_with(g, tree, scratch, u, v);
                 let nodes = match &out {
                     Ok(Some(p)) => p.nodes.len() as u64,
                     _ => 0,
                 };
-                worker.hists.record(nodes, t0);
                 (out, nodes)
-            });
-        psep_obs::counter!("oracle.path.batch.pairs").add(pairs.len() as u64);
+            },
+        );
         results.into_iter().collect()
     }
 }

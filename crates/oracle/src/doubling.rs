@@ -15,6 +15,7 @@
 //! balls), and never below `d` (each candidate is a real walk).
 
 use psep_core::doubling::DoublingDecompositionTree;
+use psep_core::exec::ShardedRunner;
 use psep_graph::dijkstra::dijkstra;
 use psep_graph::doubling::greedy_net;
 use psep_graph::graph::{Graph, NodeId, Weight, INFINITY};
@@ -101,6 +102,10 @@ pub fn build_doubling_oracle(
     let eps_net = params.epsilon / 4.0;
     let n = g.num_nodes();
     let mut labels: Vec<DoublingLabel> = vec![DoublingLabel::default(); n];
+    // one Dijkstra per alive vertex: below 64 of them a second thread
+    // costs more to start than it saves
+    let runner = ShardedRunner::new(params.threads.max(1)).min_chunk(64);
+    let mut scratches = vec![(); runner.threads()];
 
     for (h, node) in tree.nodes().iter().enumerate() {
         for gi in 0..node.separator.groups.len() {
@@ -135,59 +140,37 @@ pub fn build_doubling_oracle(
                 })
                 .collect();
             let alive: Vec<NodeId> = mask.iter().collect();
-            let work = |chunk: &[NodeId]| -> Vec<(NodeId, Vec<DoublingEntry>)> {
-                let mut out = Vec::with_capacity(chunk.len());
-                for &v in chunk {
-                    let sp = dijkstra(&view, &[v]);
-                    let mut entries = Vec::new();
-                    for (pi, piece_nets) in nets.iter().enumerate() {
-                        for (j, net) in piece_nets.iter().enumerate() {
-                            let ball = 4u64.saturating_mul(1u64 << j);
-                            let mut landmarks: Vec<DoublingLandmark> = net
-                                .iter()
-                                .filter_map(|&p| {
-                                    let d = sp.dist_raw()[p.index()];
-                                    (d != INFINITY && d <= ball).then_some(DoublingLandmark {
-                                        landmark: p,
-                                        dist: d,
-                                    })
+            let (results, _) = runner.run(&alive, None, &mut scratches, |_, &v| {
+                let sp = dijkstra(&view, &[v]);
+                let mut entries = Vec::new();
+                for (pi, piece_nets) in nets.iter().enumerate() {
+                    for (j, net) in piece_nets.iter().enumerate() {
+                        let ball = 4u64.saturating_mul(1u64 << j);
+                        let mut landmarks: Vec<DoublingLandmark> = net
+                            .iter()
+                            .filter_map(|&p| {
+                                let d = sp.dist_raw()[p.index()];
+                                (d != INFINITY && d <= ball).then_some(DoublingLandmark {
+                                    landmark: p,
+                                    dist: d,
                                 })
-                                .collect();
-                            if !landmarks.is_empty() {
-                                landmarks.sort_by_key(|l| l.landmark);
-                                entries.push(DoublingEntry {
-                                    node: h as u32,
-                                    group: gi as u16,
-                                    piece: pi as u16,
-                                    scale: j as u8,
-                                    landmarks,
-                                });
-                            }
+                            })
+                            .collect();
+                        if !landmarks.is_empty() {
+                            landmarks.sort_by_key(|l| l.landmark);
+                            entries.push(DoublingEntry {
+                                node: h as u32,
+                                group: gi as u16,
+                                piece: pi as u16,
+                                scale: j as u8,
+                                landmarks,
+                            });
                         }
                     }
-                    out.push((v, entries));
                 }
-                out
-            };
-            let results: Vec<(NodeId, Vec<DoublingEntry>)> =
-                if params.threads <= 1 || alive.len() < 64 {
-                    work(&alive)
-                } else {
-                    let chunk_size = alive.len().div_ceil(params.threads);
-                    let chunks: Vec<&[NodeId]> = alive.chunks(chunk_size).collect();
-                    crossbeam::thread::scope(|s| {
-                        let handles: Vec<_> = chunks
-                            .into_iter()
-                            .map(|c| s.spawn(move |_| work(c)))
-                            .collect();
-                        handles
-                            .into_iter()
-                            .flat_map(|h| h.join().expect("doubling worker panicked"))
-                            .collect()
-                    })
-                    .expect("crossbeam scope failed")
-                };
-            for (v, entries) in results {
+                (entries, 0)
+            });
+            for (v, entries) in alive.iter().zip(results) {
                 labels[v.index()].entries.extend(entries);
             }
         }

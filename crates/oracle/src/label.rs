@@ -120,6 +120,7 @@ pub fn build_labels(
         prefix: "oracle.label",
         items: "sources",
         units: "reached",
+        hist: None,
     };
     let stretch = 1.0 + epsilon;
     // J's local-id graph, re-filled per group

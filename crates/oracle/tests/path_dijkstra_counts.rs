@@ -14,10 +14,7 @@ use psep_oracle::{build_oracle, OracleParams};
 #[test]
 fn query_path_runs_two_targeted_dijkstras() {
     psep_obs::set_enabled(true);
-    if !psep_obs::enabled() {
-        // obs feature compiled out: counters are no-ops, nothing to assert
-        return;
-    }
+    assert!(psep_obs::enabled(), "tests link the live obs backend");
     let g = grids::grid2d(30, 30, 1);
     let n = g.num_nodes();
     let tree = DecompositionTree::build(&g, &AutoStrategy::default());

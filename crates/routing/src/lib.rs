@@ -35,7 +35,6 @@
 //! requests via [`Router::route_many_with`], and reject bad input through
 //! typed [`Error`]s ([`Router::try_route`]) instead of panicking.
 
-pub mod adaptive;
 pub mod error;
 pub mod flat;
 pub mod greedy;

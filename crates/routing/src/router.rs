@@ -7,11 +7,12 @@ use psep_graph::graph::{Graph, NodeId, Weight};
 use crate::error::Error;
 use crate::tables::{RouteKey, RoutingLabel, RoutingTables};
 
-/// Counter names for batch-routing workers.
+/// Metric names for batch routing.
 const ROUTE_OBS: ShardObs = ShardObs {
     prefix: "routing.batch",
     items: "routes",
     units: "hops",
+    hist: Some("hops"),
 };
 
 /// The result of routing one message.
@@ -303,29 +304,16 @@ impl<'a> Router<'a> {
     ) -> Result<Vec<Option<RouteOutcome>>, Error> {
         psep_obs::counter!("routing.batch.runs").incr();
         let runner = ShardedRunner::new(threads).min_chunk(64);
-        let mut scratches: Vec<_> = (0..runner.worker_count(pairs.len()))
-            .map(|w| ROUTE_OBS.worker_hists(w))
-            .collect();
-        let (outcomes, hops) =
-            runner.run(pairs, Some(&ROUTE_OBS), &mut scratches, |hists, &(u, t)| {
-                let t0 = psep_obs::now_if_enabled();
-                let out = self.walk(u, t, &self.tables.label(t));
-                let hops = match &out {
-                    Ok(Some(o)) => o.hops as u64,
-                    _ => 0,
-                };
-                hists.record(hops, t0);
-                (out, hops)
-            });
-        psep_obs::counter!("routing.batch.routes").add(pairs.len() as u64);
-        psep_obs::counter!("routing.batch.hops").add(hops);
+        let mut scratches = vec![(); runner.worker_count(pairs.len())];
+        let (outcomes, _) = runner.run(pairs, Some(&ROUTE_OBS), &mut scratches, |_, &(u, t)| {
+            let out = self.walk(u, t, &self.tables.label(t));
+            let hops = match &out {
+                Ok(Some(o)) => o.hops as u64,
+                _ => 0,
+            };
+            (out, hops)
+        });
         outcomes.into_iter().collect()
-    }
-
-    pub(crate) fn edge_weight(&self, u: NodeId, v: NodeId) -> Weight {
-        self.graph
-            .edge_weight(u, v)
-            .unwrap_or_else(|| panic!("route used non-edge {u:?}-{v:?}"))
     }
 }
 

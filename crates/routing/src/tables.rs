@@ -30,11 +30,12 @@ use crate::flat::{EntryRecord, FlatTables, TableRef};
 /// Identifies one separator path: `(node, group, path)`.
 pub type RouteKey = (u32, u16, u16);
 
-/// Counter names for table-construction workers.
+/// Metric names for table construction.
 const BUILD_OBS: ShardObs = ShardObs {
     prefix: "routing.build",
     items: "groups",
     units: "entries",
+    hist: None,
 };
 
 /// A vertex's on-path links when it lies on the separator path.

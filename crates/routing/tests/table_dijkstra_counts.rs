@@ -14,10 +14,7 @@ use psep_routing::RoutingTables;
 #[test]
 fn table_construction_runs_one_dijkstra_per_separator_path() {
     psep_obs::set_enabled(true);
-    if !psep_obs::enabled() {
-        // obs feature compiled out: counters are no-ops, nothing to assert
-        return;
-    }
+    assert!(psep_obs::enabled(), "tests link the live obs backend");
     let g = grids::grid2d(8, 8, 1);
     let tree = DecompositionTree::build(&g, &AutoStrategy::default());
 

@@ -12,6 +12,7 @@ const AUGMENT_OBS: ShardObs = ShardObs {
     prefix: "smallworld.augment",
     items: "sources",
     units: "landmarks",
+    hist: None,
 };
 
 /// One level of a vertex's distribution: the paths of `S(H_τ(v))`, each

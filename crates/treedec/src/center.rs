@@ -480,17 +480,16 @@ mod tests {
         // bag 0 leaves {1, 2, 3, 4}; its witness 1 is in no bag
         let dec = TreeDecomposition::new(vec![vec![NodeId(0)], vec![NodeId(2)]], vec![(0, 1)]);
         psep_obs::set_enabled(true);
+        assert!(psep_obs::enabled(), "tests link the live obs backend");
         let before = psep_obs::snapshot()
             .counter("treedec.center.fallbacks")
             .unwrap_or(0);
         assert_eq!(center_bag(&g, &dec), 1);
         assert_eq!(reference(&g, &dec), 1);
-        if psep_obs::enabled() {
-            let after = psep_obs::snapshot()
-                .counter("treedec.center.fallbacks")
-                .unwrap_or(0);
-            assert!(after > before, "fallback not counted");
-        }
+        let after = psep_obs::snapshot()
+            .counter("treedec.center.fallbacks")
+            .unwrap_or(0);
+        assert!(after > before, "fallback not counted");
     }
 
     #[test]

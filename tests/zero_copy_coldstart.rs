@@ -39,9 +39,7 @@ fn decode_counts() -> Vec<u64> {
 #[test]
 fn mapped_serving_performs_zero_per_entry_decodes() {
     psep_obs::set_enabled(true);
-    if !psep_obs::enabled() {
-        return; // compiled with the no-op backend
-    }
+    assert!(psep_obs::enabled(), "tests link the live obs backend");
 
     let g = grids::grid2d(14, 14, 1);
     let svc = LocationService::build(&g, ServiceParams::default());
