@@ -1,13 +1,17 @@
 //! Golden identity of the separator hierarchy and of what is built on it.
 //!
-//! Pins three CRC-32s per graph, at one and at four worker threads:
+//! Pins five CRC-32s per graph, at one and at four worker threads:
 //!
 //! * the tree-section encoding of
 //!   `DecompositionTree::build_with(&g, &AutoStrategy::default(), ..)`;
 //! * the delta labels-section encoding of the `ε = 0.25` oracle's labels
 //!   (`encode_labels`);
 //! * the delta tables-section encoding of the routing tables
-//!   (`encode_tables`).
+//!   (`encode_tables`);
+//! * the raw labels-section and raw tables-section encodings of the same
+//!   arenas (`encode_labels_flat_into`, `encode_tables_flat_into`), so a
+//!   reordered or re-padded raw column moves a value even though it
+//!   still round-trips.
 //!
 //! The three graphs cover both routes through `AutoStrategy`:
 //!
@@ -25,16 +29,17 @@
 use path_separators::core::wire::crc32;
 use path_separators::core::DecompositionParams;
 use path_separators::graph::generators::{grids, ktree, planar_families};
-use path_separators::oracle::wire::encode_labels;
-use path_separators::routing::wire::encode_tables;
+use path_separators::oracle::wire::{encode_labels, encode_labels_flat_into};
+use path_separators::routing::wire::{encode_tables, encode_tables_flat_into};
 use path_separators::{
     build_oracle, AutoStrategy, DecompositionTree, Graph, OracleParams, RoutingTables,
 };
 
 const EPSILON: f64 = 0.25;
 
-/// CRC-32s of the tree, label and table encodings built at `threads`.
-fn crcs(g: &Graph, threads: usize) -> [u32; 3] {
+/// CRC-32s of the tree, delta label, delta table, raw label and raw
+/// table encodings built at `threads`.
+fn crcs(g: &Graph, threads: usize) -> [u32; 5] {
     let tree = DecompositionTree::build_with(
         g,
         &AutoStrategy::default(),
@@ -46,21 +51,27 @@ fn crcs(g: &Graph, threads: usize) -> [u32; 3] {
     };
     let oracle = build_oracle(g, &tree, params);
     let tables = RoutingTables::build_with(g, &tree, threads);
+    let (mut raw_labels, mut raw_tables) = (Vec::new(), Vec::new());
+    encode_labels_flat_into(oracle.flat_labels(), EPSILON, &mut raw_labels);
+    encode_tables_flat_into(tables.flat(), &mut raw_tables);
     [
         crc32(&tree.encode()),
         crc32(&encode_labels(oracle.flat_labels(), EPSILON)),
         crc32(&encode_tables(tables.flat())),
+        crc32(&raw_labels),
+        crc32(&raw_tables),
     ]
 }
 
-/// Asserts the pinned `[tree, labels, tables]` CRCs at 1 and 4 threads.
-fn assert_golden(name: &str, g: &Graph, pinned: [u32; 3]) {
-    let hex = |crcs: [u32; 3]| crcs.map(|c| format!("{c:#010x}"));
+/// Asserts the pinned `[tree, labels, tables, raw labels, raw tables]`
+/// CRCs at 1 and 4 threads.
+fn assert_golden(name: &str, g: &Graph, pinned: [u32; 5]) {
+    let hex = |crcs: [u32; 5]| crcs.map(|c| format!("{c:#010x}"));
     for threads in [1, 4] {
         assert_eq!(
             hex(crcs(g, threads)),
             hex(pinned),
-            "{name} at {threads} thread(s): [tree, labels, tables] crcs"
+            "{name} at {threads} thread(s): [tree, labels, tables, raw labels, raw tables] crcs"
         );
     }
 }
@@ -70,7 +81,13 @@ fn grid_tree_is_pinned() {
     assert_golden(
         "grid 40x40",
         &grids::grid2d(40, 40, 1),
-        [0x238e_b3a2, 0x0d0e_fba4, 0x5e8f_7bfd],
+        [
+            0x238e_b3a2,
+            0x0d0e_fba4,
+            0x5e8f_7bfd,
+            0xf5f3_b2df,
+            0x48df_e6c6,
+        ],
     );
 }
 
@@ -79,7 +96,13 @@ fn triangulated_grid_tree_is_pinned() {
     assert_golden(
         "tri-grid 40x40",
         &planar_families::triangulated_grid(40, 40, 1),
-        [0x1d93_0c1c, 0xc4f4_b952, 0x85b1_633a],
+        [
+            0x1d93_0c1c,
+            0xc4f4_b952,
+            0x85b1_633a,
+            0x8f4d_c322,
+            0xe78f_9b21,
+        ],
     );
 }
 
@@ -88,6 +111,12 @@ fn three_tree_is_pinned() {
     assert_golden(
         "3-tree n=2000",
         &ktree::random_k_tree(2000, 3, 1).graph,
-        [0xc5fd_b1aa, 0x9d09_0413, 0xe446_032e],
+        [
+            0xc5fd_b1aa,
+            0x9d09_0413,
+            0xe446_032e,
+            0x8cb5_f592,
+            0x9535_c79c,
+        ],
     );
 }
