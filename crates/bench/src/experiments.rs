@@ -124,7 +124,7 @@ pub fn e3_oracle(families: &[Family], sizes: &[usize], epsilons: &[f64]) -> Stri
                 let (oracle, build_s) = timed(|| {
                     let params = OracleParams {
                         epsilon: eps,
-                        ..OracleParams::with_available_threads()
+                        threads: 0,
                     };
                     build_oracle(&g, &tree, params)
                 });
@@ -192,7 +192,7 @@ pub fn e3t_throughput(families: &[Family], n: usize, pair_count: usize) -> Strin
             &tree,
             OracleParams {
                 epsilon: 0.25,
-                ..OracleParams::with_available_threads()
+                threads: 0,
             },
         );
 
@@ -354,7 +354,7 @@ pub fn epath_reporting(families: &[Family], n: usize, pair_count: usize) -> Stri
             &tree,
             OracleParams {
                 epsilon: EPSILON,
-                ..OracleParams::with_available_threads()
+                threads: 0,
             },
         );
         let pairs = crate::measure::random_pairs(nn, pair_count, SEED ^ 51);

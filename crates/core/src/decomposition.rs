@@ -46,23 +46,14 @@ const BUILD_OBS: ShardObs = ShardObs {
 /// Construction parameters for [`DecompositionTree::build_with`].
 #[derive(Clone, Copy, Debug)]
 pub struct DecompositionParams {
-    /// Worker threads for separator computation (`1` = sequential).
+    /// Worker threads for separator computation (`0` = all available
+    /// threads, honouring `PSEP_THREADS`; `1` = the calling thread only).
     pub threads: usize,
 }
 
 impl Default for DecompositionParams {
     fn default() -> Self {
         DecompositionParams { threads: 1 }
-    }
-}
-
-impl DecompositionParams {
-    /// Parameters with `threads` set to [`available_threads`] (honoring
-    /// `PSEP_THREADS`).
-    pub fn with_available_threads() -> Self {
-        DecompositionParams {
-            threads: available_threads(),
-        }
     }
 }
 
@@ -191,7 +182,7 @@ impl DecompositionTree {
     ) -> Self {
         let _span = psep_obs::span!("decomp_build");
         let n = g.num_nodes();
-        let runner = ShardedRunner::new(params.threads.max(1));
+        let runner = ShardedRunner::new(params.threads);
         let mut scratches = vec![(); runner.threads()];
 
         // Phase 1 — wave-parallel expansion. The *set* of components
@@ -428,32 +419,6 @@ impl DecompositionTree {
             gone.peek() != Some(&&v)
         }));
         j.graph.induce(g, &j.verts);
-    }
-
-    /// Whether vertex `v` is present in the residual graph of
-    /// `(node_idx, group_idx)` — i.e. `v` belongs to the node's component
-    /// and was not removed by an earlier group.
-    pub fn in_residual(&self, v: NodeId, node_idx: usize, group_idx: usize) -> bool {
-        let home = self.home(v);
-        // v is in node_idx's component iff node_idx is an ancestor-or-self
-        // of home(v); since chains are short, walk up from home.
-        let mut cur = Some(home);
-        let mut found = false;
-        while let Some(i) = cur {
-            if i == node_idx {
-                found = true;
-                break;
-            }
-            cur = self.nodes[i].parent;
-        }
-        if !found {
-            return false;
-        }
-        if home == node_idx {
-            self.removal_group(v) >= group_idx
-        } else {
-            true
-        }
     }
 
     /// Encodes the tree as a bare `psep-bundle` tree-section body (see
@@ -762,11 +727,10 @@ mod tests {
         for v in g.nodes() {
             let home = t.home(v);
             let gi = t.removal_group(v);
-            assert!(t.in_residual(v, home, gi));
             let mask = t.residual_mask(g.num_nodes(), home, gi);
             assert!(mask.contains(v));
             if gi + 1 < t.node(home).separator.num_groups() {
-                assert!(!t.in_residual(v, home, gi + 1));
+                assert!(!t.residual_mask(g.num_nodes(), home, gi + 1).contains(v));
             }
         }
     }
@@ -925,9 +889,8 @@ mod tests {
     }
 
     #[test]
-    fn params_with_available_threads_is_positive_and_env_overridable() {
+    fn default_params_are_sequential_and_available_threads_positive() {
         assert!(DecompositionParams::default().threads == 1);
-        assert!(DecompositionParams::with_available_threads().threads >= 1);
         assert!(available_threads() >= 1);
     }
 

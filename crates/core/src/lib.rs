@@ -26,9 +26,10 @@
 //! * [`doubling`] — `(k, α)`-doubling separators (§5.3): isometric
 //!   low-doubling pieces instead of paths, with the 3D-mesh plane
 //!   strategy of Theorem 8's motivating example;
-//! * [`csr`] — the stable counting sort both the label and the
-//!   routing-table builders use to turn their group-major emission into
-//!   vertex-major arenas;
+//! * [`csr`] — the keyed CSR arena both the labels and the routing
+//!   tables are stored in: its invariants, borrowed-or-owned columns and
+//!   section codecs, and the counting sort that assembles it from the
+//!   builders' group-major emission;
 //! * [`exec`] — the shared [`ShardedRunner`] worker pattern every
 //!   parallel surface (batch queries, label/table construction,
 //!   small-world builds) runs on, with input-order bit-identity.

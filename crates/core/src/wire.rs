@@ -404,7 +404,7 @@ unsafe impl Pod for psep_graph::NodeId {
 /// host is little-endian, the length is an exact multiple of
 /// [`Pod::SIZE`], and the pointer is aligned for `T` — the conditions
 /// under which the wire layout and the in-memory layout coincide.
-pub fn cast_pod_slice<T: Pod>(bytes: &[u8]) -> Option<&[T]> {
+fn cast_pod_slice<T: Pod>(bytes: &[u8]) -> Option<&[T]> {
     if !cfg!(target_endian = "little")
         || std::mem::size_of::<T>() != T::SIZE
         || !bytes.len().is_multiple_of(T::SIZE)
@@ -416,32 +416,6 @@ pub fn cast_pod_slice<T: Pod>(bytes: &[u8]) -> Option<&[T]> {
     // and wire == memory layout on little-endian; length and alignment
     // were checked above; the borrow ties the slice to `bytes`.
     Some(unsafe { std::slice::from_raw_parts(bytes.as_ptr().cast::<T>(), bytes.len() / T::SIZE) })
-}
-
-/// Decodes `bytes` element-by-element into an owned `Vec<T>` — the
-/// portable fallback when `cast_pod_slice` declines.
-pub fn decode_pod_vec<T: Pod>(bytes: &[u8]) -> Vec<T> {
-    debug_assert_eq!(bytes.len() % T::SIZE, 0);
-    bytes.chunks_exact(T::SIZE).map(T::read_le).collect()
-}
-
-/// Loads a column of exactly `count` elements from `bytes`: borrowed in
-/// place when the host and buffer allow it, decoded into an owned arena
-/// otherwise. Either way the resulting slice is element-wise identical.
-pub fn load_pod_slice<'a, T: Pod>(
-    bytes: &'a [u8],
-    count: usize,
-) -> Result<ArenaStorage<'a, T>, WireError> {
-    let expect = count
-        .checked_mul(T::SIZE)
-        .ok_or(WireError::Corrupt("pod column length overflows"))?;
-    if bytes.len() != expect {
-        return Err(WireError::Corrupt("pod column length mismatch"));
-    }
-    match cast_pod_slice::<T>(bytes) {
-        Some(s) => Ok(ArenaStorage::Borrowed(s)),
-        None => Ok(ArenaStorage::Owned(decode_pod_vec(bytes))),
-    }
 }
 
 /// Appends a column as little-endian wire bytes. On little-endian hosts
@@ -495,11 +469,6 @@ impl<'a> SectionReader<'a> {
         Ok(out)
     }
 
-    /// Reads a little-endian `u32`.
-    pub fn u32(&mut self) -> Result<u32, WireError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
     /// Reads a little-endian `u64`.
     pub fn u64(&mut self) -> Result<u64, WireError> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
@@ -510,10 +479,12 @@ impl<'a> SectionReader<'a> {
         Ok(f64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
 
-    /// Reads a column of `count` pod elements. The column must start
-    /// 8-aligned relative to the section start (that is how the encoder
-    /// laid it out), so a misaligned position means the declared
-    /// lengths disagree with the payload.
+    /// Reads a column of `count` pod elements: borrowed in place when
+    /// the host and buffer allow it, decoded element by element into an
+    /// owned column otherwise, with identical contents either way. The
+    /// column must start 8-aligned relative to the section start (that
+    /// is how the encoder laid it out), so a misaligned position means
+    /// the declared lengths disagree with the payload.
     pub fn pod_slice<T: Pod>(&mut self, count: usize) -> Result<ArenaStorage<'a, T>, WireError> {
         if !self.pos.is_multiple_of(8) {
             return Err(WireError::Corrupt("misaligned section column"));
@@ -521,7 +492,11 @@ impl<'a> SectionReader<'a> {
         let len = count
             .checked_mul(T::SIZE)
             .ok_or(WireError::Corrupt("pod column length overflows"))?;
-        load_pod_slice(self.take(len)?, count)
+        let bytes = self.take(len)?;
+        Ok(match cast_pod_slice::<T>(bytes) {
+            Some(s) => ArenaStorage::Borrowed(s),
+            None => ArenaStorage::Owned(bytes.chunks_exact(T::SIZE).map(T::read_le).collect()),
+        })
     }
 
     /// Consumes zero padding up to the next 8-byte boundary. A nonzero
@@ -686,7 +661,7 @@ mod tests {
         assert_eq!(wire.len(), vals.len() * 8);
 
         let aligned = AlignedBytes::from_slice(&wire);
-        let col = load_pod_slice::<u64>(&aligned, vals.len()).unwrap();
+        let col = SectionReader::new(&aligned).pod_slice::<u64>(4).unwrap();
         assert_eq!(&*col, &vals[..]);
         if cfg!(target_endian = "little") {
             assert!(col.is_borrowed());
@@ -696,74 +671,48 @@ mod tests {
         assert!(!owned.is_borrowed());
         assert_eq!(owned, ArenaStorage::Owned(vals.clone()));
 
-        // Decode fallback yields the same elements.
-        assert_eq!(decode_pod_vec::<u64>(&wire), vals);
-    }
-
-    #[test]
-    fn pod_slice_rejects_length_mismatch() {
-        let wire = [0u8; 12];
-        assert!(matches!(
-            load_pod_slice::<u64>(&wire, 2),
-            Err(WireError::Corrupt(_))
-        ));
-        assert!(load_pod_slice::<u32>(&wire, 3).is_ok());
-    }
-
-    #[test]
-    fn cast_declines_misaligned_input() {
-        let aligned = AlignedBytes::from_slice(&[0u8; 24]);
-        // Offset by one byte: never aligned for u64.
+        // A buffer one byte off alignment decodes the same elements.
+        let mut shifted = vec![0u8];
+        shifted.extend_from_slice(&wire);
+        let col = SectionReader::new(&shifted[1..])
+            .pod_slice::<u64>(4)
+            .unwrap();
+        assert!(!col.is_borrowed());
+        assert_eq!(&*col, &vals[..]);
         assert!(cast_pod_slice::<u64>(&aligned.as_slice()[1..9]).is_none());
+
+        // A column longer than the section is truncated.
+        let mut r = SectionReader::new(&wire[..12]);
+        assert!(matches!(r.pod_slice::<u64>(2), Err(WireError::Truncated)));
+        assert!(SectionReader::new(&wire[..12]).pod_slice::<u32>(3).is_ok());
     }
 
     #[test]
     fn section_reader_reads_fields_and_rejects_disagreement() {
         let mut sec = Vec::new();
         sec.extend_from_slice(&7u64.to_le_bytes());
-        sec.extend_from_slice(&3u32.to_le_bytes());
-        pad_to_8(&mut sec);
         put_pod_slice(&mut sec, &[10u32, 20, 30]);
         pad_to_8(&mut sec);
         put_pod_slice(&mut sec, &[99u64]);
-
-        let mut r = SectionReader::new(&sec);
-        assert_eq!(r.u64().unwrap(), 7);
-        assert_eq!(r.u32().unwrap(), 3);
-        r.align8().unwrap();
-        let col: ArenaStorage<u32> = r.pod_slice(3).unwrap();
-        assert_eq!(&*col, &[10, 20, 30]);
-        r.align8().unwrap();
-        let tail: ArenaStorage<u64> = r.pod_slice(1).unwrap();
-        assert_eq!(&*tail, &[99]);
-        r.finish().unwrap();
-
+        let read = |sec: &[u8]| -> Result<(), WireError> {
+            let mut r = SectionReader::new(sec);
+            assert_eq!(r.u64()?, 7);
+            assert_eq!(&*r.pod_slice::<u32>(3)?, &[10, 20, 30]);
+            r.align8()?;
+            assert_eq!(&*r.pod_slice::<u64>(1)?, &[99]);
+            r.finish()
+        };
+        read(&sec).unwrap();
         // Truncated column.
-        let mut r = SectionReader::new(&sec[..16]);
-        r.u64().unwrap();
-        r.u32().unwrap();
-        r.align8().unwrap();
-        assert!(matches!(r.pod_slice::<u32>(3), Err(WireError::Truncated)));
-
-        // Nonzero padding.
+        assert!(matches!(read(&sec[..16]), Err(WireError::Truncated)));
+        // Nonzero padding after the u32 column.
         let mut bad = sec.clone();
-        bad[13] = 1; // inside the pad after the u32 field
-        let mut r = SectionReader::new(&bad);
-        r.u64().unwrap();
-        r.u32().unwrap();
-        assert!(matches!(r.align8(), Err(WireError::Corrupt(_))));
-
+        bad[21] = 1;
+        assert!(matches!(read(&bad), Err(WireError::Corrupt(_))));
         // Trailing bytes.
         let mut long = sec.clone();
         long.extend_from_slice(&[0; 8]);
-        let mut r = SectionReader::new(&long);
-        r.u64().unwrap();
-        r.u32().unwrap();
-        r.align8().unwrap();
-        let _: ArenaStorage<u32> = r.pod_slice(3).unwrap();
-        r.align8().unwrap();
-        let _: ArenaStorage<u64> = r.pod_slice(1).unwrap();
-        assert!(matches!(r.finish(), Err(WireError::Corrupt(_))));
+        assert!(matches!(read(&long), Err(WireError::Corrupt(_))));
     }
 
     #[test]

@@ -27,7 +27,8 @@ use psep_graph::view::{NodeMask, SubgraphView};
 pub struct DoublingOracleParams {
     /// Approximation parameter: queries return at most `(1+ε)·d`.
     pub epsilon: f64,
-    /// Worker threads for label construction.
+    /// Worker threads for label construction (`0` = all available
+    /// threads, honouring `PSEP_THREADS`).
     pub threads: usize,
 }
 
@@ -104,7 +105,7 @@ pub fn build_doubling_oracle(
     let mut labels: Vec<DoublingLabel> = vec![DoublingLabel::default(); n];
     // one Dijkstra per alive vertex: below 64 of them a second thread
     // costs more to start than it saves
-    let runner = ShardedRunner::new(params.threads.max(1)).min_chunk(64);
+    let runner = ShardedRunner::new(params.threads).min_chunk(64);
     let mut scratches = vec![(); runner.threads()];
 
     for (h, node) in tree.nodes().iter().enumerate() {

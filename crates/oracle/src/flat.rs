@@ -1,9 +1,6 @@
 //! Contiguous (CSR-style) label storage: the whole oracle's entries and
-//! portals in four flat arrays.
-//!
-//! [`FlatLabels`] is the one representation of a label — what the
-//! builder emits, what the wire formats encode, and what two parties
-//! merge-join:
+//! portals in one [`KeyedCsr`] arena, the container the routing tables
+//! use too:
 //!
 //! ```text
 //! entry_start:  n+1   u32  — entries of vertex v are entry_start[v]..entry_start[v+1]
@@ -12,142 +9,86 @@
 //! portals:      P     PortalEntry
 //! ```
 //!
-//! so the merge-join of a query walks two contiguous key slices and the
-//! portal arena linearly. Queries borrow [`LabelRef`] views.
+//! [`FlatLabels`] is the one representation of a label — what the
+//! builder emits, what the wire formats encode, and what two parties
+//! merge-join — so the merge-join of a query walks two contiguous key
+//! slices and the portal arena linearly. Queries borrow [`LabelRef`]
+//! views.
 
-use psep_core::wire::ArenaStorage;
+use psep_core::csr::KeyedCsr;
 use psep_graph::graph::{NodeId, Weight, INFINITY};
 
 use crate::error::Error;
 use crate::label::{LabelStats, PortalEntry};
 
-/// All labels of one oracle in contiguous CSR-style arrays.
+/// All labels of one oracle: a [`KeyedCsr`] whose tails are the
+/// entries' portals.
 ///
-/// Each column is [`ArenaStorage`]: owned when built in memory or
-/// decoded from a delta labels section, borrowed in place from the
-/// caller's buffer when loaded from an aligned raw labels section. Queries
-/// are bit-identical either way.
+/// The arena validates the CSR invariants and may borrow its columns
+/// from a mapped raw labels section; queries are bit-identical either
+/// way.
 ///
-/// Invariants (maintained by every constructor):
-///
-/// * `entry_start` has `num_labels() + 1` elements, is non-decreasing,
-///   starts at 0 and ends at `keys.len()`;
-/// * `portal_start` has `keys.len() + 1` elements, is non-decreasing,
-///   starts at 0 and ends at `portals.len()`;
-/// * within each vertex's range, `keys` is strictly ascending.
-///
-/// Alongside the four wire columns the arena carries one *derived*
-/// column, `min_portal_dist`: for each entry, the minimum `dist` over
-/// its portals ([`INFINITY`] for an entry with no portals). The query
+/// Alongside the arena the labels carry one *derived* column,
+/// `min_portal_dist`: for each entry, the minimum `dist` over its
+/// portals ([`INFINITY`] for an entry with no portals). The query
 /// merge-join uses it as an admissible lower bound — every candidate
 /// through entry `e` costs at least `min_portal_dist[e]` on `e`'s side —
 /// to skip keys and portal tails that cannot beat the running minimum.
 /// It is recomputed by every constructor (so raw and delta label
-/// sections both get it on load), never serialized, and
-/// excluded from [`Self::as_parts`], [`Self::owned_bytes`], and
-/// [`Self::is_borrowed`]: it is arithmetic over the validated columns,
-/// not arena data.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+/// sections both get it on load), never serialized, and excluded from
+/// [`Self::as_parts`], [`Self::owned_bytes`], and [`Self::is_borrowed`]:
+/// it is arithmetic over the validated columns, not arena data.
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct FlatLabels<'a> {
-    entry_start: ArenaStorage<'a, u32>,
-    keys: ArenaStorage<'a, u64>,
-    portal_start: ArenaStorage<'a, u32>,
-    portals: ArenaStorage<'a, PortalEntry>,
+    csr: KeyedCsr<'a, PortalEntry>,
     /// Derived: per-entry minimum portal `dist` (the prune bound).
     min_portal_dist: Vec<Weight>,
 }
 
-/// Per-entry minimum portal distances for `portals` bounded by
-/// `portal_start` — the admissible lower bound the pruned merge-join
-/// relies on.
-fn compute_min_portal_dists(portal_start: &[u32], portals: &[PortalEntry]) -> Vec<Weight> {
-    (0..portal_start.len().saturating_sub(1))
-        .map(|e| {
-            portals[portal_start[e] as usize..portal_start[e + 1] as usize]
-                .iter()
-                .map(|p| p.dist)
-                .min()
-                .unwrap_or(INFINITY)
-        })
-        .collect()
-}
-
 impl<'a> FlatLabels<'a> {
-    /// Assembles an arena directly from its four arrays, validating the
-    /// CSR invariants — the entry point of the label builder and of the
-    /// delta labels-section decoder.
+    /// Assembles labels from their four arrays, validating the CSR
+    /// invariants.
     pub fn from_parts(
         entry_start: Vec<u32>,
         keys: Vec<u64>,
         portal_start: Vec<u32>,
         portals: Vec<PortalEntry>,
     ) -> Result<Self, Error> {
-        FlatLabels::from_storage_parts(
-            entry_start.into(),
-            keys.into(),
-            portal_start.into(),
-            portals.into(),
-        )
+        let csr = KeyedCsr::new(entry_start, keys, portal_start, portals)?;
+        Ok(FlatLabels::from_csr(csr))
     }
 
-    /// Assembles an arena from borrowed-or-owned columns, validating the
-    /// CSR invariants — the zero-copy entry point of the
-    /// raw labels-section decoder.
-    pub fn from_storage_parts(
-        entry_start: ArenaStorage<'a, u32>,
-        keys: ArenaStorage<'a, u64>,
-        portal_start: ArenaStorage<'a, u32>,
-        portals: ArenaStorage<'a, PortalEntry>,
-    ) -> Result<Self, Error> {
-        let corrupt = |what: &'static str| Err(Error::corrupt(what));
-        if entry_start.first() != Some(&0) || portal_start.first() != Some(&0) {
-            return corrupt("offset arrays must start at 0");
-        }
-        if *entry_start.last().unwrap() as usize != keys.len() {
-            return corrupt("entry_start must end at keys.len()");
-        }
-        if portal_start.len() != keys.len() + 1 {
-            return corrupt("portal_start must have one bound per entry plus one");
-        }
-        if *portal_start.last().unwrap() as usize != portals.len() {
-            return corrupt("portal_start must end at portals.len()");
-        }
-        if entry_start.windows(2).any(|w| w[0] > w[1]) {
-            return corrupt("entry_start must be non-decreasing");
-        }
-        if portal_start.windows(2).any(|w| w[0] > w[1]) {
-            return corrupt("portal_start must be non-decreasing");
-        }
-        for v in 0..entry_start.len() - 1 {
-            let range = entry_start[v] as usize..entry_start[v + 1] as usize;
-            if keys[range].windows(2).any(|w| w[0] >= w[1]) {
-                return corrupt("keys must be strictly ascending within a vertex");
-            }
-        }
-        let min_portal_dist = compute_min_portal_dists(&portal_start, &portals);
-        Ok(FlatLabels {
-            entry_start,
-            keys,
-            portal_start,
-            portals,
+    /// Wraps a validated arena, deriving the per-entry prune bounds —
+    /// the entry point of the label builder and both section decoders.
+    pub(crate) fn from_csr(csr: KeyedCsr<'a, PortalEntry>) -> Self {
+        let min_portal_dist = (0..csr.num_entries())
+            .map(|e| csr.tail(e).iter().map(|p| p.dist).min().unwrap_or(INFINITY))
+            .collect();
+        FlatLabels {
+            csr,
             min_portal_dist,
-        })
+        }
+    }
+
+    /// The underlying arena — what the wire formats encode.
+    pub(crate) fn csr(&self) -> &KeyedCsr<'a, PortalEntry> {
+        &self.csr
     }
 
     /// Number of labels (vertices).
     pub fn num_labels(&self) -> usize {
-        self.entry_start.len() - 1
+        self.csr.num_vertices()
     }
 
     /// Total `(node, group, path)` entries across all labels.
     pub fn num_entries(&self) -> usize {
-        self.keys.len()
+        self.csr.num_entries()
     }
 
     /// Total portal entries — the oracle's space in the sense of
     /// Theorem 2.
     pub fn num_portals(&self) -> usize {
-        self.portals.len()
+        self.csr.tails().len()
     }
 
     /// Borrowed view of `v`'s label.
@@ -169,15 +110,12 @@ impl<'a> FlatLabels<'a> {
                 num_nodes: self.num_labels(),
             });
         }
-        let (lo, hi) = (
-            self.entry_start[i] as usize,
-            self.entry_start[i + 1] as usize,
-        );
+        let r = self.csr.entry_range(i);
         Ok(LabelRef {
-            keys: &self.keys[lo..hi],
-            bounds: &self.portal_start[lo..=hi],
-            portals: &self.portals,
-            mins: &self.min_portal_dist[lo..hi],
+            keys: &self.csr.keys()[r.clone()],
+            bounds: &self.csr.tail_start()[r.start..=r.end],
+            portals: self.csr.tails(),
+            mins: &self.min_portal_dist[r],
         })
     }
 
@@ -190,12 +128,7 @@ impl<'a> FlatLabels<'a> {
     /// Raw arrays `(entry_start, keys, portal_start, portals)` — what
     /// the wire format encodes.
     pub fn as_parts(&self) -> (&[u32], &[u64], &[u32], &[PortalEntry]) {
-        (
-            &self.entry_start,
-            &self.keys,
-            &self.portal_start,
-            &self.portals,
-        )
+        self.csr.as_parts()
     }
 
     /// Label statistics, computed from the offsets.
@@ -204,13 +137,11 @@ impl<'a> FlatLabels<'a> {
         if n == 0 {
             return LabelStats::default();
         }
+        let bounds = self.csr.tail_start();
         let max_size = (0..n)
             .map(|v| {
-                let (lo, hi) = (
-                    self.entry_start[v] as usize,
-                    self.entry_start[v + 1] as usize,
-                );
-                (self.portal_start[hi] - self.portal_start[lo]) as usize
+                let r = self.csr.entry_range(v);
+                (bounds[r.end] - bounds[r.start]) as usize
             })
             .max()
             .unwrap_or(0);
@@ -229,38 +160,26 @@ impl<'a> FlatLabels<'a> {
     /// Heap bytes of the arena — the in-memory footprint the wire
     /// format's `bytes_per_label` is compared against.
     pub fn heap_bytes(&self) -> usize {
-        self.entry_start.len() * 4
-            + self.keys.len() * 8
-            + self.portal_start.len() * 4
-            + self.portals.len() * std::mem::size_of::<PortalEntry>()
+        self.csr.heap_bytes()
     }
 
     /// Heap bytes actually owned by this arena — zero when every column
     /// is borrowed from a mapped bundle.
     pub fn owned_bytes(&self) -> usize {
-        self.entry_start.owned_bytes()
-            + self.keys.owned_bytes()
-            + self.portal_start.owned_bytes()
-            + self.portals.owned_bytes()
+        self.csr.owned_bytes()
     }
 
     /// True when every column is served in place from an external
     /// buffer (the zero-copy load path).
     pub fn is_borrowed(&self) -> bool {
-        self.entry_start.is_borrowed()
-            && self.keys.is_borrowed()
-            && self.portal_start.is_borrowed()
-            && self.portals.is_borrowed()
+        self.csr.is_borrowed()
     }
 
     /// Copies any borrowed column onto the heap, detaching the arena
     /// from the buffer it was mapped from.
     pub fn into_owned(self) -> FlatLabels<'static> {
         FlatLabels {
-            entry_start: self.entry_start.into_owned(),
-            keys: self.keys.into_owned(),
-            portal_start: self.portal_start.into_owned(),
-            portals: self.portals.into_owned(),
+            csr: self.csr.into_owned(),
             min_portal_dist: self.min_portal_dist,
         }
     }
@@ -376,32 +295,6 @@ mod tests {
         let flat = grid_labels();
         let err = flat.try_label(NodeId(999)).unwrap_err();
         assert!(matches!(err, Error::NodeOutOfRange { .. }));
-    }
-
-    #[test]
-    fn from_parts_rejects_broken_invariants() {
-        let flat = grid_labels();
-        let (es, keys, ps, portals) = flat.as_parts();
-        // valid parts reassemble
-        assert_eq!(
-            FlatLabels::from_parts(es.to_vec(), keys.to_vec(), ps.to_vec(), portals.to_vec())
-                .unwrap(),
-            flat
-        );
-        // descending keys within a vertex
-        let mut bad_keys = keys.to_vec();
-        bad_keys.swap(0, 1);
-        assert!(
-            FlatLabels::from_parts(es.to_vec(), bad_keys, ps.to_vec(), portals.to_vec()).is_err()
-        );
-        // truncated portal arena
-        assert!(FlatLabels::from_parts(
-            es.to_vec(),
-            keys.to_vec(),
-            ps.to_vec(),
-            portals[..portals.len() - 1].to_vec()
-        )
-        .is_err());
     }
 
     #[test]

@@ -94,7 +94,8 @@ pub fn unpack_key(key: u64) -> (u32, u16, u16) {
 /// `(node, group, path)`, so the stable counting sort of
 /// [`psep_core::csr::by_vertex`] leaves every vertex's keys ascending.
 ///
-/// With `threads > 1` the per-source Dijkstras fan out in blocks on a
+/// With more than one worker (`threads > 1`, or `0` for all available
+/// threads) the per-source Dijkstras fan out in blocks on a
 /// [`ShardedRunner`], each worker owning a reusable [`DijkstraScratch`]
 /// arena that grows to the largest `J` and never shrinks; the runner
 /// returns each block's results in source order and greedy application
@@ -114,8 +115,8 @@ pub fn build_labels(
     assert!(epsilon > 0.0, "epsilon must be positive");
     let _span = psep_obs::span!("build_labels");
     let n = g.num_nodes();
-    let workers = threads.max(1);
-    let runner = ShardedRunner::new(workers);
+    let runner = ShardedRunner::new(threads);
+    let workers = runner.threads();
     const LABEL_OBS: ShardObs = ShardObs {
         prefix: "oracle.label",
         items: "sources",
@@ -129,7 +130,7 @@ pub fn build_labels(
     let mut scratches: Vec<DijkstraScratch> =
         (0..workers).map(|_| DijkstraScratch::new(0)).collect();
     // group-major emission: one entry per (vertex, path) with portals
-    let mut emitted: Vec<Emitted<u64>> = Vec::new();
+    let mut emitted: Vec<Emitted<()>> = Vec::new();
     let mut portals: Vec<PortalEntry> = Vec::new();
     // the current path's greedy state by local id in J: portals chosen
     // so far as (path index, d_J) pairs, and m_v = min (d_p − pos(p))
@@ -187,7 +188,8 @@ pub fn build_labels(
                     }));
                     emitted.push(Emitted {
                         vertex: v.0,
-                        record: key,
+                        key,
+                        record: (),
                         tail: lo..portals.len() as u32,
                     });
                 }
@@ -267,9 +269,7 @@ pub fn build_labels(
     // the greedy's state is dead: free it before the arena is built, so
     // it does not add to the build's peak
     drop((chosen, best, j, scratches));
-    let csr = by_vertex(n, &emitted, &portals);
-    let labels = FlatLabels::from_parts(csr.entry_start, csr.records, csr.tail_start, csr.tails)
-        .expect("the builder emits a valid arena");
+    let labels = FlatLabels::from_csr(by_vertex(n, &emitted, &portals).0);
     if psep_obs::enabled() {
         let (entries, portals) = (labels.num_entries(), labels.num_portals());
         psep_obs::counter("oracle.labels.entries").add(entries as u64);

@@ -48,6 +48,6 @@ pub use estimator::DistanceEstimator;
 pub use exact::ExactOracle;
 pub use flat::{FlatLabels, LabelRef};
 pub use label::PortalEntry;
-pub use oracle::{build_oracle, DistanceOracle, JoinStats, OracleBuilder, OracleParams};
+pub use oracle::{build_oracle, DistanceOracle, JoinStats, OracleParams};
 pub use path::WitnessPath;
 pub use thorup_zwick::ThorupZwickOracle;

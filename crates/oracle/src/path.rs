@@ -7,10 +7,14 @@
 //! Each term is the cost of a real walk:
 //!
 //! * `d_J(u,p)` and `d_J(q,v)` are Dijkstra distances inside `J` — the
-//!   exact quantity label construction stored ([`crate::label`] runs its
-//!   portal Dijkstras in `SubgraphView(g, tree.residual_mask(..))`), so
-//!   re-running the same deterministic Dijkstra from the portal
-//!   reproduces the stored distance and yields a parent chain to walk.
+//!   exact quantity label construction stored. [`crate::label`] runs its
+//!   portal Dijkstras over the local-id `ResidualGraph` of `J`, this
+//!   module over `SubgraphView(g, tree.residual_mask(..))`: the same
+//!   vertex set with ids in the same order (local ids ascend with the
+//!   global ids), so both searches settle the same distances and break
+//!   parent ties toward the same smaller id. Re-running the
+//!   deterministic Dijkstra from the portal therefore reproduces the
+//!   stored distance and yields a parent chain to walk.
 //!   Each leg's search stops as soon as its endpoint is settled (and
 //!   never reaches past the stored distance): edge weights are `≥ 1`, so
 //!   no vertex settled later could change the endpoint's chain, and the
@@ -162,7 +166,8 @@ impl DistanceOracle<'_> {
         let p = path.vertices()[ip];
         let q = path.vertices()[iq];
         // the residual graph J the stored portal distances were measured
-        // in — label construction used this exact view
+        // in: the vertex set of label construction's local-id graph, ids
+        // in the same order, so distances and tie-breaks agree
         let mask = tree.residual_mask(g.num_nodes(), h as usize, gi as usize);
         if !(mask.contains(u) && mask.contains(v) && mask.contains(p) && mask.contains(q)) {
             return Err(Error::corrupt(

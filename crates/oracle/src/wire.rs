@@ -3,15 +3,14 @@
 //! raw section, kind 3, served in place). Neither carries an envelope of
 //! its own: the bundle that holds them owns magic, version and checksum.
 //!
-//! Delta body layout (all integers LEB128 varints unless noted):
+//! Both bodies are `ε` followed by the label arena's [`KeyedCsr`]
+//! encoding ([`KeyedCsr::encode_delta_into`],
+//! [`KeyedCsr::encode_raw_into`]), with the portals as the tails. The
+//! delta body (all integers LEB128 varints unless noted):
 //!
 //! ```text
 //! epsilon f64 bit pattern, little-endian            8 bytes
-//! n       number of labels
-//! E       total entries        P  total portals
-//! entry count per vertex                            n varints
-//! keys    per vertex: first absolute, then deltas   E varints
-//! portal count per entry                            E varints
+//! n, E, P and the arena's entry counts, key deltas and portal counts
 //! positions per entry: first absolute, then zigzag  P varints
 //! dists   raw varints                               P varints
 //! ```
@@ -21,12 +20,16 @@
 //! left to right), so delta coding shrinks both streams to one or two
 //! bytes per element on typical oracles — `oracle.wire.bytes_per_label`
 //! in experiment E3t reports the measured ratio against the in-memory
-//! arena.
+//! arena. The raw body is `ε` as an `f64` LE followed by the arena's
+//! aligned columns, the portals as `{pos u64, dist u64}` LE pairs; on a
+//! little-endian host with an 8-aligned section the decoder borrows
+//! every column in place — no per-entry work at all.
 //!
 //! Decoding verifies every structural invariant; corrupt input yields
 //! an [`Error`], never a panic.
 
-use psep_core::wire::{put_varint, put_zigzag, Cursor};
+use psep_core::csr::KeyedCsr;
+use psep_core::wire::{put_varint, put_zigzag, Cursor, SectionReader, WireError};
 use psep_graph::graph::Weight;
 
 use crate::error::Error;
@@ -44,35 +47,13 @@ pub fn encode_labels(flat: &FlatLabels, epsilon: f64) -> Vec<u8> {
 /// Appends the delta labels-section body of a label arena and its `ε`
 /// to `out`.
 pub fn encode_labels_into(flat: &FlatLabels, epsilon: f64, out: &mut Vec<u8>) {
-    let (entry_start, keys, portal_start, portals) = flat.as_parts();
-    let n = entry_start.len() - 1;
-    out.reserve(16 + n + keys.len() * 2 + portals.len() * 3);
+    let csr = flat.csr();
+    out.reserve(16 + csr.num_vertices() + csr.num_entries() * 2 + csr.tails().len() * 3);
     out.extend_from_slice(&epsilon.to_bits().to_le_bytes());
-    put_varint(out, n as u64);
-    put_varint(out, keys.len() as u64);
-    put_varint(out, portals.len() as u64);
-    for v in 0..n {
-        put_varint(out, (entry_start[v + 1] - entry_start[v]) as u64);
-    }
-    for v in 0..n {
+    csr.encode_delta_into(out, |_| {});
+    for e in 0..csr.num_entries() {
         let mut prev = 0u64;
-        for (i, &key) in keys[entry_start[v] as usize..entry_start[v + 1] as usize]
-            .iter()
-            .enumerate()
-        {
-            put_varint(out, if i == 0 { key } else { key - prev });
-            prev = key;
-        }
-    }
-    for e in 0..keys.len() {
-        put_varint(out, (portal_start[e + 1] - portal_start[e]) as u64);
-    }
-    for e in 0..keys.len() {
-        let mut prev = 0u64;
-        for (i, p) in portals[portal_start[e] as usize..portal_start[e + 1] as usize]
-            .iter()
-            .enumerate()
-        {
+        for (i, p) in csr.tail(e).iter().enumerate() {
             if i == 0 {
                 put_varint(out, p.pos);
             } else {
@@ -82,9 +63,33 @@ pub fn encode_labels_into(flat: &FlatLabels, epsilon: f64, out: &mut Vec<u8>) {
             prev = p.pos;
         }
     }
-    for p in portals {
+    for p in csr.tails() {
         put_varint(out, p.dist);
     }
+}
+
+/// Reads the portal column of a delta body: positions per entry, then
+/// every dist.
+fn decode_portals(c: &mut Cursor<'_>, portal_start: &[u32]) -> Result<Vec<PortalEntry>, WireError> {
+    let mut portals = Vec::with_capacity(*portal_start.last().unwrap() as usize);
+    for w in portal_start.windows(2) {
+        let mut prev = 0u64;
+        for i in 0..w[1] - w[0] {
+            let pos = if i == 0 {
+                c.varint()?
+            } else {
+                let next = i128::from(prev) + i128::from(c.zigzag()?);
+                Weight::try_from(next)
+                    .map_err(|_| WireError::Corrupt("position delta underflows"))?
+            };
+            portals.push(PortalEntry { pos, dist: 0 });
+            prev = pos;
+        }
+    }
+    for p in &mut portals {
+        p.dist = c.varint()?;
+    }
+    Ok(portals)
 }
 
 /// Decodes a delta labels-section body into `(labels, epsilon)`.
@@ -96,131 +101,20 @@ pub fn decode_labels(data: &[u8]) -> Result<(FlatLabels<'static>, f64), Error> {
     if !(epsilon.is_finite() && epsilon > 0.0) {
         return Err(Error::InvalidEpsilon(epsilon));
     }
-    // every vertex, entry, and portal costs at least one body byte, so
-    // the input length bounds all three counts
-    let limit = data.len();
-    let n = c.length(limit)?;
-    let num_entries = c.length(limit)?;
-    let num_portals = c.length(limit)?;
-    if num_entries > u32::MAX as usize || num_portals > u32::MAX as usize {
-        return Err(Error::corrupt("entry or portal count exceeds u32 offsets"));
-    }
-
-    let mut entry_start = Vec::with_capacity(n + 1);
-    entry_start.push(0u32);
-    for _ in 0..n {
-        let count = c.length(num_entries)?;
-        let next = entry_start.last().unwrap() + count as u32;
-        if next as usize > num_entries {
-            return Err(Error::corrupt("entry counts exceed declared total"));
-        }
-        entry_start.push(next);
-    }
-    if *entry_start.last().unwrap() as usize != num_entries {
-        return Err(Error::corrupt("entry counts do not sum to declared total"));
-    }
-
-    let mut keys = Vec::with_capacity(num_entries);
-    for v in 0..n {
-        let count = (entry_start[v + 1] - entry_start[v]) as usize;
-        let mut prev = 0u64;
-        for i in 0..count {
-            let raw = c.varint()?;
-            let key = if i == 0 {
-                raw
-            } else {
-                prev.checked_add(raw)
-                    .ok_or(Error::corrupt("key delta overflows"))?
-            };
-            keys.push(key);
-            prev = key;
-        }
-    }
-
-    let mut portal_start = Vec::with_capacity(num_entries + 1);
-    portal_start.push(0u32);
-    for _ in 0..num_entries {
-        let count = c.length(num_portals)?;
-        let next = portal_start.last().unwrap() + count as u32;
-        if next as usize > num_portals {
-            return Err(Error::corrupt("portal counts exceed declared total"));
-        }
-        portal_start.push(next);
-    }
-    if *portal_start.last().unwrap() as usize != num_portals {
-        return Err(Error::corrupt("portal counts do not sum to declared total"));
-    }
-
-    let mut portals: Vec<PortalEntry> = Vec::with_capacity(num_portals);
-    for e in 0..num_entries {
-        let count = (portal_start[e + 1] - portal_start[e]) as usize;
-        let mut prev = 0u64;
-        for i in 0..count {
-            let pos = if i == 0 {
-                c.varint()?
-            } else {
-                let delta = c.zigzag()?;
-                let next = i128::from(prev) + i128::from(delta);
-                Weight::try_from(next).map_err(|_| Error::corrupt("position delta underflows"))?
-            };
-            portals.push(PortalEntry { pos, dist: 0 });
-            prev = pos;
-        }
-    }
-    for p in &mut portals {
-        p.dist = c.varint()?;
-    }
-    if c.remaining() != 0 {
-        return Err(Error::corrupt("trailing bytes after payload"));
-    }
+    let (csr, ()) = KeyedCsr::decode_delta(c, |_, _| Ok(()), decode_portals)?;
     // Per-entry decode work actually performed — the zero-copy mapped load
     // path asserts these stay at zero.
-    psep_obs::counter!("oracle.wire.entries_decoded").add(num_entries as u64);
-    psep_obs::counter!("oracle.wire.portals_decoded").add(num_portals as u64);
-    let flat = FlatLabels::from_parts(entry_start, keys, portal_start, portals)?;
-    Ok((flat, epsilon))
+    psep_obs::counter!("oracle.wire.entries_decoded").add(csr.num_entries() as u64);
+    psep_obs::counter!("oracle.wire.portals_decoded").add(csr.tails().len() as u64);
+    Ok((FlatLabels::from_csr(csr), epsilon))
 }
-
-// ---------------------------------------------------------------------------
-// Raw labels section: aligned little-endian arrays, the zero-copy
-// counterpart of the delta body.
-//
-// ```text
-// epsilon       f64 LE                               8 bytes
-// n, E, P       u64 LE                               24 bytes
-// entry_start   (n+1) × u32 LE
-// pad to 8
-// keys          E × u64 LE
-// portal_start  (E+1) × u32 LE
-// pad to 8
-// portals       P × PortalEntry {pos u64, dist u64}  LE
-// ```
-//
-// Every column starts 8-aligned relative to the section, so on a
-// little-endian host with an 8-aligned section the decoder borrows all
-// four columns in place — no per-entry work at all.
-// ---------------------------------------------------------------------------
-
-use psep_core::wire::{pad_to_8, put_pod_slice, ArenaStorage, SectionReader};
 
 /// Appends a label arena's raw labels-section body to `out`, which
 /// must end on an 8-byte boundary so the columns land aligned.
 pub fn encode_labels_flat_into(flat: &FlatLabels, epsilon: f64, out: &mut Vec<u8>) {
-    debug_assert!(out.len().is_multiple_of(8), "section must start aligned");
-    let (entry_start, keys, portal_start, portals) = flat.as_parts();
-    out.reserve(
-        32 + entry_start.len() * 4 + keys.len() * 8 + portal_start.len() * 4 + portals.len() * 16,
-    );
+    out.reserve(48 + flat.heap_bytes());
     out.extend_from_slice(&epsilon.to_bits().to_le_bytes());
-    out.extend_from_slice(&(flat.num_labels() as u64).to_le_bytes());
-    out.extend_from_slice(&(keys.len() as u64).to_le_bytes());
-    out.extend_from_slice(&(portals.len() as u64).to_le_bytes());
-    put_pod_slice(out, entry_start);
-    pad_to_8(out);
-    put_pod_slice(out, keys);
-    put_pod_slice(out, portal_start);
-    pad_to_8(out);
-    put_pod_slice(out, portals);
+    flat.csr().encode_raw_into(out, |_| {});
 }
 
 /// Decodes a raw labels-section body, borrowing every column in
@@ -233,27 +127,12 @@ pub fn decode_labels_flat(bytes: &[u8]) -> Result<(FlatLabels<'_>, f64), Error> 
     if !(epsilon.is_finite() && epsilon > 0.0) {
         return Err(Error::InvalidEpsilon(epsilon));
     }
-    let n = r.u64()?;
-    let num_entries = r.u64()?;
-    let num_portals = r.u64()?;
-    if n >= u32::MAX as u64 || num_entries >= u32::MAX as u64 || num_portals > u32::MAX as u64 {
-        return Err(Error::corrupt("label counts exceed u32 offsets"));
+    let (csr, ()) = KeyedCsr::decode_raw(r, |_, _| Ok(()))?;
+    if !csr.is_borrowed() {
+        psep_obs::counter!("oracle.wire.entries_decoded").add(csr.num_entries() as u64);
+        psep_obs::counter!("oracle.wire.portals_decoded").add(csr.tails().len() as u64);
     }
-    let entry_start: ArenaStorage<u32> = r.pod_slice(n as usize + 1)?;
-    r.align8()?;
-    let keys: ArenaStorage<u64> = r.pod_slice(num_entries as usize)?;
-    let portal_start: ArenaStorage<u32> = r.pod_slice(num_entries as usize + 1)?;
-    r.align8()?;
-    let portals: ArenaStorage<PortalEntry> = r.pod_slice(num_portals as usize)?;
-    r.finish()?;
-    if entry_start.is_borrowed() {
-        // borrowed in place: zero per-entry decode work
-    } else {
-        psep_obs::counter!("oracle.wire.entries_decoded").add(num_entries);
-        psep_obs::counter!("oracle.wire.portals_decoded").add(num_portals);
-    }
-    let flat = FlatLabels::from_storage_parts(entry_start, keys, portal_start, portals)?;
-    Ok((flat, epsilon))
+    Ok((FlatLabels::from_csr(csr), epsilon))
 }
 
 #[cfg(test)]
@@ -368,17 +247,5 @@ mod tests {
         let mut long = sec.clone();
         long.extend_from_slice(&[0u8; 16]);
         assert!(decode_labels_flat(&long).is_err());
-    }
-
-    #[test]
-    fn structurally_corrupt_body_is_rejected() {
-        // hand-build a body whose counts disagree
-        let mut body = Vec::new();
-        body.extend_from_slice(&0.25f64.to_bits().to_le_bytes());
-        put_varint(&mut body, 1); // n = 1
-        put_varint(&mut body, 5); // E = 5 …
-        put_varint(&mut body, 0); // P = 0
-        put_varint(&mut body, 2); // … but vertex 0 claims 2 entries
-        assert!(decode_labels(&body).is_err());
     }
 }

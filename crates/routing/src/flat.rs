@@ -1,7 +1,8 @@
 //! Contiguous (CSR-style) routing-table storage: every vertex's table
-//! in five flat arrays, mirroring `psep_oracle::FlatLabels`. The builder
-//! emits straight into this form; there is no other. [`FlatTables`]
-//! stores
+//! in the [`KeyedCsr`] arena the distance labels use too, with the
+//! `T_Q` children as the entries' tails, plus one record column. The
+//! builder emits straight into this form; there is no other.
+//! [`FlatTables`] stores
 //!
 //! ```text
 //! entry_start: n+1  u32         — entries of vertex v are entry_start[v]..entry_start[v+1]
@@ -19,6 +20,7 @@
 //! so a mapped tables section is served without touching a single
 //! entry. Lookups borrow [`TableRef`]/[`EntryRef`] views.
 
+use psep_core::csr::KeyedCsr;
 use psep_core::wire::ArenaStorage;
 use psep_graph::graph::{NodeId, Weight};
 use psep_oracle::label::{pack_key, unpack_key};
@@ -139,89 +141,38 @@ impl EntryRecord {
     }
 }
 
-/// All routing tables of one graph in contiguous CSR-style arrays.
+/// All routing tables of one graph: a [`KeyedCsr`] whose tails are the
+/// entries' `T_Q` children, plus one `EntryRecord` per entry.
 ///
-/// Invariants (maintained by every constructor):
+/// The arena validates the CSR invariants; `FlatTables::new` adds the
+/// table-only ones:
 ///
-/// * `entry_start` has `num_nodes() + 1` elements, is non-decreasing,
-///   starts at 0 and ends at `keys.len()`;
-/// * `child_start` has `keys.len() + 1` elements, is non-decreasing,
-///   starts at 0 and ends at `children.len()`;
-/// * within each vertex's range, `keys` is strictly ascending;
+/// * one record per key;
 /// * within each entry's range, `children` is strictly ascending;
 /// * every vertex id (parent, child, on-path prev/next) is `< num_nodes()`
 ///   and every DFS interval is non-empty (`dfs < subtree_end`);
 /// * records are canonical: off-path records have zero `path_pos`,
 ///   `NO_NODE` (`u32::MAX`) links, no stray flag bits, and a parent (the interval
 ///   descent in `route` relies on it), while on-path records have none.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct FlatTables<'a> {
-    entry_start: ArenaStorage<'a, u32>,
-    keys: ArenaStorage<'a, u64>,
+    csr: KeyedCsr<'a, NodeId>,
     records: ArenaStorage<'a, EntryRecord>,
-    child_start: ArenaStorage<'a, u32>,
-    children: ArenaStorage<'a, NodeId>,
 }
 
 impl<'a> FlatTables<'a> {
-    /// Assembles an arena directly from its five owned arrays, validating
-    /// every invariant — the entry point of the table builder and of the
-    /// delta tables-section decoder.
-    pub(crate) fn from_parts(
-        entry_start: Vec<u32>,
-        keys: Vec<u64>,
-        records: Vec<EntryRecord>,
-        child_start: Vec<u32>,
-        children: Vec<NodeId>,
-    ) -> Result<Self, Error> {
-        FlatTables::from_storage_parts(
-            entry_start.into(),
-            keys.into(),
-            records.into(),
-            child_start.into(),
-            children.into(),
-        )
-    }
-
-    /// Assembles an arena from borrowed-or-owned columns, validating
-    /// every invariant — the zero-copy entry point of the
-    /// raw tables-section decoder.
-    pub(crate) fn from_storage_parts(
-        entry_start: ArenaStorage<'a, u32>,
-        keys: ArenaStorage<'a, u64>,
+    /// Pairs a validated arena with its record column, validating the
+    /// records and children — the entry point of the table builder and
+    /// both section decoders.
+    pub(crate) fn new(
+        csr: KeyedCsr<'a, NodeId>,
         records: ArenaStorage<'a, EntryRecord>,
-        child_start: ArenaStorage<'a, u32>,
-        children: ArenaStorage<'a, NodeId>,
     ) -> Result<Self, Error> {
         let corrupt = |what: &'static str| Err(Error::corrupt(what));
-        if entry_start.first() != Some(&0) || child_start.first() != Some(&0) {
-            return corrupt("offset arrays must start at 0");
-        }
-        if *entry_start.last().unwrap() as usize != keys.len() {
-            return corrupt("entry_start must end at keys.len()");
-        }
-        if records.len() != keys.len() {
+        if records.len() != csr.num_entries() {
             return corrupt("one record per key");
         }
-        if child_start.len() != keys.len() + 1 {
-            return corrupt("child_start must have one bound per entry plus one");
-        }
-        if *child_start.last().unwrap() as usize != children.len() {
-            return corrupt("child_start must end at children.len()");
-        }
-        if entry_start.windows(2).any(|w| w[0] > w[1]) {
-            return corrupt("entry_start must be non-decreasing");
-        }
-        if child_start.windows(2).any(|w| w[0] > w[1]) {
-            return corrupt("child_start must be non-decreasing");
-        }
-        for v in 0..entry_start.len() - 1 {
-            let range = entry_start[v] as usize..entry_start[v + 1] as usize;
-            if keys[range].windows(2).any(|w| w[0] >= w[1]) {
-                return corrupt("keys must be strictly ascending within a vertex");
-            }
-        }
-        let n = entry_start.len() - 1;
+        let n = csr.num_vertices();
         let in_range = |raw: u32| raw == NO_NODE || (raw as usize) < n;
         for rec in records.iter() {
             if rec.dfs >= rec.subtree_end {
@@ -251,49 +202,35 @@ impl<'a> FlatTables<'a> {
                 }
             }
         }
-        if children.iter().any(|c| c.index() >= n) {
+        if csr.tails().iter().any(|c| c.index() >= n) {
             return corrupt("child vertex out of range");
         }
-        for e in 0..keys.len() {
-            let range = child_start[e] as usize..child_start[e + 1] as usize;
-            if children[range].windows(2).any(|w| w[0] >= w[1]) {
+        for e in 0..csr.num_entries() {
+            if csr.tail(e).windows(2).any(|w| w[0] >= w[1]) {
                 return corrupt("children must be strictly ascending within an entry");
             }
         }
-        Ok(FlatTables {
-            entry_start,
-            keys,
-            records,
-            child_start,
-            children,
-        })
+        Ok(FlatTables { csr, records })
     }
 
-    /// The raw arrays — what the wire format encodes.
-    #[allow(clippy::type_complexity)]
-    pub(crate) fn as_parts(&self) -> (&[u32], &[u64], &[EntryRecord], &[u32], &[NodeId]) {
-        (
-            &self.entry_start,
-            &self.keys,
-            &self.records,
-            &self.child_start,
-            &self.children,
-        )
+    /// The key and child arena — what the wire formats encode.
+    pub(crate) fn csr(&self) -> &KeyedCsr<'a, NodeId> {
+        &self.csr
+    }
+
+    /// The per-entry records, parallel to the keys.
+    pub(crate) fn records(&self) -> &[EntryRecord] {
+        &self.records
     }
 
     /// Number of vertices covered.
     pub fn num_nodes(&self) -> usize {
-        self.entry_start.len() - 1
+        self.csr.num_vertices()
     }
 
     /// Total `(node, group, path)` entries across all tables.
     pub fn num_entries(&self) -> usize {
-        self.keys.len()
-    }
-
-    /// Total child records across all entries.
-    pub fn num_children(&self) -> usize {
-        self.children.len()
+        self.csr.num_entries()
     }
 
     /// Borrowed view of `v`'s table.
@@ -315,52 +252,38 @@ impl<'a> FlatTables<'a> {
                 num_nodes: self.num_nodes(),
             });
         }
+        let r = self.csr.entry_range(i);
         Ok(TableRef {
             flat: self,
-            lo: self.entry_start[i] as usize,
-            hi: self.entry_start[i + 1] as usize,
+            lo: r.start,
+            hi: r.end,
         })
     }
 
     /// Heap bytes of the arena — the in-memory footprint the wire
     /// format's size is compared against in experiment E6t.
     pub fn heap_bytes(&self) -> usize {
-        self.entry_start.len() * 4
-            + self.keys.len() * 8
-            + self.records.len() * std::mem::size_of::<EntryRecord>()
-            + self.child_start.len() * 4
-            + self.children.len() * 4
+        self.csr.heap_bytes() + std::mem::size_of_val(self.records())
     }
 
     /// Heap bytes actually owned by this arena — zero when every column
     /// is borrowed from a mapped bundle.
     pub fn owned_bytes(&self) -> usize {
-        self.entry_start.owned_bytes()
-            + self.keys.owned_bytes()
-            + self.records.owned_bytes()
-            + self.child_start.owned_bytes()
-            + self.children.owned_bytes()
+        self.csr.owned_bytes() + self.records.owned_bytes()
     }
 
     /// True when every column is served in place from an external
     /// buffer (the zero-copy load path).
     pub fn is_borrowed(&self) -> bool {
-        self.entry_start.is_borrowed()
-            && self.keys.is_borrowed()
-            && self.records.is_borrowed()
-            && self.child_start.is_borrowed()
-            && self.children.is_borrowed()
+        self.csr.is_borrowed() && self.records.is_borrowed()
     }
 
     /// Copies any borrowed column onto the heap, detaching the arena
     /// from the buffer it was mapped from.
     pub fn into_owned(self) -> FlatTables<'static> {
         FlatTables {
-            entry_start: self.entry_start.into_owned(),
-            keys: self.keys.into_owned(),
+            csr: self.csr.into_owned(),
             records: self.records.into_owned(),
-            child_start: self.child_start.into_owned(),
-            children: self.children.into_owned(),
         }
     }
 }
@@ -387,7 +310,7 @@ impl<'a> TableRef<'a> {
     /// The entry for `key`, if present (binary search).
     pub fn get(&self, key: RouteKey) -> Option<EntryRef<'a>> {
         let packed = pack_key(key.0, key.1, key.2);
-        let i = self.flat.keys[self.lo..self.hi]
+        let i = self.flat.csr.keys()[self.lo..self.hi]
             .binary_search(&packed)
             .ok()?;
         Some(EntryRef {
@@ -399,7 +322,7 @@ impl<'a> TableRef<'a> {
     /// All entries as `(key, entry)` pairs in ascending key order.
     pub fn entries(&self) -> impl Iterator<Item = (RouteKey, EntryRef<'a>)> + '_ {
         let flat = self.flat;
-        (self.lo..self.hi).map(move |e| (unpack_key(flat.keys[e]), EntryRef { flat, e }))
+        (self.lo..self.hi).map(move |e| (unpack_key(flat.csr.keys()[e]), EntryRef { flat, e }))
     }
 }
 
@@ -412,7 +335,7 @@ pub struct EntryRef<'a> {
 
 impl<'a> EntryRef<'a> {
     fn record(&self) -> &'a EntryRecord {
-        &self.flat.records.as_slice()[self.e]
+        &self.flat.records()[self.e]
     }
 
     /// `d_J(v, Q)` — distance to the nearest path vertex.
@@ -447,11 +370,7 @@ impl<'a> EntryRef<'a> {
 
     /// Children in `T_Q` (for interval routing downward), ascending.
     pub fn children(&self) -> &'a [NodeId] {
-        let (lo, hi) = (
-            self.flat.child_start[self.e] as usize,
-            self.flat.child_start[self.e + 1] as usize,
-        );
-        &self.flat.children.as_slice()[lo..hi]
+        self.flat.csr.tail(self.e)
     }
 }
 
@@ -473,7 +392,7 @@ mod tests {
     fn records_roundtrip_their_fields_and_wire_layout() {
         use psep_core::wire::Pod;
         let tables = grid_tables();
-        for rec in tables.flat().as_parts().2 {
+        for rec in tables.flat().records() {
             let on_path = rec.on_path();
             let again = EntryRecord::new(
                 rec.dist,
@@ -504,76 +423,44 @@ mod tests {
     }
 
     #[test]
-    fn from_parts_rejects_broken_invariants() {
+    fn new_rejects_broken_records_and_children() {
         let tables = grid_tables();
-        let (es, keys, recs, cs, ch) = tables.flat().as_parts();
-        let reassembled = FlatTables::from_parts(
-            es.to_vec(),
-            keys.to_vec(),
-            recs.to_vec(),
-            cs.to_vec(),
-            ch.to_vec(),
-        )
-        .unwrap();
-        assert_eq!(&reassembled, tables.flat());
-        // descending keys within a vertex
-        let mut bad_keys = keys.to_vec();
-        bad_keys.swap(0, 1);
-        assert!(FlatTables::from_parts(
-            es.to_vec(),
-            bad_keys,
-            recs.to_vec(),
-            cs.to_vec(),
-            ch.to_vec()
-        )
-        .is_err());
+        let flat = tables.flat();
+        let (recs, ch) = (flat.records(), flat.csr().tails());
+        let assemble =
+            |recs: Vec<EntryRecord>, ch: Vec<NodeId>| -> Result<FlatTables<'static>, Error> {
+                let (es, keys, cs, _) = flat.csr().as_parts();
+                let csr = KeyedCsr::new(es.to_vec(), keys.to_vec(), cs.to_vec(), ch)?;
+                FlatTables::new(csr, recs.into())
+            };
+        assert_eq!(&assemble(recs.to_vec(), ch.to_vec()).unwrap(), flat);
+        // a record short
+        assert!(assemble(recs[1..].to_vec(), ch.to_vec()).is_err());
         // an empty DFS interval
         let mut bad_recs = recs.to_vec();
         bad_recs[0].subtree_end = bad_recs[0].dfs;
-        assert!(FlatTables::from_parts(
-            es.to_vec(),
-            keys.to_vec(),
-            bad_recs,
-            cs.to_vec(),
-            ch.to_vec()
-        )
-        .is_err());
+        assert!(assemble(bad_recs, ch.to_vec()).is_err());
         // an off-path record with no parent would panic in `route`
         if let Some(i) = recs.iter().position(|r| r.flags & ON_PATH == 0) {
             let mut bad_recs = recs.to_vec();
             bad_recs[i].parent = NO_NODE;
-            assert!(FlatTables::from_parts(
-                es.to_vec(),
-                keys.to_vec(),
-                bad_recs,
-                cs.to_vec(),
-                ch.to_vec()
-            )
-            .is_err());
+            assert!(assemble(bad_recs, ch.to_vec()).is_err());
         }
         // a stray flag bit is non-canonical
         let mut bad_recs = recs.to_vec();
         bad_recs[0].flags |= 2;
-        assert!(FlatTables::from_parts(
-            es.to_vec(),
-            keys.to_vec(),
-            bad_recs,
-            cs.to_vec(),
-            ch.to_vec()
-        )
-        .is_err());
+        assert!(assemble(bad_recs, ch.to_vec()).is_err());
         // a child id beyond n
-        if !ch.is_empty() {
-            let mut bad_ch = ch.to_vec();
-            bad_ch[0] = NodeId(10_000);
-            assert!(FlatTables::from_parts(
-                es.to_vec(),
-                keys.to_vec(),
-                recs.to_vec(),
-                cs.to_vec(),
-                bad_ch
-            )
-            .is_err());
-        }
+        let mut bad_ch = ch.to_vec();
+        bad_ch[0] = NodeId(10_000);
+        assert!(assemble(recs.to_vec(), bad_ch).is_err());
+        // children out of order within an entry
+        let e = (0..flat.num_entries())
+            .find(|&e| flat.csr().tail(e).len() >= 2)
+            .unwrap();
+        let lo = flat.csr().tail_start()[e] as usize;
+        let mut bad_ch = ch.to_vec();
+        bad_ch.swap(lo, lo + 1);
+        assert!(assemble(recs.to_vec(), bad_ch).is_err());
     }
 }

@@ -88,7 +88,7 @@ impl RoutingLabel {
 /// of `children`.
 #[derive(Default)]
 struct GroupTables {
-    emitted: Vec<Emitted<(u64, EntryRecord)>>,
+    emitted: Vec<Emitted<EntryRecord>>,
     children: Vec<NodeId>,
 }
 
@@ -163,7 +163,8 @@ fn build_group(
             let record = EntryRecord::new(dist, path.position(i), parent, dfs[l], end[l], links);
             out.emitted.push(Emitted {
                 vertex: v.0,
-                record: (key, record),
+                key,
+                record,
                 tail: base + child_start[l]..base + child_start[l + 1],
             });
         }
@@ -214,10 +215,8 @@ fn build_flat(g: &Graph, tree: &DecompositionTree, threads: usize) -> FlatTables
             e
         }));
     }
-    let csr = by_vertex(g.num_nodes(), &emitted, &children);
-    let (keys, records) = csr.records.into_iter().unzip();
-    FlatTables::from_parts(csr.entry_start, keys, records, csr.tail_start, csr.tails)
-        .expect("the builder emits a valid arena")
+    let (csr, records) = by_vertex(g.num_nodes(), &emitted, &children);
+    FlatTables::new(csr, records.into()).expect("the builder emits a valid arena")
 }
 
 impl<'a> RoutingTables<'a> {

@@ -9,7 +9,7 @@ use path_separators::core::strategy::AutoStrategy;
 use path_separators::core::{check_tree, DecompositionTree};
 use path_separators::graph::dijkstra::distance;
 use path_separators::graph::generators::{grids, randomize_weights};
-use path_separators::OracleBuilder;
+use path_separators::{build_oracle, OracleParams};
 
 fn main() {
     // A 32×32 weighted grid — think of it as a small road network.
@@ -29,13 +29,17 @@ fn main() {
     // Every separator is re-verified against Definition 1:
     check_tree(&g, &tree).expect("all separators satisfy P1-P3");
 
-    // 2. Build the (1+ε)-approximate distance oracle (Theorem 2).
+    // 2. Build the (1+ε)-approximate distance oracle (Theorem 2) on
+    //    all available threads.
     let eps = 0.1;
-    let oracle = OracleBuilder::new()
-        .epsilon(eps)
-        .threads(4)
-        .build(&g, &tree)
-        .expect("epsilon is finite and positive");
+    let oracle = build_oracle(
+        &g,
+        &tree,
+        OracleParams {
+            epsilon: eps,
+            threads: 0,
+        },
+    );
     let stats = oracle.stats();
     println!(
         "oracle: ε = {eps}, mean label = {:.1} portal entries, total = {} (vs {} for APSP)",

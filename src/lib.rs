@@ -52,7 +52,7 @@ pub use psep_core::{AutoStrategy, DecompositionTree, PathSeparator, SepPath, Sep
 pub use psep_graph::{Graph, NodeId, Weight};
 pub use psep_oracle::{
     build_oracle, BatchQueryEngine, DistanceEstimator, DistanceOracle, ObjectDirectory,
-    OracleBuilder, OracleParams, WitnessPath,
+    OracleParams, WitnessPath,
 };
 pub use psep_routing::{RouteOutcome, Router, RoutingTables};
 pub use service::{LocationService, ServiceParams};

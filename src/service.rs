@@ -307,7 +307,7 @@ impl<'a> LocationService<'a> {
             g,
             &AutoStrategy::default(),
             &DecompositionParams {
-                threads: params.threads.max(1),
+                threads: params.threads,
             },
         );
         let oracle = build_oracle(
@@ -785,6 +785,25 @@ mod tests {
             back.route(NodeId(0), NodeId(35)),
             svc.route(NodeId(0), NodeId(35))
         );
+    }
+
+    /// `threads: 0` means every available thread at every build stage,
+    /// and construction is bit-identical at every thread count.
+    #[test]
+    fn zero_threads_writes_the_one_thread_bundles() {
+        let g = grids::grid2d(12, 12, 1);
+        let build = |threads| {
+            LocationService::build(
+                &g,
+                ServiceParams {
+                    epsilon: 0.25,
+                    threads,
+                },
+            )
+        };
+        let (auto, one) = (build(0), build(1));
+        assert_eq!(auto.to_bytes(), one.to_bytes());
+        assert_eq!(auto.to_bytes_compressed(), one.to_bytes_compressed());
     }
 
     #[test]
