@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![warn(clippy::undocumented_unsafe_blocks)]
 //! `k`-path separators — the core contribution of Abraham & Gavoille,
 //! *“Object Location Using Path Separators”* (PODC 2006).
 //!

@@ -12,6 +12,12 @@
 //! any bit flip in the body is rejected before decoding begins. The
 //! `psep-bundle` container is the one artifact sealed this way; the
 //! section bodies inside it carry no envelope of their own.
+//!
+//! Opening a mapped bundle does no per-entry work on its arenas, so the
+//! one checksum pass is most of its cold start. [`crc32`] therefore runs
+//! a carry-less-multiply kernel (x86-64 `PCLMULQDQ`, detected at run
+//! time) on inputs of 128 bytes or more, and a slicing-by-8 table loop
+//! on shorter inputs, tails and other CPUs; both give the same bits.
 
 /// A wire-format decode failure.
 #[derive(Debug)]
@@ -97,14 +103,34 @@ pub fn put_zigzag(buf: &mut Vec<u8>, v: i64) {
 
 /// CRC-32 (IEEE 802.3, reflected polynomial `0xEDB88320`) of `bytes`.
 ///
-/// Slicing-by-8: eight bytes per table round instead of one. Checksum
-/// throughput bounds the cold start of a mapped `psep-bundle/v3` — the
-/// one pass over the envelope is the *only* O(n) work on that path for
-/// the label and table arenas — so this is a serving-latency function,
-/// not just an integrity check.
+/// Checksum throughput bounds the cold start of a mapped
+/// `psep-bundle/v3` — the one pass over the envelope is the *only* O(n)
+/// work on that path for the label and table arenas — so this is a
+/// serving-latency function, not just an integrity check.
+///
+/// Two kernels compute it, with the same output on every host. On
+/// x86-64 CPUs with the carry-less multiply instruction (`PCLMULQDQ`,
+/// detected at run time), an input of 128 bytes or more is folded 64
+/// bytes per round at close to memory bandwidth. A slicing-by-8 table
+/// loop (eight bytes per table round) takes the bytes after the last
+/// 16-byte block, every shorter input, and every input on a CPU without
+/// the instruction.
 pub fn crc32(bytes: &[u8]) -> u32 {
+    #[cfg(target_arch = "x86_64")]
+    if bytes.len() >= 128 && clmul::detected() {
+        let (blocks, tail) = bytes.as_chunks::<16>();
+        // SAFETY: `detected` confirmed every target feature of
+        // `clmul::update` on this CPU.
+        let crc = unsafe { clmul::update(u32::MAX, blocks) };
+        return !crc32_table(crc, tail);
+    }
+    !crc32_table(u32::MAX, bytes)
+}
+
+/// Slicing-by-8 table kernel: advances the raw (uninverted) CRC register
+/// `crc` over `bytes`.
+fn crc32_table(mut crc: u32, bytes: &[u8]) -> u32 {
     const T: [[u32; 256]; 8] = crc32_tables();
-    let mut crc = u32::MAX;
     let mut chunks = bytes.chunks_exact(8);
     for c in chunks.by_ref() {
         let lo = crc ^ u32::from_le_bytes([c[0], c[1], c[2], c[3]]);
@@ -121,7 +147,98 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     for &b in chunks.remainder() {
         crc = (crc >> 8) ^ T[0][((crc ^ b as u32) & 0xff) as usize];
     }
-    !crc
+    crc
+}
+
+/// Carry-less-multiply CRC-32 kernel: Gopal et al., "Fast CRC
+/// Computation for Generic Polynomials Using PCLMULQDQ Instruction"
+/// (Intel, 2009), with the bit-reflected constants of `0xEDB88320`.
+#[cfg(target_arch = "x86_64")]
+mod clmul {
+    use std::arch::x86_64::*;
+
+    // `x^e mod P(x)`, bit-reflected and shifted left one bit: (K1, K2)
+    // fold a 128-bit lane across 512 bits, (K3, K4) across 128, K5 folds
+    // 96 bits to 64.
+    const K1: i64 = 0x1_5444_2bd4;
+    const K2: i64 = 0x1_c6e4_1596;
+    const K3: i64 = 0x1_7519_97d0;
+    const K4: i64 = 0x0_ccaa_009e;
+    const K5: i64 = 0x1_63cd_6124;
+    // P(x) and μ = ⌊x^64 / P(x)⌋, bit-reflected, for the Barrett step.
+    const P: i64 = 0x1_db71_0641;
+    const MU: i64 = 0x1_f701_1641;
+
+    /// Whether this CPU has every target feature of [`update`].
+    pub(super) fn detected() -> bool {
+        is_x86_feature_detected!("pclmulqdq") && is_x86_feature_detected!("sse4.1")
+    }
+
+    /// Advances the raw (uninverted) CRC register `crc` over `blocks`.
+    ///
+    /// Four 128-bit lanes fold 64 bytes per round, prefetching one page
+    /// ahead; they then fold into one lane, which takes the remaining
+    /// blocks. The 128-bit remainder folds to 64 bits, and a Barrett
+    /// reduction takes it to 32.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `blocks` holds fewer than four 16-byte blocks.
+    #[target_feature(enable = "pclmulqdq,sse4.1")]
+    pub(super) fn update(crc: u32, blocks: &[[u8; 16]]) -> u32 {
+        let (rounds, rest) = blocks.as_chunks::<4>();
+        let (first, rounds) = rounds.split_first().expect("at least four blocks");
+        let mut lanes = first.each_ref().map(load);
+        lanes[0] = _mm_xor_si128(lanes[0], _mm_cvtsi32_si128(crc as i32));
+        let k1k2 = _mm_set_epi64x(K2, K1);
+        for round in rounds {
+            // Hardware prefetchers stop at 4 KiB page boundaries; asking
+            // for the line one page ahead keeps a cold buffer streaming
+            // (a prefetch past the end of `blocks` is a no-op hint).
+            _mm_prefetch::<_MM_HINT_T0>(round.as_ptr().cast::<i8>().wrapping_add(4096));
+            for (lane, b) in lanes.iter_mut().zip(round) {
+                *lane = fold(*lane, load(b), k1k2);
+            }
+        }
+        let k3k4 = _mm_set_epi64x(K4, K3);
+        let [l0, l1, l2, l3] = lanes;
+        let mut x = fold(fold(fold(l0, l1, k3k4), l2, k3k4), l3, k3k4);
+        for b in rest {
+            x = fold(x, load(b), k3k4);
+        }
+        // 128 → 96 bits: the low half times K4, plus the high half.
+        x = _mm_xor_si128(_mm_clmulepi64_si128(x, k3k4, 0x10), _mm_srli_si128(x, 8));
+        // 96 → 64 bits: the low 32 bits times K5, plus the rest.
+        let low32 = _mm_set_epi32(0, 0, 0, -1);
+        x = _mm_xor_si128(
+            _mm_clmulepi64_si128(_mm_and_si128(x, low32), _mm_set_epi64x(0, K5), 0x00),
+            _mm_srli_si128(x, 4),
+        );
+        // Barrett: T1 = (R mod x^32)·μ, T2 = (T1 mod x^32)·P, and the
+        // register is the upper half of R ⊕ T2 (reflected bit order).
+        let pmu = _mm_set_epi64x(MU, P);
+        let t1 = _mm_clmulepi64_si128(_mm_and_si128(x, low32), pmu, 0x10);
+        let t2 = _mm_clmulepi64_si128(_mm_and_si128(t1, low32), pmu, 0x00);
+        _mm_extract_epi32(_mm_xor_si128(x, t2), 1) as u32
+    }
+
+    /// `lane·K ⊕ next`: carries the 128-bit `lane` forward over the
+    /// distance that `k` encodes (low half times `k`'s low constant,
+    /// high half times its high constant) and adds the next block.
+    #[inline]
+    #[target_feature(enable = "pclmulqdq")]
+    fn fold(lane: __m128i, next: __m128i, k: __m128i) -> __m128i {
+        let lo = _mm_clmulepi64_si128(lane, k, 0x00);
+        let hi = _mm_clmulepi64_si128(lane, k, 0x11);
+        _mm_xor_si128(_mm_xor_si128(next, lo), hi)
+    }
+
+    #[inline]
+    fn load(block: &[u8; 16]) -> __m128i {
+        // SAFETY: `block` is 16 readable bytes, and `_mm_loadu_si128`
+        // takes any alignment.
+        unsafe { _mm_loadu_si128(block.as_ptr().cast()) }
+    }
 }
 
 const fn crc32_tables() -> [[u32; 256]; 8] {
@@ -368,6 +485,8 @@ pub unsafe trait Pod: Copy + 'static {
     fn write_le(&self, out: &mut Vec<u8>);
 }
 
+// SAFETY: a primitive integer — 4 bytes, no padding, every bit pattern
+// valid, little-endian in memory on the hosts that borrow in place.
 unsafe impl Pod for u32 {
     const SIZE: usize = 4;
     fn read_le(bytes: &[u8]) -> Self {
@@ -378,6 +497,8 @@ unsafe impl Pod for u32 {
     }
 }
 
+// SAFETY: a primitive integer — 8 bytes, no padding, every bit pattern
+// valid, little-endian in memory on the hosts that borrow in place.
 unsafe impl Pod for u64 {
     const SIZE: usize = 8;
     fn read_le(bytes: &[u8]) -> Self {
@@ -621,6 +742,59 @@ mod tests {
         // the canonical IEEE test vector
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    /// Bit-at-a-time CRC-32: the definition both kernels must match.
+    fn crc32_bitwise(bytes: &[u8]) -> u32 {
+        let mut crc = u32::MAX;
+        for &b in bytes {
+            crc ^= b as u32;
+            for _ in 0..8 {
+                crc = (crc >> 1) ^ (0xEDB8_8320 & (crc & 1).wrapping_neg());
+            }
+        }
+        !crc
+    }
+
+    /// Asserts the dispatched `crc32`, the table kernel and (where the
+    /// CPU has it) the carry-less-multiply kernel all equal the
+    /// bit-at-a-time reference on `bytes`.
+    fn assert_kernels_agree(bytes: &[u8]) {
+        let (want, len) = (crc32_bitwise(bytes), bytes.len());
+        assert_eq!(crc32(bytes), want, "dispatched, len {len}");
+        assert_eq!(!crc32_table(u32::MAX, bytes), want, "table, len {len}");
+        #[cfg(target_arch = "x86_64")]
+        if bytes.len() >= 64 && clmul::detected() {
+            let (blocks, tail) = bytes.as_chunks::<16>();
+            // SAFETY: `detected` confirmed the kernel's target features.
+            let crc = unsafe { clmul::update(u32::MAX, blocks) };
+            assert_eq!(!crc32_table(crc, tail), want, "clmul, len {len}");
+        }
+    }
+
+    #[test]
+    fn crc32_kernels_agree_at_every_length_and_offset() {
+        use rand::{RngCore, SeedableRng};
+        let mut buf = vec![0u8; 1024 + 16];
+        rand_chacha::ChaCha8Rng::seed_from_u64(0xC3C3).fill_bytes(&mut buf);
+        for offset in 0..16 {
+            for len in 0..=1024 {
+                assert_kernels_agree(&buf[offset..offset + len]);
+            }
+        }
+    }
+
+    #[test]
+    fn crc32_kernels_agree_on_large_random_buffers() {
+        use rand::{Rng, RngCore, SeedableRng};
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(23);
+        let mut lens: Vec<usize> = vec![1 << 20, (1 << 20) - 1, 65_536 + 15, 4096 + 64 + 16];
+        lens.extend((0..8).map(|_| rng.gen_range(128usize..=1 << 20)));
+        for len in lens {
+            let mut buf = vec![0u8; len];
+            rng.fill_bytes(&mut buf);
+            assert_kernels_agree(&buf);
+        }
     }
 
     #[test]

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![warn(clippy::undocumented_unsafe_blocks)]
 //! `(1+ε)`-approximate distance labels and oracles over `k`-path
 //! separable graphs — Theorem 2 of Abraham & Gavoille (PODC 2006) — and
 //! the `(k, α)`-doubling variant of Theorem 8.

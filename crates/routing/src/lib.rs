@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![warn(clippy::undocumented_unsafe_blocks)]
 //! Labeled compact routing over `k`-path separable graphs.
 //!
 //! The paper's third application is a stretch-`(1+ε)` labeled routing

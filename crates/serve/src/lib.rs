@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![warn(clippy::undocumented_unsafe_blocks)]
 //! `psep-serve`: the network daemon that turns a
 //! [`LocationService`] into a live system.
 //!
@@ -356,6 +357,9 @@ mod signals {
         extern "C" {
             fn signal(signum: i32, handler: extern "C" fn(i32)) -> usize;
         }
+        // SAFETY: `signal` is the C library's, declared with its C
+        // signature; `on_signal` is an `extern "C"` handler that only
+        // performs an async-signal-safe atomic store.
         unsafe {
             signal(2, on_signal); // SIGINT
             signal(15, on_signal); // SIGTERM

@@ -40,6 +40,11 @@ pub use psep_routing as routing;
 /// Small-worldization and greedy-routing simulation.
 pub use psep_smallworld as smallworld;
 
+// Compiles and runs the README's Rust blocks as doctests.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+struct ReadmeDoctests;
+
 pub mod api;
 pub mod error;
 pub mod rpc;
