@@ -32,7 +32,8 @@ use crate::decomposition::available_threads;
 
 /// Metric naming for a sharded run: the runner adds the run's item
 /// count to the `<prefix>.<items>` counter and its summed work units
-/// (e.g. candidates scanned or vertices reached) to `<prefix>.<units>`.
+/// (e.g. candidates scanned or vertices reached) to `<prefix>.<units>`,
+/// and raises the `<prefix>.workers` gauge to the run's worker count.
 #[derive(Clone, Copy, Debug)]
 pub struct ShardObs {
     /// Metric prefix, e.g. `"oracle.batch"`.
@@ -58,6 +59,8 @@ impl ShardObs {
         let name = |suffix: &str| format!("{}.{suffix}", self.prefix);
         psep_obs::counter(&name(self.items)).add(items as u64);
         psep_obs::counter(&name(self.units)).add(units);
+        // one tally per worker that ran
+        psep_obs::gauge(&name("workers")).set_max(tallies.len() as f64);
         if let Some(hist) = self.hist {
             let (units_h, latency_h) = (
                 psep_obs::histogram(&name(hist)),
