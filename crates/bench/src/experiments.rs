@@ -843,7 +843,7 @@ pub fn e8_doubling(dims: &[(usize, usize, usize)], epsilons: &[f64]) -> String {
                 "| {x}×{y}×{z} | {} | {} | {} | {eps} | {:.1} | {:.4} | {:.4} | {query_us:.2} |",
                 g.num_nodes(),
                 kp.num_paths(),
-                tree.max_pieces_per_node(),
+                tree.max_paths_per_node(),
                 oracle.mean_label_size(),
                 stretch.mean,
                 stretch.max,

@@ -13,6 +13,7 @@ use psep_graph::view::{GraphRef, NodeMask, SubgraphView};
 
 use crate::decomposition::DecompositionTree;
 use crate::separator::PathSeparator;
+use crate::strategy::within_half;
 
 /// A violation of Definition 1.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -128,6 +129,19 @@ pub fn check_separator(
             return Err(SeparatorError::TooManyPaths { used, budget: b });
         }
     }
+    check_balanced(g, component, sep, |c| c.len() as f64)
+}
+
+/// P1 for every group of `sep`, then P3 under `measure`: every component
+/// of `component \ S` measures at most half of `component`. An
+/// imbalance reports the offending measure rounded and the half rounded
+/// down, which for vertex counts are the exact size and `⌊n/2⌋`.
+pub(crate) fn check_balanced(
+    g: &Graph,
+    component: &[NodeId],
+    sep: &PathSeparator,
+    measure: impl Fn(&[NodeId]) -> f64,
+) -> Result<(), SeparatorError> {
     let mut mask = NodeMask::from_nodes(g.num_nodes(), component.iter().copied());
     for (gi, group) in sep.groups.iter().enumerate() {
         // residual graph for this group: `mask` as accumulated so far
@@ -168,13 +182,14 @@ pub fn check_separator(
         mask.remove_all(group.vertices());
     }
     // P3 on what remains
-    let half = component.len() / 2;
+    let total = measure(component);
     let view = SubgraphView::new(g, &mask);
     for comp in psep_graph::components::components(&view) {
-        if comp.len() > half {
+        let part = measure(&comp);
+        if !within_half(part, total) {
             return Err(SeparatorError::UnbalancedComponent {
-                size: comp.len(),
-                half,
+                size: part.round() as usize,
+                half: (total / 2.0).floor() as usize,
             });
         }
     }

@@ -74,6 +74,7 @@ pub fn fill_in(g: &Graph, order: &[NodeId]) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::separator::Separator;
     use crate::strategy::{AutoStrategy, FundamentalCycleStrategy, TreeCenterStrategy};
     use psep_graph::generators::{grids, trees};
     use psep_treedec::elimination::decomposition_from_order;

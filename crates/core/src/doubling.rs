@@ -6,56 +6,56 @@
 //! `(k, 1)`-doubling separator. The motivating example: a 3D mesh has no
 //! bounded `k`-path separator, but its middle plane is an isometric
 //! doubling-dimension-2 separator ([`GridPlaneStrategy`]).
+//!
+//! [`DoublingSeparator`] is a [`Separator`] kind, so its tree is the path
+//! tree's [`DecompositionTree`] over it: the same wave-parallel builder,
+//! node numbering, homes, halving check and residual graphs, and the
+//! same bit-identical result at every thread count.
 
 use psep_graph::dijkstra::dijkstra;
 use psep_graph::graph::{Graph, NodeId};
 use psep_graph::view::{NodeMask, SubgraphView};
 
+use crate::decomposition::{DecompNode, DecompositionTree};
+use crate::separator::Separator;
+use crate::strategy::SeparatorStrategy;
+
 /// One separator piece: an isometric subgraph of bounded doubling
 /// dimension of its residual graph.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct DoublingPiece {
     /// Sorted vertices of the piece.
     pub vertices: Vec<NodeId>,
 }
 
 /// A `(k, α)`-doubling separator: groups of pieces, removed sequentially
-/// like path groups.
-#[derive(Clone, Debug, Default)]
+/// like path groups. Its [`Separator::num_paths`] counts pieces.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct DoublingSeparator {
     /// The groups `P_i`, each a union of pieces isometric in the residual
     /// graph `H \ ⋃_{j<i} P_j`.
     pub groups: Vec<Vec<DoublingPiece>>,
 }
 
-impl DoublingSeparator {
-    /// Total number of pieces (`Σ k_i` — the `k` of P2).
-    pub fn num_pieces(&self) -> usize {
-        self.groups.iter().map(|g| g.len()).sum()
+impl Separator for DoublingSeparator {
+    fn num_paths(&self) -> usize {
+        self.groups.iter().map(Vec::len).sum()
     }
 
-    /// All separator vertices (sorted, deduplicated).
-    pub fn vertices(&self) -> Vec<NodeId> {
-        let mut out: Vec<NodeId> = self
-            .groups
-            .iter()
-            .flatten()
-            .flat_map(|p| p.vertices.iter().copied())
-            .collect();
-        out.sort_unstable();
-        out.dedup();
-        out
+    fn vertex_groups(&self) -> impl Iterator<Item = impl Iterator<Item = NodeId> + '_> + '_ {
+        let pieces = self.groups.iter().map(|g| g.iter());
+        pieces.map(|ps| ps.flat_map(|p| p.vertices.iter().copied()))
     }
 }
 
-/// A strategy producing doubling separators.
-pub trait DoublingStrategy {
-    /// Separator of the connected component `component` of `g`.
-    fn separate(&self, g: &Graph, component: &[NodeId]) -> DoublingSeparator;
+/// The doubling-decomposition tree: the [`DecompositionTree`] whose
+/// nodes carry [`DoublingSeparator`]s, built by
+/// [`DecompositionTree::build`] from a
+/// `SeparatorStrategy<DoublingSeparator>` such as [`GridPlaneStrategy`].
+pub type DoublingDecompositionTree = DecompositionTree<DoublingSeparator>;
 
-    /// Name for experiment tables.
-    fn name(&self) -> &'static str;
-}
+/// One node of a [`DoublingDecompositionTree`].
+pub type DoublingNode = DecompNode<DoublingSeparator>;
 
 /// Middle-plane separator for 3D meshes built by
 /// [`psep_graph::generators::grids::grid3d`]: infers the component's
@@ -76,7 +76,7 @@ impl GridPlaneStrategy {
     }
 }
 
-impl DoublingStrategy for GridPlaneStrategy {
+impl SeparatorStrategy<DoublingSeparator> for GridPlaneStrategy {
     fn separate(&self, g: &Graph, component: &[NodeId]) -> DoublingSeparator {
         let _ = g;
         // bounding box of the component
@@ -145,147 +145,10 @@ pub fn is_isometric(g: &Graph, context: &[NodeId], piece: &[NodeId], probe: usiz
     true
 }
 
-/// The doubling-decomposition tree: like
-/// [`crate::DecompositionTree`] but with doubling pieces.
-#[derive(Clone, Debug)]
-pub struct DoublingDecompositionTree {
-    /// The nodes; index 0 is a root.
-    nodes: Vec<DoublingNode>,
-    home: Vec<u32>,
-    removal_group: Vec<u32>,
-}
-
-/// One node of a [`DoublingDecompositionTree`].
-#[derive(Clone, Debug)]
-pub struct DoublingNode {
-    /// Parent index.
-    pub parent: Option<usize>,
-    /// Depth (root = 0).
-    pub depth: usize,
-    /// Component vertices, sorted.
-    pub vertices: Vec<NodeId>,
-    /// The separator.
-    pub separator: DoublingSeparator,
-    /// Children.
-    pub children: Vec<usize>,
-}
-
-impl DoublingDecompositionTree {
-    /// Builds the tree with `strategy` at every node.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the strategy removes nothing from some component.
-    pub fn build(g: &Graph, strategy: &dyn DoublingStrategy) -> Self {
-        let n = g.num_nodes();
-        let mut nodes: Vec<DoublingNode> = Vec::new();
-        let mut home = vec![u32::MAX; n];
-        let mut removal_group = vec![u32::MAX; n];
-        let mut work: Vec<(Option<usize>, usize, Vec<NodeId>)> =
-            psep_graph::components::components(g)
-                .into_iter()
-                .map(|c| (None, 0usize, c))
-                .collect();
-        while let Some((parent, depth, comp)) = work.pop() {
-            let sep = strategy.separate(g, &comp);
-            let sep_vertices = sep.vertices();
-            assert!(
-                !sep_vertices.is_empty(),
-                "doubling strategy removed nothing from a component of size {}",
-                comp.len()
-            );
-            let node_idx = nodes.len();
-            for (gi, group) in sep.groups.iter().enumerate() {
-                for piece in group {
-                    for &v in &piece.vertices {
-                        if home[v.index()] == u32::MAX {
-                            home[v.index()] = node_idx as u32;
-                            removal_group[v.index()] = gi as u32;
-                        }
-                    }
-                }
-            }
-            let mut mask = NodeMask::from_nodes(n, comp.iter().copied());
-            mask.remove_all(sep_vertices.iter().copied());
-            let view = SubgraphView::new(g, &mask);
-            for cc in psep_graph::components::components(&view) {
-                assert!(
-                    cc.len() <= comp.len() / 2,
-                    "doubling strategy {} failed to halve: child {} of parent {}",
-                    strategy.name(),
-                    cc.len(),
-                    comp.len()
-                );
-                work.push((Some(node_idx), depth + 1, cc));
-            }
-            if let Some(p) = parent {
-                nodes[p].children.push(node_idx);
-            }
-            nodes.push(DoublingNode {
-                parent,
-                depth,
-                vertices: comp,
-                separator: sep,
-                children: Vec::new(),
-            });
-        }
-        DoublingDecompositionTree {
-            nodes,
-            home,
-            removal_group,
-        }
-    }
-
-    /// The nodes.
-    pub fn nodes(&self) -> &[DoublingNode] {
-        &self.nodes
-    }
-
-    /// Node at `idx`.
-    pub fn node(&self, idx: usize) -> &DoublingNode {
-        &self.nodes[idx]
-    }
-
-    /// The home node of `v`.
-    pub fn home(&self, v: NodeId) -> usize {
-        self.home[v.index()] as usize
-    }
-
-    /// The removal group of `v` at its home.
-    pub fn removal_group(&self, v: NodeId) -> usize {
-        self.removal_group[v.index()] as usize
-    }
-
-    /// Root-to-home chain of `v`.
-    pub fn chain_of(&self, v: NodeId) -> Vec<usize> {
-        let mut chain = Vec::new();
-        let mut cur = Some(self.home(v));
-        while let Some(i) = cur {
-            chain.push(i);
-            cur = self.nodes[i].parent;
-        }
-        chain.reverse();
-        chain
-    }
-
-    /// Maximum depth.
-    pub fn depth(&self) -> usize {
-        self.nodes.iter().map(|n| n.depth).max().unwrap_or(0)
-    }
-
-    /// Maximum pieces per node (empirical `k`).
-    pub fn max_pieces_per_node(&self) -> usize {
-        self.nodes
-            .iter()
-            .map(|n| n.separator.num_pieces())
-            .max()
-            .unwrap_or(0)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::DecompositionParams;
     use psep_graph::doubling::estimate_doubling_dimension;
     use psep_graph::generators::grids;
     use psep_graph::minors::induced_subgraph;
@@ -297,7 +160,7 @@ mod tests {
         let comp: Vec<NodeId> = g.nodes().collect();
         let strat = GridPlaneStrategy { dims: (x, y, z) };
         let sep = strat.separate(&g, &comp);
-        assert_eq!(sep.num_pieces(), 1);
+        assert_eq!(sep.num_paths(), 1);
         let piece = &sep.groups[0][0];
         assert_eq!(piece.vertices.len(), y * z);
         assert!(is_isometric(&g, &comp, &piece.vertices, 8));
@@ -314,7 +177,10 @@ mod tests {
         let strat = GridPlaneStrategy { dims: (x, y, z) };
         let t = DoublingDecompositionTree::build(&g, &strat);
         assert!(t.depth() <= 7, "depth {}", t.depth());
-        assert_eq!(t.max_pieces_per_node(), 1);
+        assert_eq!(t.max_paths_per_node(), 1);
+        let par =
+            DoublingDecompositionTree::build_with(&g, &strat, &DecompositionParams { threads: 4 });
+        assert_eq!(par, t);
         for v in g.nodes() {
             let chain = t.chain_of(v);
             assert_eq!(*chain.last().unwrap(), t.home(v));

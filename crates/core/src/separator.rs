@@ -182,31 +182,43 @@ impl PathSeparator {
     pub fn is_strong(&self) -> bool {
         self.groups.len() <= 1
     }
+}
 
-    /// All separator vertices (sorted, deduplicated).
-    pub fn vertices(&self) -> Vec<NodeId> {
-        let mut out: Vec<NodeId> = self
-            .groups
-            .iter()
-            .flat_map(|g| g.paths.iter())
-            .flat_map(|p| p.vertices().iter().copied())
-            .collect();
+/// A separator kind the decomposition tree recurses on: groups removed
+/// in order, group `i`'s residual graph being the component minus every
+/// earlier group. [`PathSeparator`] (Definition 1) and
+/// [`crate::doubling::DoublingSeparator`] (§5.3) are the two kinds.
+pub trait Separator: Send + Sync {
+    /// Total number of paths (or pieces) `Σ k_i` — the `k` of P2.
+    fn num_paths(&self) -> usize;
+
+    /// Each group's vertices, groups in removal order; within a group in
+    /// any order, possibly repeated.
+    fn vertex_groups(&self) -> impl Iterator<Item = impl Iterator<Item = NodeId> + '_> + '_;
+
+    /// Vertices of groups `0..upto` (exclusive), sorted and deduplicated —
+    /// the set removed before group `upto`, defining its residual graph.
+    fn vertices_before_group(&self, upto: usize) -> Vec<NodeId> {
+        let mut out: Vec<NodeId> = self.vertex_groups().take(upto).flatten().collect();
         out.sort_unstable();
         out.dedup();
         out
     }
 
-    /// Vertices of groups `0..upto` (exclusive), sorted and deduplicated —
-    /// the set removed before group `upto`, defining its residual graph.
-    pub fn vertices_before_group(&self, upto: usize) -> Vec<NodeId> {
-        let mut out: Vec<NodeId> = self.groups[..upto]
-            .iter()
-            .flat_map(|g| g.paths.iter())
-            .flat_map(|p| p.vertices().iter().copied())
-            .collect();
-        out.sort_unstable();
-        out.dedup();
-        out
+    /// All separator vertices (sorted, deduplicated).
+    fn vertices(&self) -> Vec<NodeId> {
+        self.vertices_before_group(usize::MAX)
+    }
+}
+
+impl Separator for PathSeparator {
+    fn num_paths(&self) -> usize {
+        PathSeparator::num_paths(self)
+    }
+
+    fn vertex_groups(&self) -> impl Iterator<Item = impl Iterator<Item = NodeId> + '_> + '_ {
+        let paths = self.groups.iter().map(|g| g.paths.iter());
+        paths.map(|ps| ps.flat_map(|p| p.vertices().iter().copied()))
     }
 }
 

@@ -9,82 +9,39 @@
 //! vertex-weight at most `W/2` where `W` is the component's total
 //! vertex-weight. Useful when vertices model load (objects stored,
 //! population, traffic) rather than unit size.
+//!
+//! [`WeightedStrategy`] wraps [`weighted_iterative_separator`] and
+//! measures components by weight, so [`crate::DecompositionTree`]
+//! builds the weight-halving tree; the checker and the tree centroid
+//! are the unweighted ones with weights as the measure.
 
 use psep_graph::components::components;
-use psep_graph::dijkstra::dijkstra_to;
 use psep_graph::graph::{Graph, NodeId};
 use psep_graph::view::{GraphRef, NodeMask, SubgraphView};
 use psep_planar::cycle::CycleSearch;
 use psep_planar::sptree::SpTree;
 
-use crate::check::SeparatorError;
+use crate::check::{check_balanced, SeparatorError};
 use crate::separator::{PathGroup, PathSeparator, SepPath};
+use crate::strategy::{centroid_by, SeparatorStrategy};
 
 /// Verifies the weighted Definition 1: P1 (minimum-cost paths in their
-/// residual graphs), and weighted P3 (components of `component \ S` have
-/// vertex-weight ≤ half the component's weight).
+/// residual graphs) as [`crate::check_separator`] does, and weighted P3
+/// (components of `component \ S` have vertex-weight ≤ half the
+/// component's weight).
 ///
 /// # Errors
 ///
 /// Returns the first violation; weighted-P3 violations are reported as
-/// [`SeparatorError::UnbalancedComponent`] with sizes given in rounded
-/// weight units.
+/// [`SeparatorError::UnbalancedComponent`] with the component's weight
+/// rounded and the half-weight rounded down.
 pub fn check_weighted_separator(
     g: &Graph,
     component: &[NodeId],
     sep: &PathSeparator,
     weights: &[f64],
 ) -> Result<(), SeparatorError> {
-    let mut mask = NodeMask::from_nodes(g.num_nodes(), component.iter().copied());
-    for (gi, group) in sep.groups.iter().enumerate() {
-        let view = SubgraphView::new(g, &mask);
-        for path in &group.paths {
-            for &v in path.vertices() {
-                if !mask.contains(v) {
-                    return Err(SeparatorError::PathVertexNotInResidual {
-                        group: gi,
-                        vertex: v,
-                    });
-                }
-            }
-            for w in path.vertices().windows(2) {
-                if !view.neighbors(w[0]).any(|e| e.to == w[1]) {
-                    return Err(SeparatorError::NotAPath {
-                        group: gi,
-                        pair: (w[0], w[1]),
-                    });
-                }
-            }
-            let (s, t) = path.endpoints();
-            if s != t {
-                let true_dist = dijkstra_to(&view, s, t)
-                    .dist(t)
-                    .expect("endpoints connected via the path");
-                if path.cost() > true_dist {
-                    return Err(SeparatorError::NotShortest {
-                        group: gi,
-                        endpoints: (s, t),
-                        path_cost: path.cost(),
-                        true_dist,
-                    });
-                }
-            }
-        }
-        mask.remove_all(group.vertices());
-    }
-    let total: f64 = component.iter().map(|v| weights[v.index()]).sum();
-    let half = total / 2.0;
-    let view = SubgraphView::new(g, &mask);
-    for comp in components(&view) {
-        let w: f64 = comp.iter().map(|v| weights[v.index()]).sum();
-        if w > half + 1e-9 {
-            return Err(SeparatorError::UnbalancedComponent {
-                size: w.round() as usize,
-                half: half.round() as usize,
-            });
-        }
-    }
-    Ok(())
+    check_balanced(g, component, sep, |c| comp_weight(c, weights))
 }
 
 /// Weighted centroid of a tree component: a vertex whose removal leaves
@@ -94,53 +51,7 @@ pub fn check_weighted_separator(
 ///
 /// Panics if the induced subgraph is not a tree or `component` is empty.
 pub fn weighted_tree_centroid(g: &Graph, component: &[NodeId], weights: &[f64]) -> NodeId {
-    assert!(!component.is_empty(), "empty component");
-    let mask = NodeMask::from_nodes(g.num_nodes(), component.iter().copied());
-    let root = component[0];
-    let total: f64 = component.iter().map(|v| weights[v.index()]).sum();
-    // subtree weights by iterative DFS
-    let n = g.num_nodes();
-    let mut parent: Vec<Option<NodeId>> = vec![None; n];
-    let mut order = Vec::with_capacity(component.len());
-    let mut seen = vec![false; n];
-    let mut stack = vec![root];
-    seen[root.index()] = true;
-    while let Some(u) = stack.pop() {
-        order.push(u);
-        for e in g.edges(u) {
-            if mask.contains(e.to) && !seen[e.to.index()] {
-                seen[e.to.index()] = true;
-                parent[e.to.index()] = Some(u);
-                stack.push(e.to);
-            }
-        }
-    }
-    assert_eq!(order.len(), component.len(), "component is disconnected");
-    let mut subw = vec![0.0f64; n];
-    for &u in order.iter().rev() {
-        subw[u.index()] += weights[u.index()];
-        if let Some(p) = parent[u.index()] {
-            subw[p.index()] += subw[u.index()];
-        }
-    }
-    let mut cur = root;
-    loop {
-        let heavy = g
-            .edges(cur)
-            .iter()
-            .map(|e| e.to)
-            .filter(|&v| mask.contains(v) && parent[v.index()] == Some(cur))
-            .find(|&v| subw[v.index()] > total / 2.0);
-        match heavy {
-            Some(v) => cur = v,
-            None => {
-                if total - subw[cur.index()] <= total / 2.0 + 1e-9 {
-                    return cur;
-                }
-                panic!("weighted centroid walk failed: not a tree");
-            }
-        }
-    }
+    centroid_by(g, component, |v| weights[v.index()])
 }
 
 /// Weighted iterative strategy: like
@@ -263,107 +174,38 @@ fn deepest(view: &SubgraphView<'_>, tree: &SpTree) -> NodeId {
         .expect("non-empty component")
 }
 
-/// A decomposition tree that halves vertex *weight* at every node (the
-/// weighted strengthening of Theorem 1's Note, applied recursively).
-///
-/// Unlike [`crate::DecompositionTree`], the halving invariant is on
-/// weights: every child component's total weight is at most half its
-/// parent's. Depth is bounded by `log₂(W / w_min)` for total weight `W`.
+/// The weight-halving strategy: [`weighted_iterative_separator`] at
+/// every node, with vertex weight as the [`SeparatorStrategy::measure`].
+/// Every child component then weighs at most half its parent, so the
+/// tree's depth is bounded by `log₂(W / w_min)` for total weight `W`.
 #[derive(Clone, Debug)]
-pub struct WeightedDecomposition {
-    nodes: Vec<WeightedNode>,
+pub struct WeightedStrategy<'a> {
+    /// Vertex weights, indexed by vertex id.
+    pub weights: &'a [f64],
+    /// Candidate-search tuning of each round.
+    pub search: CycleSearch,
+    /// Most groups one separator may open.
+    pub max_groups: usize,
 }
 
-/// One node of a [`WeightedDecomposition`].
-#[derive(Clone, Debug)]
-pub struct WeightedNode {
-    /// Parent index.
-    pub parent: Option<usize>,
-    /// Depth (root = 0).
-    pub depth: usize,
-    /// Component vertices, sorted.
-    pub vertices: Vec<NodeId>,
-    /// Component weight.
-    pub weight: f64,
-    /// The separator.
-    pub separator: PathSeparator,
-    /// Children.
-    pub children: Vec<usize>,
-}
-
-impl WeightedDecomposition {
-    /// Builds the weight-halving decomposition of `g` with the weighted
-    /// iterative engine at every node.
-    ///
-    /// # Panics
-    ///
-    /// Panics if some separator removes nothing or fails to halve the
-    /// component's weight.
-    pub fn build(g: &Graph, weights: &[f64], search: &CycleSearch, max_groups: usize) -> Self {
-        let n = g.num_nodes();
-        let mut nodes: Vec<WeightedNode> = Vec::new();
-        let mut work: Vec<(Option<usize>, usize, Vec<NodeId>)> = components(g)
-            .into_iter()
-            .map(|c| (None, 0usize, c))
-            .collect();
-        while let Some((parent, depth, comp)) = work.pop() {
-            let weight = comp.iter().map(|v| weights[v.index()]).sum::<f64>();
-            let sep = weighted_iterative_separator(g, &comp, weights, search, max_groups);
-            let sep_vertices = sep.vertices();
-            assert!(
-                !sep_vertices.is_empty(),
-                "weighted separator removed nothing"
-            );
-            let node_idx = nodes.len();
-            let mut mask = NodeMask::from_nodes(n, comp.iter().copied());
-            mask.remove_all(sep_vertices.iter().copied());
-            let view = SubgraphView::new(g, &mask);
-            for cc in components(&view) {
-                let cw = cc.iter().map(|v| weights[v.index()]).sum::<f64>();
-                assert!(
-                    cw <= weight / 2.0 + 1e-9,
-                    "weighted halving failed: child {cw} of parent {weight}"
-                );
-                work.push((Some(node_idx), depth + 1, cc));
-            }
-            if let Some(p) = parent {
-                nodes[p].children.push(node_idx);
-            }
-            nodes.push(WeightedNode {
-                parent,
-                depth,
-                vertices: comp,
-                weight,
-                separator: sep,
-                children: Vec::new(),
-            });
-        }
-        WeightedDecomposition { nodes }
+impl SeparatorStrategy for WeightedStrategy<'_> {
+    fn separate(&self, g: &Graph, component: &[NodeId]) -> PathSeparator {
+        weighted_iterative_separator(g, component, self.weights, &self.search, self.max_groups)
     }
 
-    /// The nodes.
-    pub fn nodes(&self) -> &[WeightedNode] {
-        &self.nodes
+    fn name(&self) -> &'static str {
+        "weighted-iterative"
     }
 
-    /// Maximum depth.
-    pub fn depth(&self) -> usize {
-        self.nodes.iter().map(|n| n.depth).max().unwrap_or(0)
-    }
-
-    /// Maximum `Σ k_i` over nodes.
-    pub fn max_paths_per_node(&self) -> usize {
-        self.nodes
-            .iter()
-            .map(|n| n.separator.num_paths())
-            .max()
-            .unwrap_or(0)
+    fn measure(&self, vertices: &[NodeId]) -> f64 {
+        comp_weight(vertices, self.weights)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{DecompositionParams, DecompositionTree};
     use psep_graph::generators::{grids, trees};
 
     #[test]
@@ -426,7 +268,14 @@ mod tests {
         let weights: Vec<f64> = (0..81)
             .map(|i| if i % 9 < 3 && i / 9 < 3 { 20.0 } else { 1.0 })
             .collect();
-        let tree = WeightedDecomposition::build(&g, &weights, &CycleSearch::default(), 16);
+        let strategy = WeightedStrategy {
+            weights: &weights,
+            search: CycleSearch::default(),
+            max_groups: 16,
+        };
+        let tree = DecompositionTree::build(&g, &strategy);
+        let par = DecompositionTree::build_with(&g, &strategy, &DecompositionParams { threads: 4 });
+        assert_eq!(par, tree);
         // invariant asserted during build; also validate each node's
         // separator against the weighted Definition 1
         for node in tree.nodes() {

@@ -20,7 +20,7 @@ use psep_graph::dijkstra::dijkstra;
 use psep_graph::doubling::greedy_net;
 use psep_graph::graph::{Graph, NodeId, Weight, INFINITY};
 use psep_graph::metrics::diameter_estimate;
-use psep_graph::view::{NodeMask, SubgraphView};
+use psep_graph::view::SubgraphView;
 
 /// Construction parameters for [`build_doubling_oracle`].
 #[derive(Clone, Copy, Debug)]
@@ -109,18 +109,11 @@ pub fn build_doubling_oracle(
     let mut scratches = vec![(); runner.threads()];
 
     for (h, node) in tree.nodes().iter().enumerate() {
-        for gi in 0..node.separator.groups.len() {
-            let pieces = &node.separator.groups[gi];
+        for (gi, pieces) in node.separator.groups.iter().enumerate() {
             if pieces.is_empty() {
                 continue;
             }
-            // residual graph J for this group
-            let mut mask = NodeMask::from_nodes(n, node.vertices.iter().copied());
-            for earlier in &node.separator.groups[..gi] {
-                for p in earlier {
-                    mask.remove_all(p.vertices.iter().copied());
-                }
-            }
+            let mask = tree.residual_mask(n, h, gi);
             let view = SubgraphView::new(g, &mask);
             let jmax = scale_count(&view);
             // nets per piece per scale, on the induced piece subgraph

@@ -12,6 +12,7 @@
 //!   this.
 
 use psep_core::decomposition::DecompositionTree;
+use psep_core::Separator;
 use psep_graph::dijkstra::dijkstra;
 use psep_graph::graph::{Graph, NodeId};
 use psep_graph::view::{NodeMask, SubgraphView};

@@ -36,7 +36,7 @@ fn main() {
     let tree = DoublingDecompositionTree::build(&mesh, &GridPlaneStrategy { dims: (x, y, z) });
     println!(
         "doubling decomposition: {} pieces per level, depth {}",
-        tree.max_pieces_per_node(),
+        tree.max_paths_per_node(),
         tree.depth() + 1
     );
 

@@ -55,7 +55,7 @@ fn depth_is_logarithmic() {
     let g = grids::grid3d(8, 8, 8);
     let tree = DoublingDecompositionTree::build(&g, &GridPlaneStrategy { dims: (8, 8, 8) });
     assert!(tree.depth() < 10); // log2(512) = 9
-    assert_eq!(tree.max_pieces_per_node(), 1);
+    assert_eq!(tree.max_paths_per_node(), 1);
 }
 
 #[test]
@@ -66,7 +66,7 @@ fn plane_strategy_also_handles_2d_grids() {
     let (r, c) = (9, 7);
     let g = grids::grid2d(r, c, 1);
     let tree = DoublingDecompositionTree::build(&g, &GridPlaneStrategy { dims: (r, c, 1) });
-    assert_eq!(tree.max_pieces_per_node(), 1);
+    assert_eq!(tree.max_paths_per_node(), 1);
     let oracle = build_doubling_oracle(
         &g,
         &tree,
