@@ -88,17 +88,22 @@ impl<'a, T> KeyedCsr<'a, T> {
         if *tail_start.last().unwrap() as usize != tails.len() {
             return corrupt("tail_start must end at tails.len()");
         }
-        let descends = |s: &[u32]| s.windows(2).any(|w| w[0] > w[1]);
-        if descends(&entry_start) || descends(&tail_start) {
+        // each check folds a whole column without branching per element
+        let descends = |s: &[u32]| s.windows(2).fold(false, |d, w| d | (w[0] > w[1]));
+        if descends(&entry_start) | descends(&tail_start) {
             return corrupt("offset arrays must be non-decreasing");
         }
+        let mut rest = &keys[..];
+        let mut unordered = false;
         for w in entry_start.windows(2) {
-            if keys[w[0] as usize..w[1] as usize]
+            let (vertex_keys, after) = rest.split_at((w[1] - w[0]) as usize);
+            rest = after;
+            unordered |= vertex_keys
                 .windows(2)
-                .any(|k| k[0] >= k[1])
-            {
-                return corrupt("keys must be strictly ascending within a vertex");
-            }
+                .fold(false, |u, k| u | (k[0] >= k[1]));
+        }
+        if unordered {
+            return corrupt("keys must be strictly ascending within a vertex");
         }
         Ok(KeyedCsr {
             entry_start,

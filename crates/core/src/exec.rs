@@ -151,7 +151,8 @@ impl ShardedRunner {
     ///
     /// # Panics
     ///
-    /// Panics if `scratches` is empty, or if a worker panics.
+    /// Panics if `scratches` is empty. A panic in `work` reaches the
+    /// caller with its own payload, from whichever worker raised it.
     pub fn run<I, S, T>(
         &self,
         items: &[I],
@@ -215,7 +216,9 @@ impl ShardedRunner {
                     .collect();
                 handles
                     .into_iter()
-                    .map(|h| h.join().expect("sharded worker panicked"))
+                    // re-raise a worker's panic with its own payload,
+                    // so the caller sees the message `work` panicked with
+                    .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
                     .collect()
             })
         };
@@ -270,6 +273,25 @@ mod tests {
         });
         assert_eq!(out, items);
         assert_eq!(scratches.iter().sum::<usize>(), 100);
+    }
+
+    #[test]
+    fn a_worker_panic_surfaces_with_its_message() {
+        let items: Vec<u32> = (0..64).collect();
+        let runner = ShardedRunner::new(4).min_chunk(1);
+        let mut scratches = vec![(); runner.worker_count(items.len())];
+        assert_eq!(scratches.len(), 4);
+        let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            runner.run(&items, None, &mut scratches, |_, &x| {
+                assert!(x != 37, "item {x} is poisoned");
+                (x, 1)
+            })
+        }))
+        .unwrap_err();
+        assert_eq!(
+            payload.downcast_ref::<String>().map(String::as_str),
+            Some("item 37 is poisoned")
+        );
     }
 
     #[test]

@@ -18,6 +18,13 @@
 //! a carry-less-multiply kernel (x86-64 `PCLMULQDQ`, detected at run
 //! time) on inputs of 128 bytes or more, and a slicing-by-8 table loop
 //! on shorter inputs, tails and other CPUs; both give the same bits.
+//!
+//! An owned open decodes the varint columns of the delta sections
+//! instead, so [`Cursor`] is built for column-at-once reading:
+//! [`Cursor::varint`] inlines its one-byte case into the caller's loop,
+//! and [`Cursor::take_varints`] splits off a column of known element
+//! count by counting terminator bytes eight at a time, so a decoder can
+//! read several columns in lockstep with one cursor each.
 
 /// A wire-format decode failure.
 #[derive(Debug)]
@@ -301,7 +308,25 @@ impl<'a> Cursor<'a> {
     }
 
     /// Reads one LEB128 varint.
+    ///
+    /// Most varints of a section body are one byte, so that case is
+    /// inlined into the caller's loop; longer ones take an out-of-line
+    /// call.
+    #[inline]
     pub fn varint(&mut self) -> Result<u64, WireError> {
+        match self.buf.get(self.pos) {
+            Some(&byte) if byte < 0x80 => {
+                self.pos += 1;
+                Ok(u64::from(byte))
+            }
+            _ => self.varint_slow(),
+        }
+    }
+
+    /// [`Self::varint`] for any length, truncated and overlong input
+    /// included.
+    #[inline(never)]
+    fn varint_slow(&mut self) -> Result<u64, WireError> {
         let mut v: u64 = 0;
         let mut shift = 0u32;
         loop {
@@ -320,8 +345,58 @@ impl<'a> Cursor<'a> {
         }
     }
 
+    /// Advances past `count` varints without decoding them, by counting
+    /// their terminator bytes (high bit clear) eight bytes at a time.
+    /// Where every one of `count` [`Self::varint`] calls would succeed,
+    /// this lands where they would. It does not check lengths, so an
+    /// overlong varint is caught by whoever decodes the skipped bytes.
+    /// Fewer than `count` terminators left is [`WireError::Truncated`],
+    /// with the cursor unmoved.
+    pub fn skip_varints(&mut self, count: usize) -> Result<(), WireError> {
+        const HIGH_BITS: u64 = 0x8080_8080_8080_8080;
+        if count == 0 {
+            return Ok(());
+        }
+        let rest = &self.buf[self.pos..];
+        let mut left = count;
+        let mut words = rest.chunks_exact(8);
+        let mut skipped = 0;
+        // whole words while the last terminator lies beyond them
+        for word in words.by_ref() {
+            let w = u64::from_le_bytes(word.try_into().expect("chunk of 8 bytes"));
+            let ends = (!w & HIGH_BITS).count_ones() as usize;
+            if ends >= left {
+                break;
+            }
+            left -= ends;
+            skipped += 8;
+        }
+        for (i, &byte) in rest[skipped..].iter().enumerate() {
+            if byte < 0x80 {
+                left -= 1;
+                if left == 0 {
+                    self.pos += skipped + i + 1;
+                    return Ok(());
+                }
+            }
+        }
+        Err(WireError::Truncated)
+    }
+
+    /// Splits off the next `count` varints as a cursor of their own and
+    /// advances past them (see [`Self::skip_varints`]): a column of a
+    /// known element count, to be read alongside the columns after it.
+    pub fn take_varints(&mut self, count: usize) -> Result<Cursor<'a>, WireError> {
+        let mut end = *self;
+        end.skip_varints(count)?;
+        let column = &self.buf[self.pos..end.pos];
+        self.pos = end.pos;
+        Ok(Cursor::new(column))
+    }
+
     /// Reads one varint and checks it fits `usize` and is at most
     /// `limit` (a decompression-bomb guard derived from the input size).
+    #[inline]
     pub fn length(&mut self, limit: usize) -> Result<usize, WireError> {
         let v = self.varint()?;
         if v > limit as u64 {
@@ -331,6 +406,7 @@ impl<'a> Cursor<'a> {
     }
 
     /// Reads one zigzag-encoded signed varint.
+    #[inline]
     pub fn zigzag(&mut self) -> Result<i64, WireError> {
         let v = self.varint()?;
         Ok(((v >> 1) as i64) ^ -((v & 1) as i64))
@@ -735,6 +811,103 @@ mod tests {
             Cursor::new(&buf).varint(),
             Err(WireError::Corrupt(_))
         ));
+    }
+
+    /// Where `k` sequential [`Cursor::varint`] calls from `start` land,
+    /// or the first error they meet.
+    fn varints_end(buf: &[u8], start: usize, k: usize) -> Result<usize, WireError> {
+        let mut c = Cursor::new(&buf[start..]);
+        for _ in 0..k {
+            c.varint()?;
+        }
+        Ok(buf.len() - c.remaining())
+    }
+
+    /// `varint` and `varint_slow` read the same value and length, or
+    /// fail the same way.
+    fn assert_paths_agree(buf: &[u8]) {
+        let (mut fast, mut slow) = (Cursor::new(buf), Cursor::new(buf));
+        let (a, b) = (fast.varint(), slow.varint_slow());
+        assert_eq!(format!("{a:?}"), format!("{b:?}"), "{buf:02x?}");
+        if a.is_ok() {
+            assert_eq!(fast.remaining(), slow.remaining(), "{buf:02x?}");
+        }
+    }
+
+    #[test]
+    fn varint_paths_agree_on_every_two_byte_input() {
+        assert_paths_agree(&[]);
+        for b0 in 0..=255u8 {
+            assert_paths_agree(&[b0]);
+            for b1 in 0..=255u8 {
+                assert_paths_agree(&[b0, b1]);
+            }
+        }
+    }
+
+    #[test]
+    fn skip_varints_handles_counts_at_the_edges() {
+        let mut buf = Vec::new();
+        for v in [0u64, 127, 128, 1 << 40, u64::MAX, 5] {
+            put_varint(&mut buf, v);
+        }
+        for k in 0..=6 {
+            let mut c = Cursor::new(&buf);
+            c.skip_varints(k).unwrap();
+            assert_eq!(buf.len() - c.remaining(), varints_end(&buf, 0, k).unwrap());
+        }
+        let mut c = Cursor::new(&buf);
+        assert!(matches!(c.skip_varints(7), Err(WireError::Truncated)));
+        assert_eq!(c.remaining(), buf.len(), "a short input leaves the cursor");
+        let column = c.take_varints(2).unwrap();
+        assert_eq!((column.remaining(), c.remaining()), (2, buf.len() - 2));
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(512))]
+
+        /// On byte soup (a set high bit half the time, so varints of
+        /// every length and inputs that end inside one are common)
+        /// `skip_varints(k)` lands where `k` `varint` calls land, and is
+        /// `Truncated` where they run out.
+        #[test]
+        fn skip_varints_lands_where_varint_calls_land(
+            buf in proptest::collection::vec(proptest::arbitrary::any::<u8>(), 0..96),
+            k in 0usize..48,
+            start in 0usize..12,
+        ) {
+            let start = start.min(buf.len());
+            let mut c = Cursor::new(&buf);
+            c.bytes(start).unwrap();
+            let skipped = c.skip_varints(k);
+            match varints_end(&buf, start, k) {
+                Ok(end) => {
+                    proptest::prop_assert!(skipped.is_ok());
+                    proptest::prop_assert_eq!(buf.len() - c.remaining(), end);
+                }
+                Err(WireError::Truncated) => {
+                    proptest::prop_assert!(matches!(skipped, Err(WireError::Truncated)));
+                    proptest::prop_assert_eq!(c.remaining(), buf.len() - start);
+                }
+                // an overlong varint: skipping does not check lengths
+                Err(_) => {}
+            }
+        }
+
+        /// Every 1–11-byte encoding: `len - 1` continuation bytes and a
+        /// terminator, overflowing ones (10 bytes with a last byte above
+        /// 1, and 11 bytes) included.
+        #[test]
+        fn varint_paths_agree_at_every_length(
+            len in 1usize..=11,
+            payload in proptest::collection::vec(proptest::arbitrary::any::<u8>(), 11),
+        ) {
+            let mut buf: Vec<u8> = payload[..len - 1].iter().map(|b| b | 0x80).collect();
+            buf.push(payload[len - 1] & 0x7f);
+            assert_paths_agree(&buf);
+            buf.push(payload[0]);
+            assert_paths_agree(&buf);
+        }
     }
 
     #[test]

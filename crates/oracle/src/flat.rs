@@ -34,10 +34,12 @@ use crate::label::{LabelStats, PortalEntry};
 /// merge-join uses it as an admissible lower bound — every candidate
 /// through entry `e` costs at least `min_portal_dist[e]` on `e`'s side —
 /// to skip keys and portal tails that cannot beat the running minimum.
-/// It is recomputed by every constructor (so raw and delta label
-/// sections both get it on load), never serialized, and excluded from
-/// [`Self::as_parts`], [`Self::owned_bytes`], and [`Self::is_borrowed`]:
-/// it is arithmetic over the validated columns, not arena data.
+/// Every constructor recomputes it (so raw and delta label sections
+/// both get it on load): the delta decoder while it writes the portals,
+/// the others in one pass over the tails. It is never serialized, and
+/// is excluded from [`Self::as_parts`], [`Self::owned_bytes`], and
+/// [`Self::is_borrowed`]: it is arithmetic over the validated columns,
+/// not arena data.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct FlatLabels<'a> {
     csr: KeyedCsr<'a, PortalEntry>,
@@ -58,12 +60,24 @@ impl<'a> FlatLabels<'a> {
         Ok(FlatLabels::from_csr(csr))
     }
 
-    /// Wraps a validated arena, deriving the per-entry prune bounds —
-    /// the entry point of the label builder and both section decoders.
+    /// Wraps a validated arena, deriving the per-entry prune bounds in
+    /// one pass over the tails — the entry point of the label builder
+    /// and the raw section decoder.
     pub(crate) fn from_csr(csr: KeyedCsr<'a, PortalEntry>) -> Self {
         let min_portal_dist = (0..csr.num_entries())
             .map(|e| csr.tail(e).iter().map(|p| p.dist).min().unwrap_or(INFINITY))
             .collect();
+        FlatLabels::with_min_portal_dists(csr, min_portal_dist)
+    }
+
+    /// Wraps a validated arena and its per-entry prune bounds, which a
+    /// decoder took while writing the portals — the delta section
+    /// decoder's entry point.
+    pub(crate) fn with_min_portal_dists(
+        csr: KeyedCsr<'a, PortalEntry>,
+        min_portal_dist: Vec<Weight>,
+    ) -> Self {
+        debug_assert_eq!(min_portal_dist.len(), csr.num_entries());
         FlatLabels {
             csr,
             min_portal_dist,

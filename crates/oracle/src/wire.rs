@@ -25,12 +25,19 @@
 //! little-endian host with an 8-aligned section the decoder borrows
 //! every column in place — no per-entry work at all.
 //!
+//! The delta decoder keeps one cursor per column and writes each output
+//! element once. It skips the `P` position varints
+//! ([`Cursor::take_varints`]) to find where the dist column starts,
+//! then reads both columns in lockstep: each portal is written whole,
+//! and its entry's minimum `dist` (the labels' prune bound) is taken in
+//! the same loop, so no later pass revisits the portals.
+//!
 //! Decoding verifies every structural invariant; corrupt input yields
 //! an [`Error`], never a panic.
 
 use psep_core::csr::KeyedCsr;
 use psep_core::wire::{put_varint, put_zigzag, Cursor, SectionReader, WireError};
-use psep_graph::graph::Weight;
+use psep_graph::graph::{Weight, INFINITY};
 
 use crate::error::Error;
 use crate::flat::FlatLabels;
@@ -68,28 +75,41 @@ pub fn encode_labels_into(flat: &FlatLabels, epsilon: f64, out: &mut Vec<u8>) {
     }
 }
 
-/// Reads the portal column of a delta body: positions per entry, then
-/// every dist.
-fn decode_portals(c: &mut Cursor<'_>, portal_start: &[u32]) -> Result<Vec<PortalEntry>, WireError> {
-    let mut portals = Vec::with_capacity(*portal_start.last().unwrap() as usize);
+/// Reads the portal columns of a delta body (positions per entry, then
+/// every dist) in one pass: the position column is skipped to find
+/// where the dist column starts, then both are read in lockstep, each
+/// portal written once. Returns the portals and each entry's minimum
+/// `dist`, the labels' prune bound.
+fn decode_portals(
+    c: &mut Cursor<'_>,
+    portal_start: &[u32],
+) -> Result<(Vec<PortalEntry>, Vec<Weight>), WireError> {
+    let total = *portal_start.last().expect("offsets are never empty") as usize;
+    let mut positions = c.take_varints(total)?;
+    let mut portals = Vec::with_capacity(total);
+    let mut mins = Vec::with_capacity(portal_start.len() - 1);
     for w in portal_start.windows(2) {
-        let mut prev = 0u64;
+        let mut min = INFINITY;
+        let mut pos = 0;
         for i in 0..w[1] - w[0] {
-            let pos = if i == 0 {
-                c.varint()?
+            pos = if i == 0 {
+                positions.varint()?
             } else {
-                let next = i128::from(prev) + i128::from(c.zigzag()?);
-                Weight::try_from(next)
-                    .map_err(|_| WireError::Corrupt("position delta underflows"))?
+                pos.checked_add_signed(positions.zigzag()?)
+                    .ok_or(WireError::Corrupt("position delta leaves the u64 range"))?
             };
-            portals.push(PortalEntry { pos, dist: 0 });
-            prev = pos;
+            let dist = c.varint()?;
+            min = min.min(dist);
+            portals.push(PortalEntry { pos, dist });
         }
+        mins.push(min);
     }
-    for p in &mut portals {
-        p.dist = c.varint()?;
+    if positions.remaining() != 0 {
+        return Err(WireError::Corrupt(
+            "position column does not end where the dist column begins",
+        ));
     }
-    Ok(portals)
+    Ok((portals, mins))
 }
 
 /// Decodes a delta labels-section body into `(labels, epsilon)`.
@@ -101,12 +121,21 @@ pub fn decode_labels(data: &[u8]) -> Result<(FlatLabels<'static>, f64), Error> {
     if !(epsilon.is_finite() && epsilon > 0.0) {
         return Err(Error::InvalidEpsilon(epsilon));
     }
-    let (csr, ()) = KeyedCsr::decode_delta(c, |_, _| Ok(()), decode_portals)?;
+    let mut mins = Vec::new();
+    let (csr, ()) = KeyedCsr::decode_delta(
+        c,
+        |_, _| Ok(()),
+        |c, portal_start| {
+            let (portals, entry_mins) = decode_portals(c, portal_start)?;
+            mins = entry_mins;
+            Ok(portals)
+        },
+    )?;
     // Per-entry decode work actually performed — the zero-copy mapped load
     // path asserts these stay at zero.
     psep_obs::counter!("oracle.wire.entries_decoded").add(csr.num_entries() as u64);
     psep_obs::counter!("oracle.wire.portals_decoded").add(csr.tails().len() as u64);
-    Ok((FlatLabels::from_csr(csr), epsilon))
+    Ok((FlatLabels::with_min_portal_dists(csr, mins), epsilon))
 }
 
 /// Appends a label arena's raw labels-section body to `out`, which
@@ -143,6 +172,100 @@ mod tests {
     use psep_core::DecompositionTree;
     use psep_graph::generators::grids;
     use psep_graph::NodeId;
+
+    /// The column-at-a-time portal decoder the lockstep one replaced:
+    /// it pushes every position, then revisits every portal for its
+    /// dist. Kept as the reference the differential tests hold the
+    /// lockstep decoder to.
+    fn decode_portals_reference(
+        c: &mut Cursor<'_>,
+        portal_start: &[u32],
+    ) -> Result<Vec<PortalEntry>, WireError> {
+        let mut portals = Vec::with_capacity(*portal_start.last().unwrap() as usize);
+        for w in portal_start.windows(2) {
+            let mut prev = 0u64;
+            for i in 0..w[1] - w[0] {
+                let pos = if i == 0 {
+                    c.varint()?
+                } else {
+                    let next = i128::from(prev) + i128::from(c.zigzag()?);
+                    Weight::try_from(next)
+                        .map_err(|_| WireError::Corrupt("position delta underflows"))?
+                };
+                portals.push(PortalEntry { pos, dist: 0 });
+                prev = pos;
+            }
+        }
+        for p in &mut portals {
+            p.dist = c.varint()?;
+        }
+        Ok(portals)
+    }
+
+    /// [`decode_labels`] over the reference portal decoder, with the
+    /// prune bounds derived from the arena afterwards.
+    fn decode_labels_reference(data: &[u8]) -> Result<(FlatLabels<'static>, f64), Error> {
+        let mut c = Cursor::new(data);
+        let epsilon = f64::from_bits(u64::from_le_bytes(c.bytes(8)?.try_into().unwrap()));
+        if !(epsilon.is_finite() && epsilon > 0.0) {
+            return Err(Error::InvalidEpsilon(epsilon));
+        }
+        let (csr, ()) = KeyedCsr::decode_delta(c, |_, _| Ok(()), decode_portals_reference)?;
+        Ok((FlatLabels::from_csr(csr), epsilon))
+    }
+
+    /// Both decoders fail on `body`, or both return equal labels (the
+    /// derived prune bounds included).
+    fn assert_decoders_agree(body: &[u8], what: &str) {
+        match (decode_labels(body), decode_labels_reference(body)) {
+            (Ok(new), Ok(reference)) => assert_eq!(new, reference, "{what}"),
+            (Err(_), Err(_)) => {}
+            (new, reference) => panic!(
+                "{what}: lockstep decoder {:?}, reference {:?}",
+                new.map(|_| ()),
+                reference.map(|_| ())
+            ),
+        }
+    }
+
+    #[test]
+    fn lockstep_decoder_matches_the_reference_on_every_family() {
+        for family in psep_testkit::families::ALL_FAMILIES {
+            for n in [80, 400] {
+                let g = family.make(n, 7);
+                let tree = DecompositionTree::build(&g, &*family.strategy());
+                let o = crate::oracle::build_oracle(&g, &tree, Default::default());
+                let body = encode_labels(o.flat_labels(), o.epsilon());
+                let what = format!("{} n={n}", family.name());
+                assert_eq!(decode_labels(&body).unwrap().0, *o.flat_labels(), "{what}");
+                assert_decoders_agree(&body, &what);
+            }
+        }
+    }
+
+    /// Every truncation and every byte flip (low bit, high bit, all
+    /// bits) of a grid's and a triangulated grid's labels body: the
+    /// decoders fail together or agree.
+    #[test]
+    fn lockstep_decoder_matches_the_reference_on_damaged_bodies() {
+        let grid = grids::grid2d(7, 7, 1);
+        let trigrid = psep_graph::generators::planar_families::triangulated_grid(7, 7, 17);
+        for g in [grid, trigrid] {
+            let tree = DecompositionTree::build(&g, &AutoStrategy::default());
+            let o = crate::oracle::build_oracle(&g, &tree, Default::default());
+            let body = encode_labels(o.flat_labels(), o.epsilon());
+            for cut in 0..body.len() {
+                assert_decoders_agree(&body[..cut], &format!("cut at {cut}"));
+            }
+            for at in 0..body.len() {
+                for mask in [0x01, 0x80, 0xff] {
+                    let mut bad = body.clone();
+                    bad[at] ^= mask;
+                    assert_decoders_agree(&bad, &format!("flip {mask:#x} at {at}"));
+                }
+            }
+        }
+    }
 
     fn grid_oracle() -> DistanceOracle<'static> {
         let g = grids::grid2d(6, 6, 1);

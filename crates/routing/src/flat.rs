@@ -174,7 +174,12 @@ impl<'a> FlatTables<'a> {
         }
         let n = csr.num_vertices();
         let in_range = |raw: u32| raw == NO_NODE || (raw as usize) < n;
-        for rec in records.iter() {
+        // one pass over the entries: each record, then its children
+        let (_, _, child_start, children) = csr.as_parts();
+        let mut rest = children;
+        for (rec, w) in records.iter().zip(child_start.windows(2)) {
+            let (kids, after) = rest.split_at((w[1] - w[0]) as usize);
+            rest = after;
             if rec.dfs >= rec.subtree_end {
                 return corrupt("DFS interval must be non-empty");
             }
@@ -201,14 +206,12 @@ impl<'a> FlatTables<'a> {
                     return corrupt("off-path record must have a parent");
                 }
             }
-        }
-        if csr.tails().iter().any(|c| c.index() >= n) {
-            return corrupt("child vertex out of range");
-        }
-        for e in 0..csr.num_entries() {
-            if csr.tail(e).windows(2).any(|w| w[0] >= w[1]) {
+            if kids.windows(2).any(|k| k[0] >= k[1]) {
                 return corrupt("children must be strictly ascending within an entry");
             }
+        }
+        if children.iter().any(|c| c.index() >= n) {
+            return corrupt("child vertex out of range");
         }
         Ok(FlatTables { csr, records })
     }

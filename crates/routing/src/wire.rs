@@ -26,9 +26,17 @@
 //! entry, so both streams delta-code to a byte or two per element. The
 //! raw body writes the records as one column of 48-byte `EntryRecord`s,
 //! so on a little-endian host with an 8-aligned section the decoder
-//! borrows every column in place — no per-entry work at all. Decoding
-//! verifies every structural invariant (via `FlatTables::new`); corrupt
-//! input yields an [`Error`], never a panic.
+//! borrows every column in place — no per-entry work at all.
+//!
+//! The delta decoder keeps one cursor per column and writes each output
+//! element once. The five fixed-count record columns hold `E` varints
+//! each, so skipping varints ([`Cursor::take_varints`]) finds where
+//! each starts. Every record's fields are then read from those five
+//! cursors and the on-path column in lockstep, and the 48-byte record
+//! is written whole.
+//!
+//! Decoding verifies every structural invariant (via `FlatTables::new`);
+//! corrupt input yields an [`Error`], never a panic.
 
 use psep_core::csr::KeyedCsr;
 use psep_core::wire::{put_pod_slice, put_varint, Cursor, SectionReader, WireError};
@@ -99,57 +107,51 @@ fn get_opt_node(c: &mut Cursor<'_>, n: usize) -> Result<u32, WireError> {
     }
 }
 
-/// Reads the record columns of a delta body over `n` vertices.
+/// Reads the record columns of a delta body over `n` vertices in one
+/// pass: the five fixed-count columns are split off by skipping
+/// `num_entries` varints each, then every record's fields are read from
+/// the six cursors in lockstep and the record is written once. The
+/// variable-length on-path column is last and read from `c`.
 fn decode_records(
     c: &mut Cursor<'_>,
     n: usize,
     num_entries: usize,
 ) -> Result<Vec<EntryRecord>, WireError> {
-    let mut infos: Vec<EntryRecord> = Vec::with_capacity(num_entries);
+    let mut dist_col = c.take_varints(num_entries)?;
+    let mut entry_pos_col = c.take_varints(num_entries)?;
+    let mut dfs_col = c.take_varints(num_entries)?;
+    let mut span_col = c.take_varints(num_entries)?;
+    let mut parent_col = c.take_varints(num_entries)?;
+    let mut records = Vec::with_capacity(num_entries);
     for _ in 0..num_entries {
-        infos.push(EntryRecord {
-            dist: c.varint()?,
-            entry_pos: 0,
-            path_pos: 0,
-            parent: NO_NODE,
-            dfs: 0,
-            subtree_end: 0,
-            path_prev: NO_NODE,
-            path_next: NO_NODE,
-            flags: 0,
-        });
-    }
-    for rec in &mut infos {
-        rec.entry_pos = c.varint()?;
-    }
-    for rec in &mut infos {
-        rec.dfs =
-            u32::try_from(c.varint()?).map_err(|_| WireError::Corrupt("dfs index exceeds u32"))?;
-    }
-    for rec in &mut infos {
-        let span = c.varint()?;
-        let end = rec.dfs as u64 + span;
-        if span == 0 || end > u32::MAX as u64 {
+        let dist = dist_col.varint()?;
+        let entry_pos = entry_pos_col.varint()?;
+        let dfs = u32::try_from(dfs_col.varint()?)
+            .map_err(|_| WireError::Corrupt("dfs index exceeds u32"))?;
+        let span = span_col.varint()?;
+        let subtree_end = u64::from(dfs) + span;
+        if span == 0 || subtree_end > u64::from(u32::MAX) {
             return Err(WireError::Corrupt("subtree span out of range"));
         }
-        rec.subtree_end = end as u32;
-    }
-    for rec in &mut infos {
-        rec.parent = get_opt_node(c, n)?;
-    }
-    for rec in &mut infos {
-        match c.varint()? {
-            0 => {}
-            1 => {
-                rec.flags = 1;
-                rec.path_pos = c.varint()?;
-                rec.path_prev = get_opt_node(c, n)?;
-                rec.path_next = get_opt_node(c, n)?;
-            }
+        let parent = get_opt_node(&mut parent_col, n)?;
+        let (flags, path_pos, path_prev, path_next) = match c.varint()? {
+            0 => (0, 0, NO_NODE, NO_NODE),
+            1 => (1, c.varint()?, get_opt_node(c, n)?, get_opt_node(c, n)?),
             _ => return Err(WireError::Corrupt("on-path flag must be 0 or 1")),
         };
+        records.push(EntryRecord {
+            dist,
+            entry_pos,
+            path_pos,
+            parent,
+            dfs,
+            subtree_end: subtree_end as u32,
+            path_prev,
+            path_next,
+            flags,
+        });
     }
-    Ok(infos)
+    Ok(records)
 }
 
 /// Reads the child column of a delta body (ids are range-checked
@@ -221,6 +223,126 @@ mod tests {
     use psep_core::DecompositionTree;
     use psep_graph::generators::grids;
     use psep_graph::NodeId;
+
+    /// The column-at-a-time record decoder the lockstep one replaced:
+    /// it pushes every record with its dist, then makes one more pass
+    /// over all records per column. Kept as the reference the
+    /// differential tests hold the lockstep decoder to.
+    fn decode_records_reference(
+        c: &mut Cursor<'_>,
+        n: usize,
+        num_entries: usize,
+    ) -> Result<Vec<EntryRecord>, WireError> {
+        let mut infos: Vec<EntryRecord> = Vec::with_capacity(num_entries);
+        for _ in 0..num_entries {
+            infos.push(EntryRecord {
+                dist: c.varint()?,
+                entry_pos: 0,
+                path_pos: 0,
+                parent: NO_NODE,
+                dfs: 0,
+                subtree_end: 0,
+                path_prev: NO_NODE,
+                path_next: NO_NODE,
+                flags: 0,
+            });
+        }
+        for rec in &mut infos {
+            rec.entry_pos = c.varint()?;
+        }
+        for rec in &mut infos {
+            rec.dfs = u32::try_from(c.varint()?)
+                .map_err(|_| WireError::Corrupt("dfs index exceeds u32"))?;
+        }
+        for rec in &mut infos {
+            let span = c.varint()?;
+            let end = rec.dfs as u64 + span;
+            if span == 0 || end > u32::MAX as u64 {
+                return Err(WireError::Corrupt("subtree span out of range"));
+            }
+            rec.subtree_end = end as u32;
+        }
+        for rec in &mut infos {
+            rec.parent = get_opt_node(c, n)?;
+        }
+        for rec in &mut infos {
+            match c.varint()? {
+                0 => {}
+                1 => {
+                    rec.flags = 1;
+                    rec.path_pos = c.varint()?;
+                    rec.path_prev = get_opt_node(c, n)?;
+                    rec.path_next = get_opt_node(c, n)?;
+                }
+                _ => return Err(WireError::Corrupt("on-path flag must be 0 or 1")),
+            };
+        }
+        Ok(infos)
+    }
+
+    /// [`decode_tables`] over the reference record decoder.
+    fn decode_tables_reference(data: &[u8]) -> Result<FlatTables<'static>, Error> {
+        let (csr, records) = KeyedCsr::decode_delta(
+            Cursor::new(data),
+            |c, entry_start| {
+                let num_entries = *entry_start.last().unwrap() as usize;
+                decode_records_reference(c, entry_start.len() - 1, num_entries)
+            },
+            decode_children,
+        )?;
+        FlatTables::new(csr, records.into())
+    }
+
+    /// Both decoders fail on `body`, or both return equal tables.
+    fn assert_decoders_agree(body: &[u8], what: &str) {
+        match (decode_tables(body), decode_tables_reference(body)) {
+            (Ok(new), Ok(reference)) => assert_eq!(new, reference, "{what}"),
+            (Err(_), Err(_)) => {}
+            (new, reference) => panic!(
+                "{what}: lockstep decoder {:?}, reference {:?}",
+                new.map(|_| ()),
+                reference.map(|_| ())
+            ),
+        }
+    }
+
+    #[test]
+    fn lockstep_decoder_matches_the_reference_on_every_family() {
+        for family in psep_testkit::families::ALL_FAMILIES {
+            for n in [80, 400] {
+                let g = family.make(n, 7);
+                let tree = DecompositionTree::build(&g, &*family.strategy());
+                let t = RoutingTables::build(&g, &tree);
+                let body = encode_tables(t.flat());
+                let what = format!("{} n={n}", family.name());
+                assert_eq!(&decode_tables(&body).unwrap(), t.flat(), "{what}");
+                assert_decoders_agree(&body, &what);
+            }
+        }
+    }
+
+    /// Every truncation and every byte flip (low bit, high bit, all
+    /// bits) of a grid's and a triangulated grid's tables body: the
+    /// decoders fail together or agree.
+    #[test]
+    fn lockstep_decoder_matches_the_reference_on_damaged_bodies() {
+        let grid = grids::grid2d(7, 7, 1);
+        let trigrid = psep_graph::generators::planar_families::triangulated_grid(7, 7, 17);
+        for g in [grid, trigrid] {
+            let tree = DecompositionTree::build(&g, &AutoStrategy::default());
+            let body = encode_tables(RoutingTables::build(&g, &tree).flat());
+            for cut in 0..body.len() {
+                assert_decoders_agree(&body[..cut], &format!("cut at {cut}"));
+            }
+            for at in 0..body.len() {
+                for mask in [0x01, 0x80, 0xff] {
+                    let mut bad = body.clone();
+                    bad[at] ^= mask;
+                    assert_decoders_agree(&bad, &format!("flip {mask:#x} at {at}"));
+                }
+            }
+        }
+    }
 
     fn grid_tables() -> RoutingTables<'static> {
         let g = grids::grid2d(6, 6, 1);

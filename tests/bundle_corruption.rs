@@ -13,8 +13,8 @@ use std::sync::OnceLock;
 use proptest::prelude::*;
 
 use path_separators::api::Request;
-use path_separators::core::wire::{seal, AlignedBytes};
-use path_separators::service::{bundle_sections, ServiceError};
+use path_separators::core::wire::{pad_to_8, seal, AlignedBytes, Cursor};
+use path_separators::service::{bundle_sections, ServiceError, BUNDLE_MAGIC};
 use path_separators::{LocationService, NodeId, ServiceParams};
 use psep_graph::generators::grids;
 
@@ -213,5 +213,119 @@ proptest! {
         open_and_serve(|| LocationService::from_bytes(&bad));
         let aligned = AlignedBytes::from_slice(&bad);
         open_and_serve(|| LocationService::map_bytes(&aligned));
+    }
+}
+
+/// Replaces section `slot`'s body with `body` and re-seals the bundle
+/// under a fresh directory, so the envelope validates and only the
+/// section decoder sees the change: magic, version word, section count,
+/// one `kind u32 | len u64` row per section, then the bodies, each
+/// starting 8-aligned, and the checksum.
+fn with_section(bytes: &[u8], slot: usize, body: &[u8]) -> Vec<u8> {
+    let (version, sections) = bundle_sections(bytes).expect("own bundle validates");
+    let bodies: Vec<&[u8]> = (0..sections.len())
+        .map(|i| if i == slot { body } else { sections[i].bytes })
+        .collect();
+    let mut out = BUNDLE_MAGIC.to_vec();
+    out.push(version as u8);
+    pad_to_8(&mut out);
+    out.extend_from_slice(&(sections.len() as u32).to_le_bytes());
+    for (sec, body) in sections.iter().zip(&bodies) {
+        out.extend_from_slice(&sec.kind.to_le_bytes());
+        out.extend_from_slice(&(body.len() as u64).to_le_bytes());
+    }
+    for body in &bodies {
+        pad_to_8(&mut out);
+        out.extend_from_slice(body);
+    }
+    seal(&mut out);
+    out
+}
+
+/// Byte ranges of a delta body's varint columns of `counts[i]`
+/// elements each, starting `skip` bytes in.
+fn varint_columns(body: &[u8], skip: usize, counts: &[usize]) -> Vec<std::ops::Range<usize>> {
+    let mut c = Cursor::new(&body[skip..]);
+    counts
+        .iter()
+        .map(|&count| {
+            let start = body.len() - c.remaining();
+            c.skip_varints(count).expect("own body holds every column");
+            start..body.len() - c.remaining()
+        })
+        .collect()
+}
+
+/// The body with one varint too many (the column's last one repeated)
+/// or one too few (its last one dropped) at the end of `column`.
+fn column_off_by_one(body: &[u8], column: std::ops::Range<usize>) -> [Vec<u8>; 2] {
+    let mut c = Cursor::new(&body[column.clone()]);
+    let mut last = column.start;
+    while c.remaining() > 0 {
+        last = column.end - c.remaining();
+        c.varint().expect("own column decodes");
+    }
+    let too_many = [
+        &body[..column.end],
+        &body[last..column.end],
+        &body[column.end..],
+    ]
+    .concat();
+    let too_few = [&body[..last], &body[column.end..]].concat();
+    [too_many, too_few]
+}
+
+/// One varint too many or too few in the labels' position column and in
+/// each of the tables' five fixed-count record columns: the decoders
+/// split the columns by counting varints, so the damage shows as a
+/// shifted column, and the open must be a typed error — never a panic
+/// or an arena read off by one.
+#[test]
+fn column_boundary_shifts_are_typed_errors() {
+    let bytes = sealed_compressed_bundle();
+    let (_, sections) = bundle_sections(&bytes).expect("own bundle validates");
+    assert!(LocationService::from_bytes(&with_section(&bytes, 2, sections[2].bytes)).is_ok());
+    let header = |body: &[u8], skip: usize| {
+        let mut c = Cursor::new(&body[skip..]);
+        [(); 3].map(|()| c.varint().expect("own header") as usize)
+    };
+
+    let labels = sections[2].bytes;
+    let [n, entries, portals] = header(labels, 8);
+    // ε, the three counts, entry counts, keys, portal counts, positions
+    let cols = varint_columns(labels, 8, &[3, n, entries, entries, portals]);
+    let mut damaged = vec![(2, "position", column_off_by_one(labels, cols[4].clone()))];
+
+    let tables = sections[3].bytes;
+    let [n, entries, _] = header(tables, 0);
+    let cols = varint_columns(
+        tables,
+        0,
+        &[3, n, entries, entries, entries, entries, entries, entries],
+    );
+    for (name, col) in ["dist", "entry_pos", "dfs", "span", "parent"]
+        .into_iter()
+        .zip(&cols[3..])
+    {
+        damaged.push((3, name, column_off_by_one(tables, col.clone())));
+    }
+
+    for (slot, name, bodies) in damaged {
+        for (body, how) in bodies.iter().zip(["too many", "too few"]) {
+            let bad = with_section(&bytes, slot, body);
+            let what = format!("{name} column, one varint {how}");
+            assert!(
+                matches!(
+                    LocationService::from_bytes(&bad),
+                    Err(ServiceError::Wire(_) | ServiceError::Oracle(_) | ServiceError::Routing(_))
+                ),
+                "{what}: from_bytes accepted a shifted column"
+            );
+            let aligned = AlignedBytes::from_slice(&bad);
+            assert!(
+                LocationService::map_bytes(&aligned).is_err(),
+                "{what}: map_bytes accepted a shifted column"
+            );
+        }
     }
 }
