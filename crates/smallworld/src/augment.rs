@@ -1,12 +1,12 @@
 //! The paper's augmentation distribution (Definitions 3–4) over a
 //! decomposition tree.
 
-use psep_core::decomposition::DecompositionTree;
+use psep_core::decomposition::{DecompositionTree, ResidualGraph};
 use psep_core::exec::{ShardObs, ShardedRunner};
 use psep_graph::dijkstra::DijkstraScratch;
-use psep_graph::graph::{Graph, NodeId};
+use psep_graph::graph::{Graph, NodeId, INFINITY};
 
-use crate::landmarks::select_landmarks;
+use crate::landmarks::select_landmarks_by;
 
 const AUGMENT_OBS: ShardObs = ShardObs {
     prefix: "smallworld.augment",
@@ -67,7 +67,11 @@ pub fn build_augmentation(g: &Graph, tree: &DecompositionTree, log_delta: u32) -
 /// [`build_augmentation`] with an explicit worker count (`0` = all
 /// available threads, honouring `PSEP_THREADS`).
 ///
-/// The per-source Dijkstra runs are sharded over a
+/// Each `(node, group)`'s residual graph `J` is filled once as a
+/// local-id graph ([`DecompositionTree::residual_graph`]), and each
+/// worker's Dijkstra arena is sized to `J`. Local ids ascend with the
+/// global ids, so every distance equals that of a search over `g`
+/// masked to `J`. The per-source Dijkstra runs are sharded over a
 /// [`ShardedRunner`] and merged in input order, so the resulting
 /// distribution is **identical** at every thread count (and to the
 /// sequential build).
@@ -103,8 +107,9 @@ pub fn build_augmentation_with(
 
     let runner = ShardedRunner::new(threads);
     let mut scratches: Vec<DijkstraScratch> = (0..runner.threads())
-        .map(|_| DijkstraScratch::new(n))
+        .map(|_| DijkstraScratch::new(0))
         .collect();
+    let mut j = ResidualGraph::default();
     for (h, node) in tree.nodes().iter().enumerate() {
         // flattened path index offset per group
         let mut flat_offset: Vec<usize> = Vec::with_capacity(node.separator.num_groups());
@@ -119,24 +124,38 @@ pub fn build_augmentation_with(
             if paths.is_empty() {
                 continue;
             }
-            let mask = tree.residual_mask(n, h, gi);
-            let view = psep_graph::SubgraphView::new(g, &mask);
-            let view_ref = &view;
-            let alive: Vec<NodeId> = mask.iter().collect();
-            let (results, _) =
-                runner.run(&alive, Some(&AUGMENT_OBS), &mut scratches, |scratch, &v| {
-                    scratch.run(view_ref, &[v]);
+            tree.residual_graph(g, h, gi, &mut j);
+            for scratch in &mut scratches {
+                scratch.resize(j.len());
+            }
+            // each path vertex's local id, `None` where an earlier group
+            // removed it from J
+            let path_locals: Vec<Vec<Option<NodeId>>> = paths
+                .iter()
+                .map(|q| q.vertices().iter().map(|&x| j.local(x)).collect())
+                .collect();
+            let locals: Vec<NodeId> = (0..j.len()).map(NodeId::from_index).collect();
+            let jg = j.graph();
+            let (results, _) = runner.run(
+                &locals,
+                Some(&AUGMENT_OBS),
+                &mut scratches,
+                |scratch, &v| {
+                    scratch.run(jg, &[v]);
                     let mut per_path: Vec<Vec<NodeId>> = Vec::with_capacity(paths.len());
                     let mut found = 0u64;
-                    for q in paths {
-                        let lm = select_landmarks(scratch.dist_raw(), q, log_delta);
+                    for (q, ids) in paths.iter().zip(&path_locals) {
+                        let dist_at =
+                            |i: usize| ids[i].map_or(INFINITY, |l| scratch.dist_raw()[l.index()]);
+                        let lm = select_landmarks_by(dist_at, q, log_delta);
                         found += lm.len() as u64;
                         per_path.push(lm.iter().map(|&i| q.vertices()[i]).collect());
                     }
                     (per_path, found)
-                });
+                },
+            );
             let depth = node.depth;
-            for (&v, per_path) in alive.iter().zip(results) {
+            for (&v, per_path) in j.verts().iter().zip(results) {
                 for (pi, ids) in per_path.into_iter().enumerate() {
                     if !ids.is_empty() {
                         per_vertex[v.index()][depth].paths[flat_offset[gi] + pi] = ids;

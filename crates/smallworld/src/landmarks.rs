@@ -22,11 +22,21 @@ use psep_graph::graph::{Weight, INFINITY};
 /// and deduplicated. `dist[x]` must hold `d_J(v, x)` per vertex id.
 /// Returns an empty vector when `v` reaches no path vertex in `J`.
 pub fn select_landmarks(dist: &[Weight], path: &SepPath, log_delta: u32) -> Vec<usize> {
+    select_landmarks_by(|i| dist[path.vertices()[i].index()], path, log_delta)
+}
+
+/// [`select_landmarks`] with `dist_at(i)` giving `d_J(v, ·)` of the
+/// path's `i`-th vertex.
+pub(crate) fn select_landmarks_by(
+    dist_at: impl Fn(usize) -> Weight,
+    path: &SepPath,
+    log_delta: u32,
+) -> Vec<usize> {
     let verts = path.vertices();
     // closest path vertex x_c (smallest index on ties)
     let mut xc: Option<(usize, Weight)> = None;
-    for (i, &v) in verts.iter().enumerate() {
-        let d = dist[v.index()];
+    for i in 0..verts.len() {
+        let d = dist_at(i);
         if d == INFINITY {
             continue;
         }
