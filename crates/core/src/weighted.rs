@@ -18,7 +18,7 @@
 use psep_graph::components::components;
 use psep_graph::graph::{Graph, NodeId};
 use psep_graph::view::{GraphRef, NodeMask, SubgraphView};
-use psep_planar::cycle::CycleSearch;
+use psep_planar::cycle::{deepest_vertex, sampled_nontree_edges, CycleSearch, RemovalScratch};
 use psep_planar::sptree::SpTree;
 
 use crate::check::{check_balanced, SeparatorError};
@@ -88,8 +88,8 @@ pub fn weighted_iterative_separator(
         // pair of root paths by remaining heaviest-component weight
         let tree = SpTree::new(&view, big[0]);
         let mut best: Option<(f64, Vec<Vec<NodeId>>)> = None;
-        let candidates = candidate_edges(&view, &tree, search.max_candidates);
-        for (u, v) in candidates {
+        let mut scratch = RemovalScratch::new(view.universe());
+        for (u, v) in sampled_nontree_edges(&view, &tree, search.max_candidates) {
             let mut removed: Vec<NodeId> = Vec::new();
             let mut paths: Vec<Vec<NodeId>> = Vec::new();
             for endpoint in [u, v] {
@@ -98,7 +98,11 @@ pub fn weighted_iterative_separator(
                     removed.extend(p);
                 }
             }
-            let score = heaviest_after_removal(&view, &removed, weights);
+            let comps = scratch.components_after_removal(&view, &removed);
+            let score = comps
+                .iter()
+                .map(|c| comp_weight(c, weights))
+                .fold(0.0, f64::max);
             if best.as_ref().is_none_or(|(s, _)| score < *s) {
                 let done = score <= half + 1e-9;
                 best = Some((score, paths));
@@ -109,7 +113,9 @@ pub fn weighted_iterative_separator(
         }
         let paths = match best {
             Some((_, p)) if !p.is_empty() => p,
-            _ => vec![vec![deepest(&view, &tree)]],
+            _ => vec![vec![
+                deepest_vertex(&view, &tree).expect("non-empty component")
+            ]],
         };
         let sep_paths: Vec<SepPath> = paths.into_iter().map(|p| SepPath::new(&view, p)).collect();
         let group = PathGroup::new(sep_paths);
@@ -121,57 +127,6 @@ pub fn weighted_iterative_separator(
 
 fn comp_weight(comp: &[NodeId], weights: &[f64]) -> f64 {
     comp.iter().map(|v| weights[v.index()]).sum()
-}
-
-fn candidate_edges(view: &SubgraphView<'_>, tree: &SpTree, max: usize) -> Vec<(NodeId, NodeId)> {
-    let mut out = Vec::new();
-    for u in view.node_iter() {
-        for e in view.neighbors(u) {
-            if u < e.to && !tree.is_tree_edge(u, e.to) {
-                out.push((u, e.to));
-            }
-        }
-    }
-    let stride = (out.len() / max.max(1)).max(1);
-    out.into_iter().step_by(stride).collect()
-}
-
-fn heaviest_after_removal(view: &SubgraphView<'_>, removed: &[NodeId], weights: &[f64]) -> f64 {
-    let n = view.universe();
-    let mut dead = vec![false; n];
-    for &v in removed {
-        dead[v.index()] = true;
-    }
-    let mut seen = vec![false; n];
-    let mut best = 0.0f64;
-    let mut stack = Vec::new();
-    for v in view.node_iter() {
-        if seen[v.index()] || dead[v.index()] {
-            continue;
-        }
-        let mut w = 0.0;
-        seen[v.index()] = true;
-        stack.push(v);
-        while let Some(u) = stack.pop() {
-            w += weights[u.index()];
-            for e in view.neighbors(u) {
-                let i = e.to.index();
-                if !seen[i] && !dead[i] {
-                    seen[i] = true;
-                    stack.push(e.to);
-                }
-            }
-        }
-        best = best.max(w);
-    }
-    best
-}
-
-fn deepest(view: &SubgraphView<'_>, tree: &SpTree) -> NodeId {
-    view.node_iter()
-        .filter(|&v| tree.reached(v))
-        .max_by_key(|&v| (tree.dist(v).unwrap_or(0), v.0))
-        .expect("non-empty component")
 }
 
 /// The weight-halving strategy: [`weighted_iterative_separator`] at

@@ -7,7 +7,7 @@
 //! * [`Graph`] — a weighted undirected graph with integer edge costs,
 //!   together with [`SubgraphView`]s for the residual graphs
 //!   `G \ (P_0 ∪ … ∪ P_{i-1})` that appear throughout the paper;
-//! * shortest-path algorithms ([`dijkstra()`], [`bfs()`], [`bellman_ford`]),
+//! * shortest paths ([`dijkstra()`], [`bidirectional_distance`]),
 //!   shortest-path trees and path extraction;
 //! * connectivity ([`components()`], [`UnionFind`]);
 //! * metric utilities (aspect ratio `Δ`, eccentricities, diameter,
@@ -34,8 +34,6 @@
 //! assert_eq!(sp.dist(NodeId(2)), Some(5));
 //! ```
 
-pub mod bellman;
-pub mod bfs;
 pub mod bidijkstra;
 pub mod components;
 pub mod csr;
@@ -49,8 +47,6 @@ pub mod minors;
 pub mod unionfind;
 pub mod view;
 
-pub use bellman::bellman_ford;
-pub use bfs::bfs;
 pub use bidijkstra::bidirectional_distance;
 pub use components::{components, largest_component};
 pub use csr::CsrGraph;

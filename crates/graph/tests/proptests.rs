@@ -3,12 +3,39 @@
 
 use proptest::prelude::*;
 
-use psep_graph::bellman::bellman_ford;
 use psep_graph::components::{components, largest_component_after_removal};
 use psep_graph::dijkstra::{dijkstra, path_cost, DijkstraScratch};
 use psep_graph::generators::{special, trees};
 use psep_graph::graph::{Graph, NodeId, Weight, INFINITY};
 use psep_graph::view::{GraphRef, NodeMask, SubgraphView};
+
+/// Bellman–Ford distances from `source`: iterated edge relaxation, an
+/// `O(n · m)` reference that shares no code with Dijkstra.
+fn bellman_ford(g: &Graph, source: NodeId) -> Vec<Weight> {
+    let mut dist = vec![INFINITY; g.num_nodes()];
+    dist[source.index()] = 0;
+    // non-negative weights reach the fixpoint within n - 1 rounds
+    for _ in 0..g.num_nodes() {
+        let mut changed = false;
+        for u in g.nodes() {
+            let du = dist[u.index()];
+            if du == INFINITY {
+                continue;
+            }
+            for e in g.neighbors(u) {
+                let nd = du + e.weight;
+                if nd < dist[e.to.index()] {
+                    dist[e.to.index()] = nd;
+                    changed = true;
+                }
+            }
+        }
+        if !changed {
+            break;
+        }
+    }
+    dist
+}
 
 /// Strategy: a connected random graph built from a random tree plus
 /// extra random edges, with weights in 1..=16.

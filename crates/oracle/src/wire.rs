@@ -23,7 +23,10 @@
 //! arena. The raw body is `ε` as an `f64` LE followed by the arena's
 //! aligned columns, the portals as `{pos u64, dist u64}` LE pairs; on a
 //! little-endian host with an 8-aligned section the decoder borrows
-//! every column in place — no per-entry work at all.
+//! every column in place and copies none. The open still walks the
+//! columns once: [`KeyedCsr::new`] checks every offset and key, and
+//! `FlatLabels::from_csr` scans every portal for its entry's minimum
+//! `dist` (the labels' prune bound).
 //!
 //! The delta decoder keeps one cursor per column and writes each output
 //! element once. It skips the `P` position varints

@@ -60,23 +60,15 @@ pub fn best_fundamental_cycle<G: GraphRef>(
     search: &CycleSearch,
     target: usize,
 ) -> Option<CycleCandidate> {
-    let mut candidates: Vec<(NodeId, NodeId)> = Vec::new();
-    for u in g.node_iter() {
-        for e in g.neighbors(u) {
-            if u < e.to && !tree.is_tree_edge(u, e.to) {
-                candidates.push((u, e.to));
-            }
-        }
-    }
+    let candidates = sampled_nontree_edges(g, tree, search.max_candidates);
     if candidates.is_empty() {
         return None;
     }
-    let stride = (candidates.len() / search.max_candidates.max(1)).max(1);
     let mut best: Option<CycleCandidate> = None;
     let mut scratch = RemovalScratch::new(g.universe());
     psep_obs::counter!("planar.cycle.searches").incr();
     let mut evaluated: u64 = 0;
-    for (u, v) in candidates.into_iter().step_by(stride) {
+    for (u, v) in candidates {
         evaluated += 1;
         let mut removed: Vec<NodeId> = Vec::new();
         removed.extend(tree.root_path(u).unwrap_or_default());
@@ -96,6 +88,25 @@ pub fn best_fundamental_cycle<G: GraphRef>(
     }
     psep_obs::counter!("planar.cycle.candidates_evaluated").add(evaluated);
     best
+}
+
+/// The nontree edges `{u, v}` (`u < v`) of `tree` over `g`, in vertex
+/// order, sampled at an even stride down to about `max` of them.
+pub fn sampled_nontree_edges<G: GraphRef>(
+    g: &G,
+    tree: &SpTree,
+    max: usize,
+) -> Vec<(NodeId, NodeId)> {
+    let mut edges: Vec<(NodeId, NodeId)> = Vec::new();
+    for u in g.node_iter() {
+        for e in g.neighbors(u) {
+            if u < e.to && !tree.is_tree_edge(u, e.to) {
+                edges.push((u, e.to));
+            }
+        }
+    }
+    let stride = (edges.len() / max.max(1)).max(1);
+    edges.into_iter().step_by(stride).collect()
 }
 
 /// Computes a set of root paths of a single shortest-path tree whose
@@ -161,8 +172,9 @@ pub fn root_path_separator<G: GraphRef>(
     paths
 }
 
-/// Deepest reachable vertex of the tree (largest distance from the root).
-fn deepest_vertex<G: GraphRef>(g: &G, tree: &SpTree) -> Option<NodeId> {
+/// Deepest reachable vertex of the tree (largest distance from the
+/// root, then largest id), or `None` if `g` has no reached vertex.
+pub fn deepest_vertex<G: GraphRef>(g: &G, tree: &SpTree) -> Option<NodeId> {
     g.node_iter()
         .filter(|&v| tree.reached(v))
         .max_by_key(|&v| (tree.dist(v).unwrap_or(0), v.0))
@@ -178,13 +190,14 @@ fn dedup_against(path: &[NodeId], already: &[NodeId]) -> Vec<NodeId> {
 }
 
 /// Reusable buffers for repeated component computations.
-struct RemovalScratch {
+pub struct RemovalScratch {
     dead: Vec<bool>,
     seen: Vec<bool>,
 }
 
 impl RemovalScratch {
-    fn new(universe: usize) -> Self {
+    /// Buffers for graphs with id universe `universe`.
+    pub fn new(universe: usize) -> Self {
         RemovalScratch {
             dead: vec![false; universe],
             seen: vec![false; universe],
@@ -199,7 +212,9 @@ impl RemovalScratch {
             .unwrap_or(0)
     }
 
-    fn components_after_removal<G: GraphRef>(
+    /// The connected components of `g` minus `removed`, each in
+    /// depth-first discovery order, in order of their first vertex.
+    pub fn components_after_removal<G: GraphRef>(
         &mut self,
         g: &G,
         removed: &[NodeId],

@@ -21,5 +21,8 @@
 pub mod cycle;
 pub mod sptree;
 
-pub use cycle::{best_fundamental_cycle, root_path_separator, CycleSearch};
+pub use cycle::{
+    best_fundamental_cycle, deepest_vertex, root_path_separator, sampled_nontree_edges,
+    CycleSearch, RemovalScratch,
+};
 pub use sptree::SpTree;

@@ -26,7 +26,9 @@
 //! entry, so both streams delta-code to a byte or two per element. The
 //! raw body writes the records as one column of 48-byte `EntryRecord`s,
 //! so on a little-endian host with an 8-aligned section the decoder
-//! borrows every column in place — no per-entry work at all.
+//! borrows every column in place and copies none. The open still walks
+//! the columns once: [`KeyedCsr::new`] checks every offset and key, and
+//! `FlatTables::new` checks every record and its children.
 //!
 //! The delta decoder keeps one cursor per column and writes each output
 //! element once. The five fixed-count record columns hold `E` varints
