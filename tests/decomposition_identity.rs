@@ -34,6 +34,13 @@
 //!
 //! The small-world augmentation is pinned by every vertex's per-level,
 //! per-path landmark lists over the grid's and tri-grid's trees.
+//!
+//! The oracle's merge-join is pinned on a fixed sample of pairs of the
+//! grid and the tri-grid: each answer, its winning key and portal pair,
+//! and the summed join statistics (candidates scanned, keys and portal
+//! tails pruned). A change to how the join bounds or orders its scan
+//! moves these; one that only changes where the bounds come from must
+//! not.
 
 use path_separators::core::doubling::{DoublingDecompositionTree, GridPlaneStrategy};
 use path_separators::core::weighted::WeightedStrategy;
@@ -42,6 +49,7 @@ use path_separators::core::DecompositionParams;
 use path_separators::graph::generators::{grids, ktree, planar_families};
 use path_separators::oracle::doubling::{build_doubling_oracle, DoublingOracleParams};
 use path_separators::oracle::wire::{encode_labels, encode_labels_flat_into};
+use path_separators::oracle::JoinStats;
 use path_separators::planar::CycleSearch;
 use path_separators::routing::wire::{encode_tables, encode_tables_flat_into};
 use path_separators::smallworld::build_augmentation_with;
@@ -284,5 +292,103 @@ fn augmentations_are_pinned() {
                 "{name} augmentation at {threads} thread(s)"
             );
         }
+    }
+}
+
+/// The vertices of `walk` reached after covering `a` and `b` of its
+/// weight (edge weights are `>= 1`, so each is unique).
+fn vertices_at(g: &Graph, walk: &[NodeId], a: u64, b: u64) -> (NodeId, NodeId) {
+    let (mut covered, mut at_a, mut at_b) = (0, None, None);
+    for (i, &x) in walk.iter().enumerate() {
+        if i > 0 {
+            covered += g.edge_weight(walk[i - 1], x).expect("walk edge");
+        }
+        if covered == a {
+            at_a = Some(x);
+        }
+        if covered == b {
+            at_b = Some(x);
+        }
+    }
+    (at_a.expect("walk covers a"), at_b.expect("walk covers b"))
+}
+
+/// CRC-32 of `(answer, winning key, pu, pv)` over a fixed sample of
+/// pairs of the `ε = 0.25` oracle, and the summed join statistics. The
+/// portal pair is read off the witness path: `p` is where the walk has
+/// covered `d_J(u,p)`, `q` where it has covered `d_J(u,p) + d_Q(p,q)`.
+fn join_crc(g: &Graph) -> (u32, JoinStats) {
+    const PAIRS: usize = 600;
+    let tree = DecompositionTree::build(g, &AutoStrategy::default());
+    let params = OracleParams {
+        epsilon: EPSILON,
+        threads: 1,
+    };
+    let oracle = build_oracle(g, &tree, params);
+    let n = g.num_nodes() as u64;
+    let mut state = 0x9e37_79b9_7f4a_7c15_u64;
+    let mut next = || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        NodeId((state % n) as u32)
+    };
+    let (mut bytes, mut total) = (Vec::new(), JoinStats::default());
+    for _ in 0..PAIRS {
+        let (u, v) = (next(), next());
+        let (answer, stats) = oracle.query_with_stats(u, v);
+        total.merge(stats);
+        put(&mut bytes, answer.unwrap_or(u64::MAX));
+        let Some((w, wit)) = oracle.explain(u, v) else {
+            continue;
+        };
+        assert_eq!(Some(w), answer, "{u:?}->{v:?}");
+        let walk = oracle.query_path(g, &tree, u, v).expect("witness path");
+        let (p, q) = vertices_at(g, &walk.nodes, wit.dist_u, wit.dist_u + wit.along);
+        let node = &tree.nodes()[wit.node as usize];
+        let path = &node.separator.groups[usize::from(wit.group)].paths[usize::from(wit.path)];
+        let pos = |x| path.position(path.index_of(x).expect("portal on its path"));
+        for x in [
+            wit.node.into(),
+            wit.group.into(),
+            wit.path.into(),
+            pos(p),
+            wit.dist_u,
+            pos(q),
+            wit.dist_v,
+        ] {
+            put(&mut bytes, x);
+        }
+    }
+    (crc32(&bytes), total)
+}
+
+#[test]
+fn join_witnesses_are_pinned() {
+    for (name, g, pinned, stats) in [
+        (
+            "grid 40x40",
+            grids::grid2d(40, 40, 1),
+            0x80d9_94a8_u32,
+            [161_139_u64, 309, 44_838],
+        ),
+        (
+            "tri-grid 40x40",
+            planar_families::triangulated_grid(40, 40, 1),
+            0x6b33_7253,
+            [144_132, 1_032, 49_187],
+        ),
+    ] {
+        let (crc, total) = join_crc(&g);
+        assert_eq!(
+            format!("{crc:#010x}"),
+            format!("{pinned:#010x}"),
+            "{name}: (answer, key, pu, pv) crc"
+        );
+        assert_eq!(
+            [total.scanned, total.pruned_keys, total.pruned_portals],
+            stats,
+            "{name}: summed [scanned, pruned keys, pruned portals]"
+        );
     }
 }
