@@ -74,9 +74,9 @@ pub struct BundleStats {
     pub label_entries: HistogramStat,
     /// Per-vertex routing-table entry counts.
     pub table_entries: HistogramStat,
-    /// Per-entry `min_portal_dist` prune bounds (the admissible lower
-    /// bounds the pruned merge-join skips work with); entries with no
-    /// portals are excluded.
+    /// Per-entry `min_portal_dist` prune bounds (each entry's smallest
+    /// portal `dist`, the admissible lower bound the pruned merge-join
+    /// takes from the tail); entries with no portals are excluded.
     pub prune_bounds: HistogramStat,
     /// Raw vs delta-compressed sizes of the labels and tables arenas.
     pub compression: Vec<CompressionStat>,
@@ -108,15 +108,16 @@ impl BundleStats {
         let n = svc.num_nodes();
         let mut label_entries = HistogramStat::new("bundle.label.entries");
         let mut table_entries = HistogramStat::new("bundle.table.entries");
+        let mut prune_bounds = HistogramStat::new("bundle.label.min_portal_dist");
         for v in 0..n {
             let v = NodeId(v as u32);
-            label_entries.record(svc.oracle().label(v).num_entries() as u64);
+            let label = svc.oracle().label(v);
+            label_entries.record(label.num_entries() as u64);
             table_entries.record(svc.router().tables().table_entries(v) as u64);
-        }
-        let mut prune_bounds = HistogramStat::new("bundle.label.min_portal_dist");
-        for &m in svc.oracle().flat_labels().min_portal_dists() {
-            if m != psep_graph::INFINITY {
-                prune_bounds.record(m);
+            for (_, portals) in label.entries() {
+                if let Some(m) = portals.iter().map(|p| p.dist).min() {
+                    prune_bounds.record(m);
+                }
             }
         }
         // Both encodings are canonical, so re-encoding the loaded

@@ -14,9 +14,14 @@
 //! merge-join — so the merge-join of a query walks two contiguous key
 //! slices and the portal arena linearly. Queries borrow [`LabelRef`]
 //! views.
+//!
+//! The arena is the whole of the labels, as Theorem 2's query needs
+//! nothing else: the merge-join takes its prune bounds from the portal
+//! tails of the keys it matches, so opening a mapped labels section
+//! reads no portal.
 
 use psep_core::csr::KeyedCsr;
-use psep_graph::graph::{NodeId, Weight, INFINITY};
+use psep_graph::graph::NodeId;
 
 use crate::error::Error;
 use crate::label::{LabelStats, PortalEntry};
@@ -26,25 +31,11 @@ use crate::label::{LabelStats, PortalEntry};
 ///
 /// The arena validates the CSR invariants and may borrow its columns
 /// from a mapped raw labels section; queries are bit-identical either
-/// way.
-///
-/// Alongside the arena the labels carry one *derived* column,
-/// `min_portal_dist`: for each entry, the minimum `dist` over its
-/// portals ([`INFINITY`] for an entry with no portals). The query
-/// merge-join uses it as an admissible lower bound — every candidate
-/// through entry `e` costs at least `min_portal_dist[e]` on `e`'s side —
-/// to skip keys and portal tails that cannot beat the running minimum.
-/// Every constructor recomputes it (so raw and delta label sections
-/// both get it on load): the delta decoder while it writes the portals,
-/// the others in one pass over the tails. It is never serialized, and
-/// is excluded from [`Self::as_parts`], [`Self::owned_bytes`], and
-/// [`Self::is_borrowed`]: it is arithmetic over the validated columns,
-/// not arena data.
+/// way. Nothing is derived at open: the merge-join takes its prune
+/// bounds from the portal tails it reads anyway.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct FlatLabels<'a> {
     csr: KeyedCsr<'a, PortalEntry>,
-    /// Derived: per-entry minimum portal `dist` (the prune bound).
-    min_portal_dist: Vec<Weight>,
 }
 
 impl<'a> FlatLabels<'a> {
@@ -57,31 +48,13 @@ impl<'a> FlatLabels<'a> {
         portals: Vec<PortalEntry>,
     ) -> Result<Self, Error> {
         let csr = KeyedCsr::new(entry_start, keys, portal_start, portals)?;
-        Ok(FlatLabels::from_csr(csr))
+        Ok(FlatLabels { csr })
     }
 
-    /// Wraps a validated arena, deriving the per-entry prune bounds in
-    /// one pass over the tails — the entry point of the label builder
-    /// and the raw section decoder.
+    /// Wraps a validated arena — the entry point of the label builder
+    /// and the section decoders.
     pub(crate) fn from_csr(csr: KeyedCsr<'a, PortalEntry>) -> Self {
-        let min_portal_dist = (0..csr.num_entries())
-            .map(|e| csr.tail(e).iter().map(|p| p.dist).min().unwrap_or(INFINITY))
-            .collect();
-        FlatLabels::with_min_portal_dists(csr, min_portal_dist)
-    }
-
-    /// Wraps a validated arena and its per-entry prune bounds, which a
-    /// decoder took while writing the portals — the delta section
-    /// decoder's entry point.
-    pub(crate) fn with_min_portal_dists(
-        csr: KeyedCsr<'a, PortalEntry>,
-        min_portal_dist: Vec<Weight>,
-    ) -> Self {
-        debug_assert_eq!(min_portal_dist.len(), csr.num_entries());
-        FlatLabels {
-            csr,
-            min_portal_dist,
-        }
+        FlatLabels { csr }
     }
 
     /// The underlying arena — what the wire formats encode.
@@ -129,14 +102,7 @@ impl<'a> FlatLabels<'a> {
             keys: &self.csr.keys()[r.clone()],
             bounds: &self.csr.tail_start()[r.start..=r.end],
             portals: self.csr.tails(),
-            mins: &self.min_portal_dist[r],
         })
-    }
-
-    /// The derived per-entry minimum portal distances (one per entry,
-    /// parallel to the key arena) — the prune bounds of the merge-join.
-    pub fn min_portal_dists(&self) -> &[Weight] {
-        &self.min_portal_dist
     }
 
     /// Raw arrays `(entry_start, keys, portal_start, portals)` — what
@@ -194,7 +160,6 @@ impl<'a> FlatLabels<'a> {
     pub fn into_owned(self) -> FlatLabels<'static> {
         FlatLabels {
             csr: self.csr.into_owned(),
-            min_portal_dist: self.min_portal_dist,
         }
     }
 }
@@ -208,32 +173,16 @@ pub struct LabelRef<'a> {
     bounds: &'a [u32],
     /// The whole portal arena (bounds are global indices).
     portals: &'a [PortalEntry],
-    /// Per-entry minimum portal distance, parallel to `keys`.
-    mins: &'a [Weight],
 }
 
 impl<'a> LabelRef<'a> {
     /// The entries as `(packed key, portals)` pairs in ascending key
-    /// order.
+    /// order — the stream the merge-join consumes.
     pub fn entries(&self) -> impl Iterator<Item = (u64, &'a [PortalEntry])> + '_ {
         self.keys.iter().enumerate().map(|(i, &k)| {
             (
                 k,
                 &self.portals[self.bounds[i] as usize..self.bounds[i + 1] as usize],
-            )
-        })
-    }
-
-    /// The entries as `(packed key, portals, min portal dist)` triples in
-    /// ascending key order — the shape the bound-pruned merge-join core
-    /// consumes. The third element is the stored prune bound for the
-    /// entry (no portal scan needed to obtain it).
-    pub fn entries_with_min(&self) -> impl Iterator<Item = (u64, &'a [PortalEntry], Weight)> + '_ {
-        self.keys.iter().enumerate().map(|(i, &k)| {
-            (
-                k,
-                &self.portals[self.bounds[i] as usize..self.bounds[i + 1] as usize],
-                self.mins[i],
             )
         })
     }
@@ -279,7 +228,6 @@ mod tests {
         let portals: usize = views.iter().map(|r| r.size()).sum();
         assert_eq!(entries, flat.num_entries());
         assert_eq!(portals, flat.num_portals());
-        assert_eq!(flat.min_portal_dists().len(), entries);
         let stats = flat.stats();
         assert_eq!(
             stats.max_size,
@@ -294,11 +242,10 @@ mod tests {
         let flat = grid_labels();
         for v in 0..flat.num_labels() {
             let r = flat.label(NodeId::from_index(v));
-            for ((key, portals), (_, _, min)) in r.entries().zip(r.entries_with_min()) {
+            for (key, portals) in r.entries() {
                 let (node, group, path) = unpack_key(key);
                 assert_eq!(pack_key(node, group, path), key);
                 assert_eq!(r.portals_for(key), Some(portals));
-                assert_eq!(Some(min), portals.iter().map(|p| p.dist).min());
             }
         }
         assert_eq!(flat.label(NodeId(0)).portals_for(u64::MAX), None);

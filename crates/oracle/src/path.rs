@@ -143,7 +143,7 @@ impl DistanceOracle<'_> {
                 "decomposition tree does not match the graph's vertex count",
             ));
         }
-        let (_stats, best) = merge_join_best(lu.entries_with_min(), lv.entries_with_min());
+        let (_stats, best) = merge_join_best(lu.entries(), lv.entries());
         let Some((weight, key, pu, pv)) = best else {
             return Ok(None);
         };
@@ -283,8 +283,7 @@ mod tests {
                 weight: 0,
             });
         }
-        let (_, best) =
-            merge_join_best(o.label(u).entries_with_min(), o.label(v).entries_with_min());
+        let (_, best) = merge_join_best(o.label(u).entries(), o.label(v).entries());
         let (weight, key, pu, pv) = best?;
         let (h, gi, pi) = unpack_key(key);
         let path = &tree.nodes()[h as usize].separator.groups[gi as usize].paths[pi as usize];
@@ -373,10 +372,7 @@ mod tests {
             let mut rejected = 0;
             for u in g.nodes() {
                 for v in g.nodes().filter(|&v| v != u) {
-                    let (_, best) = merge_join_best(
-                        o.label(u).entries_with_min(),
-                        o.label(v).entries_with_min(),
-                    );
+                    let (_, best) = merge_join_best(o.label(u).entries(), o.label(v).entries());
                     let (_, key, pu, _) = best.unwrap();
                     if pu.dist == 0 && shift < 0 {
                         continue; // u is its own portal

@@ -24,23 +24,20 @@
 //! aligned columns, the portals as `{pos u64, dist u64}` LE pairs; on a
 //! little-endian host with an 8-aligned section the decoder borrows
 //! every column in place and copies none. The open still walks the
-//! columns once: [`KeyedCsr::new`] checks every offset and key, and
-//! `FlatLabels::from_csr` scans every portal for its entry's minimum
-//! `dist` (the labels' prune bound).
+//! offsets and keys once ([`KeyedCsr::new`] checks each of them), but
+//! it reads no portal: the labels carry nothing derived from the tails,
+//! and the merge-join takes its prune bounds from the tails it reads.
 //!
 //! The delta decoder keeps one cursor per column and writes each output
 //! element once. It skips the `P` position varints
 //! ([`Cursor::take_varints`]) to find where the dist column starts,
-//! then reads both columns in lockstep: each portal is written whole,
-//! and its entry's minimum `dist` (the labels' prune bound) is taken in
-//! the same loop, so no later pass revisits the portals.
+//! then reads both columns in lockstep, writing each portal whole.
 //!
 //! Decoding verifies every structural invariant; corrupt input yields
 //! an [`Error`], never a panic.
 
 use psep_core::csr::KeyedCsr;
 use psep_core::wire::{put_varint, put_zigzag, Cursor, SectionReader, WireError};
-use psep_graph::graph::{Weight, INFINITY};
 
 use crate::error::Error;
 use crate::flat::FlatLabels;
@@ -81,18 +78,12 @@ pub fn encode_labels_into(flat: &FlatLabels, epsilon: f64, out: &mut Vec<u8>) {
 /// Reads the portal columns of a delta body (positions per entry, then
 /// every dist) in one pass: the position column is skipped to find
 /// where the dist column starts, then both are read in lockstep, each
-/// portal written once. Returns the portals and each entry's minimum
-/// `dist`, the labels' prune bound.
-fn decode_portals(
-    c: &mut Cursor<'_>,
-    portal_start: &[u32],
-) -> Result<(Vec<PortalEntry>, Vec<Weight>), WireError> {
+/// portal written once.
+fn decode_portals(c: &mut Cursor<'_>, portal_start: &[u32]) -> Result<Vec<PortalEntry>, WireError> {
     let total = *portal_start.last().expect("offsets are never empty") as usize;
     let mut positions = c.take_varints(total)?;
     let mut portals = Vec::with_capacity(total);
-    let mut mins = Vec::with_capacity(portal_start.len() - 1);
     for w in portal_start.windows(2) {
-        let mut min = INFINITY;
         let mut pos = 0;
         for i in 0..w[1] - w[0] {
             pos = if i == 0 {
@@ -102,17 +93,15 @@ fn decode_portals(
                     .ok_or(WireError::Corrupt("position delta leaves the u64 range"))?
             };
             let dist = c.varint()?;
-            min = min.min(dist);
             portals.push(PortalEntry { pos, dist });
         }
-        mins.push(min);
     }
     if positions.remaining() != 0 {
         return Err(WireError::Corrupt(
             "position column does not end where the dist column begins",
         ));
     }
-    Ok((portals, mins))
+    Ok(portals)
 }
 
 /// Decodes a delta labels-section body into `(labels, epsilon)`.
@@ -124,21 +113,12 @@ pub fn decode_labels(data: &[u8]) -> Result<(FlatLabels<'static>, f64), Error> {
     if !(epsilon.is_finite() && epsilon > 0.0) {
         return Err(Error::InvalidEpsilon(epsilon));
     }
-    let mut mins = Vec::new();
-    let (csr, ()) = KeyedCsr::decode_delta(
-        c,
-        |_, _| Ok(()),
-        |c, portal_start| {
-            let (portals, entry_mins) = decode_portals(c, portal_start)?;
-            mins = entry_mins;
-            Ok(portals)
-        },
-    )?;
+    let (csr, ()) = KeyedCsr::decode_delta(c, |_, _| Ok(()), decode_portals)?;
     // Per-entry decode work actually performed — the zero-copy mapped load
     // path asserts these stay at zero.
     psep_obs::counter!("oracle.wire.entries_decoded").add(csr.num_entries() as u64);
     psep_obs::counter!("oracle.wire.portals_decoded").add(csr.tails().len() as u64);
-    Ok((FlatLabels::with_min_portal_dists(csr, mins), epsilon))
+    Ok((FlatLabels::from_csr(csr), epsilon))
 }
 
 /// Appends a label arena's raw labels-section body to `out`, which
@@ -174,6 +154,7 @@ mod tests {
     use psep_core::strategy::AutoStrategy;
     use psep_core::DecompositionTree;
     use psep_graph::generators::grids;
+    use psep_graph::graph::Weight;
     use psep_graph::NodeId;
 
     /// The column-at-a-time portal decoder the lockstep one replaced:
@@ -205,8 +186,7 @@ mod tests {
         Ok(portals)
     }
 
-    /// [`decode_labels`] over the reference portal decoder, with the
-    /// prune bounds derived from the arena afterwards.
+    /// [`decode_labels`] over the reference portal decoder.
     fn decode_labels_reference(data: &[u8]) -> Result<(FlatLabels<'static>, f64), Error> {
         let mut c = Cursor::new(data);
         let epsilon = f64::from_bits(u64::from_le_bytes(c.bytes(8)?.try_into().unwrap()));
@@ -217,8 +197,7 @@ mod tests {
         Ok((FlatLabels::from_csr(csr), epsilon))
     }
 
-    /// Both decoders fail on `body`, or both return equal labels (the
-    /// derived prune bounds included).
+    /// Both decoders fail on `body`, or both return equal labels.
     fn assert_decoders_agree(body: &[u8], what: &str) {
         match (decode_labels(body), decode_labels_reference(body)) {
             (Ok(new), Ok(reference)) => assert_eq!(new, reference, "{what}"),
