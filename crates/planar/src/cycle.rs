@@ -52,8 +52,11 @@ pub struct CycleCandidate {
 
 /// Finds the best fundamental cycle of `tree` over `g`: the nontree edge
 /// whose two root paths, when removed, minimize the largest remaining
-/// component. Returns `None` if `g` has no nontree edge (i.e. `g` is a
-/// forest).
+/// component (the first such edge in candidate order). Returns `None` if
+/// `g` has no nontree edge (i.e. `g` is a forest).
+///
+/// A candidate's search stops as soon as one of its components reaches
+/// the best size so far, since it can then no longer be strictly better.
 pub fn best_fundamental_cycle<G: GraphRef>(
     g: &G,
     tree: &SpTree,
@@ -73,14 +76,13 @@ pub fn best_fundamental_cycle<G: GraphRef>(
         let mut removed: Vec<NodeId> = Vec::new();
         removed.extend(tree.root_path(u).unwrap_or_default());
         removed.extend(tree.root_path(v).unwrap_or_default());
-        let largest = scratch.largest_component_after_removal(g, &removed);
-        let cand = CycleCandidate {
-            edge: (u, v),
-            largest_component: largest,
-        };
-        let better = best.as_ref().is_none_or(|b| largest < b.largest_component);
-        if better {
-            best = Some(cand);
+        let stop = best.as_ref().map_or(usize::MAX, |b| b.largest_component);
+        let largest = scratch.largest_component_after_removal(g, &removed, stop);
+        if largest < stop {
+            best = Some(CycleCandidate {
+                edge: (u, v),
+                largest_component: largest,
+            });
             if search.accept_first && largest <= target {
                 break;
             }
@@ -193,6 +195,7 @@ fn dedup_against(path: &[NodeId], already: &[NodeId]) -> Vec<NodeId> {
 pub struct RemovalScratch {
     dead: Vec<bool>,
     seen: Vec<bool>,
+    stack: Vec<NodeId>,
 }
 
 impl RemovalScratch {
@@ -201,15 +204,54 @@ impl RemovalScratch {
         RemovalScratch {
             dead: vec![false; universe],
             seen: vec![false; universe],
+            stack: Vec::new(),
         }
     }
 
-    fn largest_component_after_removal<G: GraphRef>(&mut self, g: &G, removed: &[NodeId]) -> usize {
-        self.components_after_removal(g, removed)
-            .iter()
-            .map(|c| c.len())
-            .max()
-            .unwrap_or(0)
+    /// Clears the marks and marks `removed` dead.
+    fn reset(&mut self, removed: &[NodeId]) {
+        self.dead.iter_mut().for_each(|d| *d = false);
+        self.seen.iter_mut().for_each(|s| *s = false);
+        for &v in removed {
+            self.dead[v.index()] = true;
+        }
+    }
+
+    /// The size of the largest component of `g` minus `removed`,
+    /// counted without collecting the components; once one component
+    /// reaches `stop`, returns a size `>= stop` without visiting more.
+    fn largest_component_after_removal<G: GraphRef>(
+        &mut self,
+        g: &G,
+        removed: &[NodeId],
+        stop: usize,
+    ) -> usize {
+        self.reset(removed);
+        let mut largest = 0;
+        for v in g.node_iter() {
+            if self.seen[v.index()] || self.dead[v.index()] {
+                continue;
+            }
+            let mut size = 0;
+            self.seen[v.index()] = true;
+            self.stack.push(v);
+            while let Some(u) = self.stack.pop() {
+                size += 1;
+                if size >= stop {
+                    self.stack.clear();
+                    return size;
+                }
+                for e in g.neighbors(u) {
+                    let i = e.to.index();
+                    if !self.seen[i] && !self.dead[i] {
+                        self.seen[i] = true;
+                        self.stack.push(e.to);
+                    }
+                }
+            }
+            largest = largest.max(size);
+        }
+        largest
     }
 
     /// The connected components of `g` minus `removed`, each in
@@ -219,11 +261,7 @@ impl RemovalScratch {
         g: &G,
         removed: &[NodeId],
     ) -> Vec<Vec<NodeId>> {
-        self.dead.iter_mut().for_each(|d| *d = false);
-        self.seen.iter_mut().for_each(|s| *s = false);
-        for &v in removed {
-            self.dead[v.index()] = true;
-        }
+        self.reset(removed);
         let mut out = Vec::new();
         let mut stack = Vec::new();
         for v in g.node_iter() {
@@ -326,5 +364,39 @@ mod tests {
         let g = trees::random_tree(20, 1);
         let tree = SpTree::new(&g, NodeId(0));
         assert!(best_fundamental_cycle(&g, &tree, &CycleSearch::default(), 10).is_none());
+    }
+
+    /// The bounded search picks the candidate, and reports the size,
+    /// that scoring every candidate in full picks.
+    #[test]
+    fn bounded_search_matches_full_scoring() {
+        for g in [
+            grids::grid2d(12, 9, 1),
+            planar_families::triangulated_grid(10, 10, 3),
+            planar_families::apollonian(80, 5),
+        ] {
+            let tree = SpTree::new(&g, NodeId(0));
+            for (accept_first, target) in [(true, g.num_nodes() / 2), (false, 0)] {
+                let search = CycleSearch {
+                    max_candidates: usize::MAX,
+                    accept_first,
+                    ..CycleSearch::default()
+                };
+                let mut full: Option<(usize, (NodeId, NodeId))> = None;
+                for (u, v) in sampled_nontree_edges(&g, &tree, search.max_candidates) {
+                    let mut removed = tree.root_path(u).unwrap_or_default();
+                    removed.extend(tree.root_path(v).unwrap_or_default());
+                    let largest = largest_component_after_removal(&g, &removed);
+                    if full.is_none_or(|(b, _)| largest < b) {
+                        full = Some((largest, (u, v)));
+                        if accept_first && largest <= target {
+                            break;
+                        }
+                    }
+                }
+                let best = best_fundamental_cycle(&g, &tree, &search, target).unwrap();
+                assert_eq!(Some((best.largest_component, best.edge)), full);
+            }
+        }
     }
 }
