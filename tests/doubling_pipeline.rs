@@ -6,6 +6,7 @@ use path_separators::graph::doubling::estimate_doubling_dimension;
 use path_separators::graph::generators::grids;
 use path_separators::graph::minors::induced_subgraph;
 use path_separators::oracle::doubling::{build_doubling_oracle, DoublingOracleParams};
+use path_separators::oracle::DistanceEstimator;
 
 #[test]
 fn full_doubling_pipeline_on_3d_mesh() {
@@ -84,6 +85,41 @@ fn plane_strategy_also_handles_2d_grids() {
             let d = sp.dist(v).unwrap();
             let est = oracle.query(u, v).unwrap();
             assert!(est >= d && est as f64 <= 1.5 * d as f64 + 1e-9);
+        }
+    }
+}
+
+/// The doubling oracle served through `&dyn DistanceEstimator`, as the
+/// benchmarks and examples hold every oracle: the same answers as its
+/// own `query`, within `1+ε` of Dijkstra, and the same `ε` and space.
+#[test]
+fn doubling_oracle_answers_through_the_estimator_trait() {
+    let dims = (6, 6, 6);
+    let g = grids::grid3d(dims.0, dims.1, dims.2);
+    let tree = DoublingDecompositionTree::build(&g, &GridPlaneStrategy { dims });
+    let eps = 0.25;
+    let oracle = build_doubling_oracle(
+        &g,
+        &tree,
+        DoublingOracleParams {
+            epsilon: eps,
+            threads: 1,
+        },
+    );
+    let est: &dyn DistanceEstimator = &oracle;
+    assert_eq!(est.epsilon(), oracle.epsilon());
+    assert_eq!(est.space_entries(), oracle.space_entries());
+    for u in g.nodes().step_by(11) {
+        let sp = dijkstra(&g, &[u]);
+        for v in g.nodes().step_by(3) {
+            let answer = est.query(u, v);
+            assert_eq!(answer, oracle.query(u, v), "{u:?}->{v:?}");
+            let (d, answer) = (sp.dist(v).unwrap(), answer.expect("mesh connected"));
+            assert!(answer >= d, "{u:?}->{v:?}: {answer} < {d}");
+            assert!(
+                answer as f64 <= (1.0 + eps) * d as f64 + 1e-9,
+                "{u:?}->{v:?}: {answer} > (1+{eps})·{d}"
+            );
         }
     }
 }
