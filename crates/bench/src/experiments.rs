@@ -668,7 +668,8 @@ pub fn e6_routing(families: &[Family], sizes: &[usize]) -> String {
 /// worker-thread counts.
 ///
 /// Reported metrics: `routing.wire.bytes_per_vertex` (wire bytes over
-/// vertex count, vs the in-memory arena) and
+/// vertex count, vs the in-memory arena; the section stores no entry
+/// offsets or keys, which a bundle keeps in its labels section) and
 /// `routing.batch.routes_per_sec` (best observed across thread counts,
 /// with per-count `routing.batch.threadsNN.routes_per_sec` gauges).
 pub fn e6t_routing_serving(families: &[Family], n: usize, pair_count: usize) -> String {
@@ -692,7 +693,11 @@ pub fn e6t_routing_serving(families: &[Family], n: usize, pair_count: usize) -> 
             let par_bytes = encode_tables(RoutingTables::build_with(&g, &tree, threads).flat());
             assert_eq!(par_bytes, bytes, "parallel build diverged at t={threads}");
         }
-        let loaded = RoutingTables::from_flat(decode_tables(&bytes).expect("own artifact decodes"));
+        // the section stores no keys: decode over the tables' own, as a
+        // bundle decodes over the labels'
+        let loaded = RoutingTables::from_flat(
+            decode_tables(&bytes, tables.flat().csr()).expect("own artifact decodes"),
+        );
         assert!(loaded == tables, "wire round-trip is not bit-exact");
 
         let bytes_per_vertex = bytes.len() as f64 / nn as f64;

@@ -14,11 +14,18 @@
 //! ```
 //!
 //! It owns the invariants of those columns, their borrowed-or-owned
-//! storage, and the column order of both section encodings. A caller
-//! with a per-entry column of its own (the tables' records) writes it
-//! through the one hook between the keys and the tail offsets; header
-//! fields outside the shared part (the labels' `ε`) are written by the
-//! caller before the arena's.
+//! storage, and the column order of both section encodings. Header
+//! fields outside the arena (the labels' `ε`) are written by the caller
+//! before the arena's.
+//!
+//! The tables and the labels are keyed alike, so a bundle stores the
+//! entry offsets and keys once, in the labels section. Each codec
+//! therefore comes in two halves: the full encoding (counts, entry
+//! offsets, keys, then the tails) and its tails-only half (tail offsets
+//! and tails), which the full one calls and which the tables section
+//! writes after its own record column. [`KeyedCsr::with_keys_of`] puts
+//! such a tails-only arena back over the key columns of an arena that is
+//! already checked, checking only the tail offsets.
 //!
 //! Both builders work one `(node, group)` of the decomposition at a
 //! time, so they emit a vertex's entries scattered across the whole run
@@ -76,23 +83,16 @@ impl<'a, T> KeyedCsr<'a, T> {
         let (entry_start, keys) = (entry_start.into(), keys.into());
         let (tail_start, tails) = (tail_start.into(), tails.into());
         let corrupt = |what: &'static str| Err(WireError::Corrupt(what));
-        if entry_start.first() != Some(&0) || tail_start.first() != Some(&0) {
+        if entry_start.first() != Some(&0) {
             return corrupt("offset arrays must start at 0");
         }
         if *entry_start.last().unwrap() as usize != keys.len() {
             return corrupt("entry_start must end at keys.len()");
         }
-        if tail_start.len() != keys.len() + 1 {
-            return corrupt("tail_start must have one bound per entry plus one");
-        }
-        if *tail_start.last().unwrap() as usize != tails.len() {
-            return corrupt("tail_start must end at tails.len()");
-        }
-        // each check folds a whole column without branching per element
-        let descends = |s: &[u32]| s.windows(2).fold(false, |d, w| d | (w[0] > w[1]));
-        if descends(&entry_start) | descends(&tail_start) {
+        if descends(&entry_start) {
             return corrupt("offset arrays must be non-decreasing");
         }
+        check_tail_start(&tail_start, keys.len(), tails.len())?;
         let mut rest = &keys[..];
         let mut unordered = false;
         for w in entry_start.windows(2) {
@@ -111,6 +111,30 @@ impl<'a, T> KeyedCsr<'a, T> {
             tail_start,
             tails,
         })
+    }
+
+    /// Assembles an arena over the entry offsets and keys of `keyed`,
+    /// which its own constructor already checked, with tails of its own:
+    /// only `tail_start` is checked. A borrowed key column stays borrowed
+    /// from the same buffer; an owned one is copied.
+    pub fn with_keys_of<U>(
+        keyed: &KeyedCsr<'a, U>,
+        tail_start: impl Into<ArenaStorage<'a, u32>>,
+        tails: impl Into<ArenaStorage<'a, T>>,
+    ) -> Result<Self, WireError> {
+        let (tail_start, tails) = (tail_start.into(), tails.into());
+        check_tail_start(&tail_start, keyed.num_entries(), tails.len())?;
+        Ok(KeyedCsr {
+            entry_start: keyed.entry_start.clone(),
+            keys: keyed.keys.clone(),
+            tail_start,
+            tails,
+        })
+    }
+
+    /// True when both arenas have the same entry offsets and keys.
+    pub fn same_keys<U>(&self, other: &KeyedCsr<'_, U>) -> bool {
+        self.entry_start[..] == other.entry_start[..] && self.keys[..] == other.keys[..]
     }
 
     /// Number of vertices covered.
@@ -204,12 +228,12 @@ impl<'a, T> KeyedCsr<'a, T> {
     /// n, E, T                                        3 varints
     /// entry count per vertex                         n varints
     /// keys per vertex: first absolute, then deltas   E varints
-    /// … whatever `between` writes …
     /// tail count per entry                           E varints
     /// ```
     ///
-    /// The caller writes the tails themselves after this returns.
-    pub fn encode_delta_into(&self, out: &mut Vec<u8>, between: impl FnOnce(&mut Vec<u8>)) {
+    /// The last line is [`Self::encode_delta_tails_into`]. The caller
+    /// writes the tails themselves after this returns.
+    pub fn encode_delta_into(&self, out: &mut Vec<u8>) {
         for count in [self.num_vertices(), self.num_entries(), self.tails.len()] {
             put_varint(out, count as u64);
         }
@@ -223,30 +247,33 @@ impl<'a, T> KeyedCsr<'a, T> {
                 prev = key;
             }
         }
-        between(out);
+        self.encode_delta_tails_into(out);
+    }
+
+    /// Appends the tails-only half of the delta encoding: one tail count
+    /// per entry, `E` varints. The caller writes the tails after it.
+    pub fn encode_delta_tails_into(&self, out: &mut Vec<u8>) {
         for w in self.tail_start.windows(2) {
             put_varint(out, u64::from(w[1] - w[0]));
         }
     }
 
-    /// Decodes what [`Self::encode_delta_into`] wrote, then the rest of
-    /// the body: `between` reads the caller's per-entry columns (given
-    /// `entry_start`), `tails` reads the tail column (given
-    /// `tail_start`). The body must end there. Every count is bounded by
-    /// the bytes left, so corrupt input is a typed error, never a panic
-    /// or an oversized allocation.
-    pub fn decode_delta<'b, X>(
+    /// Decodes what [`Self::encode_delta_into`] wrote, then the tail
+    /// column through `tails` (see [`Self::decode_delta_tails`]). The
+    /// body must end there. Every count is bounded by the bytes left, so
+    /// corrupt input is a typed error, never a panic or an oversized
+    /// allocation.
+    pub fn decode_delta<'b>(
         mut c: Cursor<'b>,
-        between: impl FnOnce(&mut Cursor<'b>, &[u32]) -> Result<X, WireError>,
         tails: impl FnOnce(&mut Cursor<'b>, &[u32]) -> Result<Vec<T>, WireError>,
-    ) -> Result<(Self, X), WireError> {
+    ) -> Result<Self, WireError> {
         // every vertex, entry, and tail element costs at least one body
         // byte, so the input length bounds all three counts
         let limit = c.remaining();
         let n = c.length(limit)?;
         let num_entries = c.length(limit)?;
         let num_tails = c.length(limit)?;
-        if num_entries > u32::MAX as usize || num_tails > u32::MAX as usize {
+        if num_entries > u32::MAX as usize {
             return Err(WireError::Corrupt("section counts exceed u32 offsets"));
         }
         let entry_start = read_offsets(&mut c, n, num_entries)?;
@@ -265,14 +292,60 @@ impl<'a, T> KeyedCsr<'a, T> {
                 prev = key;
             }
         }
-        let extra = between(&mut c, &entry_start)?;
+        let (tail_start, tails) = Self::decode_delta_tails(c, num_entries, num_tails, tails)?;
+        KeyedCsr::new(entry_start, keys, tail_start, tails)
+    }
+
+    /// Decodes what [`Self::encode_delta_tails_into`] wrote for
+    /// `num_entries` entries whose tails sum to `num_tails`, then the
+    /// tail column: `tails` reads it given the tail offsets. The body
+    /// must end there. Returns `(tail_start, tails)`.
+    pub fn decode_delta_tails<'b>(
+        mut c: Cursor<'b>,
+        num_entries: usize,
+        num_tails: usize,
+        tails: impl FnOnce(&mut Cursor<'b>, &[u32]) -> Result<Vec<T>, WireError>,
+    ) -> Result<(Vec<u32>, Vec<T>), WireError> {
+        if num_tails > u32::MAX as usize {
+            return Err(WireError::Corrupt("section counts exceed u32 offsets"));
+        }
         let tail_start = read_offsets(&mut c, num_entries, num_tails)?;
         let tails = tails(&mut c, &tail_start)?;
         if c.remaining() != 0 {
             return Err(WireError::Corrupt("trailing bytes after payload"));
         }
-        Ok((KeyedCsr::new(entry_start, keys, tail_start, tails)?, extra))
+        Ok((tail_start, tails))
     }
+}
+
+/// True when some offset is smaller than the one before it; folds the
+/// whole column without branching per element.
+fn descends(s: &[u32]) -> bool {
+    s.windows(2).fold(false, |d, w| d | (w[0] > w[1]))
+}
+
+/// Checks tail offsets for `num_entries` entries over `num_tails` tails:
+/// one bound per entry plus one, starting at 0, never decreasing, ending
+/// at `num_tails`.
+fn check_tail_start(
+    tail_start: &[u32],
+    num_entries: usize,
+    num_tails: usize,
+) -> Result<(), WireError> {
+    let corrupt = |what: &'static str| Err(WireError::Corrupt(what));
+    if tail_start.len() != num_entries + 1 {
+        return corrupt("tail_start must have one bound per entry plus one");
+    }
+    if tail_start[0] != 0 {
+        return corrupt("offset arrays must start at 0");
+    }
+    if tail_start[num_entries] as usize != num_tails {
+        return corrupt("tail_start must end at tails.len()");
+    }
+    if descends(tail_start) {
+        return corrupt("offset arrays must be non-decreasing");
+    }
+    Ok(())
 }
 
 /// Reads `len` varint counts summing to exactly `total` as `len + 1`
@@ -303,12 +376,13 @@ impl<'a, T: Pod> KeyedCsr<'a, T> {
     /// entry_start   (n+1) × u32 LE
     /// pad to 8
     /// keys          E × u64 LE
-    /// … whatever `between` writes (a multiple of 8 bytes) …
     /// tail_start    (E+1) × u32 LE
     /// pad to 8
     /// tails         T × T LE
     /// ```
-    pub fn encode_raw_into(&self, out: &mut Vec<u8>, between: impl FnOnce(&mut Vec<u8>)) {
+    ///
+    /// The last three lines are [`Self::encode_raw_tails_into`].
+    pub fn encode_raw_into(&self, out: &mut Vec<u8>) {
         debug_assert!(out.len().is_multiple_of(8), "columns must start aligned");
         for count in [self.num_vertices(), self.num_entries(), self.tails.len()] {
             out.extend_from_slice(&(count as u64).to_le_bytes());
@@ -316,36 +390,55 @@ impl<'a, T: Pod> KeyedCsr<'a, T> {
         put_pod_slice(out, &self.entry_start);
         pad_to_8(out);
         put_pod_slice(out, &self.keys);
-        between(out);
+        self.encode_raw_tails_into(out);
+    }
+
+    /// Appends the tails-only half of the raw encoding — `tail_start`,
+    /// zero padding to 8, the tails — to `out`, which must end on an
+    /// 8-byte boundary.
+    pub fn encode_raw_tails_into(&self, out: &mut Vec<u8>) {
+        debug_assert!(out.len().is_multiple_of(8), "columns must start aligned");
         put_pod_slice(out, &self.tail_start);
         pad_to_8(out);
         put_pod_slice(out, &self.tails);
     }
 
-    /// Decodes what [`Self::encode_raw_into`] wrote, with `between`
-    /// reading the caller's columns (given the entry count), borrowing
-    /// every column in place when the host and buffer allow it. The
-    /// section must end after the tails. A header that disagrees with
-    /// the payload is a typed error, never a panic or misaligned read.
-    pub fn decode_raw<X>(
-        mut r: SectionReader<'a>,
-        between: impl FnOnce(&mut SectionReader<'a>, usize) -> Result<X, WireError>,
-    ) -> Result<(Self, X), WireError> {
+    /// Decodes what [`Self::encode_raw_into`] wrote, borrowing every
+    /// column in place when the host and buffer allow it. The section
+    /// must end after the tails. A header that disagrees with the
+    /// payload is a typed error, never a panic or misaligned read.
+    pub fn decode_raw(mut r: SectionReader<'a>) -> Result<Self, WireError> {
         let n = r.u64()?;
         let num_entries = r.u64()?;
         let num_tails = r.u64()?;
-        if n >= u32::MAX as u64 || num_entries >= u32::MAX as u64 || num_tails > u32::MAX as u64 {
+        if n >= u32::MAX as u64 || num_entries >= u32::MAX as u64 {
             return Err(WireError::Corrupt("section counts exceed u32 offsets"));
         }
         let entry_start = r.pod_slice(n as usize + 1)?;
         r.align8()?;
         let keys = r.pod_slice(num_entries as usize)?;
-        let extra = between(&mut r, num_entries as usize)?;
-        let tail_start = r.pod_slice(num_entries as usize + 1)?;
+        let (tail_start, tails) = Self::decode_raw_tails(r, num_entries as usize, num_tails)?;
+        KeyedCsr::new(entry_start, keys, tail_start, tails)
+    }
+
+    /// Decodes what [`Self::encode_raw_tails_into`] wrote for
+    /// `num_entries` entries (an arena's entry count, so below
+    /// `u32::MAX`) and `num_tails` tails, borrowing in place when it
+    /// can; the section must end there. Returns `(tail_start, tails)`,
+    /// unchecked beyond their lengths.
+    pub fn decode_raw_tails(
+        mut r: SectionReader<'a>,
+        num_entries: usize,
+        num_tails: u64,
+    ) -> Result<(ArenaStorage<'a, u32>, ArenaStorage<'a, T>), WireError> {
+        if num_tails > u32::MAX as u64 {
+            return Err(WireError::Corrupt("section counts exceed u32 offsets"));
+        }
+        let tail_start = r.pod_slice(num_entries + 1)?;
         r.align8()?;
         let tails = r.pod_slice(num_tails as usize)?;
         r.finish()?;
-        Ok((KeyedCsr::new(entry_start, keys, tail_start, tails)?, extra))
+        Ok((tail_start, tails))
     }
 }
 
@@ -476,27 +569,24 @@ mod tests {
     }
 
     #[test]
-    fn both_codecs_roundtrip_with_a_between_column() {
-        let (csr, extra) = sample();
+    fn both_codecs_roundtrip() {
+        let (csr, _) = sample();
         let mut raw = Vec::new();
-        csr.encode_raw_into(&mut raw, |out| put_pod_slice(out, &extra));
+        csr.encode_raw_into(&mut raw);
         let aligned = crate::wire::AlignedBytes::from_slice(&raw);
-        let (back, col) =
-            KeyedCsr::<u64>::decode_raw(SectionReader::new(&aligned), |r, e| r.pod_slice::<u64>(e))
-                .unwrap();
-        assert_eq!((back, &*col), (csr.clone(), &extra[..]));
+        let back = KeyedCsr::<u64>::decode_raw(SectionReader::new(&aligned)).unwrap();
+        assert_eq!(back, csr);
+        assert!(back.is_borrowed());
 
         let mut delta = Vec::new();
-        csr.encode_delta_into(&mut delta, |out| put_varint(out, 42));
+        csr.encode_delta_into(&mut delta);
         csr.tails().iter().for_each(|&t| put_varint(&mut delta, t));
         let decode = |bytes: &[u8]| {
-            KeyedCsr::decode_delta(
-                Cursor::new(bytes),
-                |c, _| c.varint(),
-                |c, ts| (0..*ts.last().unwrap()).map(|_| c.varint()).collect(),
-            )
+            KeyedCsr::decode_delta(Cursor::new(bytes), |c, ts| {
+                (0..*ts.last().unwrap()).map(|_| c.varint()).collect()
+            })
         };
-        assert_eq!(decode(&delta).unwrap(), (csr, 42));
+        assert_eq!(decode(&delta).unwrap(), csr);
         for cut in 0..delta.len() {
             assert!(decode(&delta[..cut]).is_err(), "prefix {cut} accepted");
         }
@@ -505,5 +595,70 @@ mod tests {
         assert!(decode(&long).is_err());
         // one vertex claiming two of five declared entries
         assert!(decode(&[1, 5, 0, 2, 0, 0, 0, 0, 0, 0]).is_err());
+    }
+
+    /// The tails-only halves round-trip over another arena's keys, and
+    /// the full encodings end in them.
+    #[test]
+    fn tails_only_halves_roundtrip_over_shared_keys() {
+        let (csr, _) = sample();
+        let mut raw = Vec::new();
+        csr.encode_raw_tails_into(&mut raw);
+        let mut full = Vec::new();
+        csr.encode_raw_into(&mut full);
+        assert!(full.ends_with(&raw));
+        let aligned = crate::wire::AlignedBytes::from_slice(&raw);
+        let (ts, tails) =
+            KeyedCsr::<u64>::decode_raw_tails(SectionReader::new(&aligned), 3, 4).unwrap();
+        let full = crate::wire::AlignedBytes::from_slice(&full);
+        let keyed = KeyedCsr::<u64>::decode_raw(SectionReader::new(&full)).unwrap();
+        let back = KeyedCsr::with_keys_of(&keyed, ts, tails).unwrap();
+        assert_eq!(back, csr);
+        assert_eq!(back.keys().as_ptr(), keyed.keys().as_ptr());
+        for (entries, tails) in [(2, 4), (4, 4), (3, 3), (3, 5)] {
+            assert!(KeyedCsr::<u64>::decode_raw_tails(
+                SectionReader::new(&aligned),
+                entries,
+                tails
+            )
+            .is_err());
+        }
+
+        let mut delta = Vec::new();
+        csr.encode_delta_tails_into(&mut delta);
+        let mut full = Vec::new();
+        csr.encode_delta_into(&mut full);
+        assert!(full.ends_with(&delta));
+        csr.tails().iter().for_each(|&t| put_varint(&mut delta, t));
+        let decode = |bytes: &[u8], entries, tails| {
+            KeyedCsr::decode_delta_tails(Cursor::new(bytes), entries, tails, |c, ts| {
+                (0..*ts.last().unwrap()).map(|_| c.varint()).collect()
+            })
+        };
+        let (ts, tails) = decode(&delta, 3, 4).unwrap();
+        assert_eq!(KeyedCsr::with_keys_of(&keyed, ts, tails).unwrap(), csr);
+        for (entries, tails) in [(2, 4), (4, 4), (3, 3), (3, 5)] {
+            assert!(decode(&delta, entries, tails).is_err());
+        }
+    }
+
+    #[test]
+    fn with_keys_of_checks_the_tail_offsets() {
+        let (csr, _) = sample();
+        let (_, _, ts, tails) = csr.as_parts();
+        let build =
+            |ts: &[u32], tails: &[u64]| KeyedCsr::with_keys_of(&csr, ts.to_vec(), tails.to_vec());
+        assert_eq!(build(ts, tails).unwrap(), csr);
+        for (ts, tails) in [
+            (&[1, 1, 2, 4][..], tails), // not at 0
+            (&[0, 0, 4][..], tails),    // a bound short
+            (ts, &tails[..3]),          // tails short
+            (&[0, 2, 1, 4][..], tails), // decreasing
+        ] {
+            assert!(matches!(build(ts, tails), Err(WireError::Corrupt(_))));
+        }
+        let other = KeyedCsr::new(vec![0, 0, 1, 1], vec![9], vec![0, 0], Vec::<u8>::new());
+        assert!(!csr.same_keys(&other.unwrap()));
+        assert!(csr.same_keys(&build(ts, tails).unwrap()));
     }
 }

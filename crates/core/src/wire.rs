@@ -111,7 +111,7 @@ pub fn put_zigzag(buf: &mut Vec<u8>, v: i64) {
 /// CRC-32 (IEEE 802.3, reflected polynomial `0xEDB88320`) of `bytes`.
 ///
 /// Checksum throughput bounds the cold start of a mapped
-/// `psep-bundle/v3` — the one pass over the envelope is the *only* O(n)
+/// `psep-bundle/v4` — the one pass over the envelope is the *only* O(n)
 /// work on that path for the label and table arenas — so this is a
 /// serving-latency function, not just an integrity check.
 ///

@@ -7,7 +7,7 @@
 //! psep-inspect diff <base.json> <fresh.json> [--threshold 0.3] [--quantile-factor 4.0] [--json]
 //! ```
 //!
-//! `upgrade` rewrites a `psep-bundle/v3` with delta-coded label and
+//! `upgrade` rewrites a `psep-bundle/v4` with delta-coded label and
 //! table sections (`--compress`) or raw zero-copy ones (`--raw`, the
 //! default); the answers are bit-identical either way.
 //!
@@ -29,7 +29,7 @@ fn main() {
             eprintln!(
                 "usage: psep-inspect bundle <path> [--json]\n\
                  \x20      psep-inspect upgrade <in-bundle> <out-bundle> [--compress|--raw]\n\
-                 \x20          (rewrite a v3 bundle with delta or raw label/table sections)\n\
+                 \x20          (rewrite a v4 bundle with delta or raw label/table sections)\n\
                  \x20      psep-inspect report <path> [--json]\n\
                  \x20      psep-inspect diff <base.json> <fresh.json> \
                  [--threshold X] [--quantile-factor Y] [--json]"
@@ -106,8 +106,9 @@ fn cmd_upgrade(args: &[String]) -> i32 {
         return usage_err(&format!("cannot write {output}: {e}"));
     }
     println!(
-        "rewrote {input} ({} bytes) -> {output} (v3 {}, {} bytes)",
+        "rewrote {input} ({} bytes) -> {output} (v{} {}, {} bytes)",
         data.len(),
+        path_separators::service::BUNDLE_VERSION,
         if compress { "delta" } else { "raw" },
         upgraded.len()
     );

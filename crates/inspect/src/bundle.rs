@@ -1,4 +1,4 @@
-//! Inspection of sealed `psep-bundle/v3` artifacts.
+//! Inspection of sealed `psep-bundle/v4` artifacts.
 //!
 //! Walks the envelope without deserializing (section sizes via
 //! [`bundle_sections`], plus a CRC-32 of each section computed here for

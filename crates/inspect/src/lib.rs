@@ -4,7 +4,7 @@
 //! Three capabilities, shared by the `psep-inspect` binary and the CI
 //! perf gate:
 //!
-//! - [`bundle`]: open a sealed `psep-bundle/v3` artifact and report
+//! - [`bundle`]: open a sealed `psep-bundle/v4` artifact and report
 //!   section sizes, per-section checksums, and per-vertex label/table
 //!   entry-count histograms; rewrite it with raw or delta sections.
 //! - [`report`]: parse `psep-bench-report/v1` and `/v2` JSON reports

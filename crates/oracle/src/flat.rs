@@ -57,8 +57,9 @@ impl<'a> FlatLabels<'a> {
         FlatLabels { csr }
     }
 
-    /// The underlying arena — what the wire formats encode.
-    pub(crate) fn csr(&self) -> &KeyedCsr<'a, PortalEntry> {
+    /// The underlying arena — what the wire formats encode, and the key
+    /// source a bundle's tables section is decoded over.
+    pub fn csr(&self) -> &KeyedCsr<'a, PortalEntry> {
         &self.csr
     }
 

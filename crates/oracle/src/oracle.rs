@@ -227,10 +227,15 @@ pub struct QueryWitness {
     pub path: u16,
     /// `d_J(u, p)` for u's portal `p`.
     pub dist_u: Weight,
-    /// Along-path distance `d_Q(p, q)`.
+    /// Along-path distance `d_Q(p, q) = |pos_u − pos_v|`.
     pub along: Weight,
     /// `d_J(v, q)` for v's portal `q`.
     pub dist_v: Weight,
+    /// Position of u's portal `p` on the path (prefix-sum cost from its
+    /// first vertex).
+    pub pos_u: Weight,
+    /// Position of v's portal `q` on the path.
+    pub pos_v: Weight,
 }
 
 impl QueryWitness {
@@ -243,6 +248,8 @@ impl QueryWitness {
             dist_u: pu.dist,
             along: pu.pos.abs_diff(pv.pos),
             dist_v: pv.dist,
+            pos_u: pu.pos,
+            pos_v: pv.pos,
         }
     }
 }

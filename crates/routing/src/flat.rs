@@ -15,10 +15,15 @@
 //! so plan selection binary-searches one contiguous key slice and the
 //! interval descent scans a contiguous child slice. Each column is
 //! [`ArenaStorage`]: owned when built or decoded, borrowed in place
-//! from an aligned raw `psep-bundle` section. `EntryRecord` is a
-//! plain-old-data struct whose in-memory layout equals its wire layout,
-//! so a mapped tables section is served without touching a single
-//! entry. Lookups borrow [`TableRef`]/[`EntryRef`] views.
+//! from an aligned raw `psep-bundle` section. The entry offsets and keys
+//! equal the distance labels', so a bundle stores them once, in its
+//! labels section: a loaded `FlatTables` shares the labels' key columns
+//! (borrowed from the same bytes when mapped, copied when owned) and
+//! its tables section holds only the records, child offsets and
+//! children. `EntryRecord` is a plain-old-data struct whose in-memory
+//! layout equals its wire layout, so a mapped tables section is served
+//! without touching a single entry. Lookups borrow
+//! [`TableRef`]/[`EntryRef`] views.
 
 use psep_core::csr::KeyedCsr;
 use psep_core::wire::ArenaStorage;
@@ -216,8 +221,9 @@ impl<'a> FlatTables<'a> {
         Ok(FlatTables { csr, records })
     }
 
-    /// The key and child arena — what the wire formats encode.
-    pub(crate) fn csr(&self) -> &KeyedCsr<'a, NodeId> {
+    /// The key and child arena. The wire formats encode its children;
+    /// its keys are the labels' keys, stored once in a bundle.
+    pub fn csr(&self) -> &KeyedCsr<'a, NodeId> {
         &self.csr
     }
 

@@ -1,4 +1,4 @@
-//! The `psep-serve` daemon: open a `psep-bundle/v3`, serve
+//! The `psep-serve` daemon: open a `psep-bundle/v4`, serve
 //! `psep-rpc/v1` over TCP until SIGINT/SIGTERM, drain, exit.
 //!
 //! ```text

@@ -5,7 +5,7 @@
 //! ```
 //!
 //! One process builds the whole serving stack through
-//! [`LocationService`] and ships it as a single `psep-bundle/v3`
+//! [`LocationService`] and ships it as a single `psep-bundle/v4`
 //! artifact (graph + decomposition tree + distance labels + routing
 //! tables) under one checksummed envelope; a serving process maps the bundle
 //! zero-copy and answers distance queries *and* routes requests in parallel with

@@ -5,10 +5,10 @@
 //! applications share — the graph, its decomposition tree, the
 //! Theorem 2 distance oracle, and the compact-routing tables — behind
 //! one build call and one versioned container format. The current
-//! format is `psep-bundle/v3`:
+//! format is `psep-bundle/v4`:
 //!
 //! ```text
-//! "PSEPBNDL" | version=3 pad(7) | directory | graph | tree | labels | tables | crc32
+//! "PSEPBNDL" | version=4 pad(7) | directory | graph | tree | labels | tables | crc32
 //! ```
 //!
 //! The envelope is the bundle's only integrity layer: one CRC-32 over
@@ -38,7 +38,18 @@
 //! decoded at open, so a section that does not decode is rejected by
 //! the loader, not by a later call.
 //!
-//! v3 is the only persisted form: any other version is
+//! The labels and the tables have one entry per `(node, group, path)`
+//! key a vertex reaches, so each fact is stored once: the labels
+//! section holds the vertex count, the entry offsets and the keys, and
+//! the tables section holds only its child count, its record columns,
+//! its child offsets and the children ([`psep_routing::wire`]). An open
+//! decodes the labels first and puts the tables over the labels' key
+//! columns, which are already checked — borrowed from the same bundle
+//! bytes on a zero-copy open, copied (not decoded) otherwise. A service
+//! whose oracle and router disagree on those keys cannot be written, so
+//! [`LocationService::from_parts`] rejects it.
+//!
+//! v4 is the only persisted form: any other version is
 //! [`WireError::UnsupportedVersion`]. Write a bundle to disk with
 //! [`std::fs::write`] and open it with [`AlignedBytes::read_file`] plus
 //! [`map_bytes`] (zero-copy) or [`std::fs::read`] plus [`from_bytes`].
@@ -49,10 +60,13 @@
 
 use std::sync::Arc;
 
+use psep_core::csr::KeyedCsr;
 use psep_core::wire::{pad_to_8, put_varint, seal, unseal, Cursor, WireError};
 use psep_core::{AutoStrategy, DecompositionParams, DecompositionTree};
 use psep_graph::{Graph, NodeId, Weight};
-use psep_oracle::{build_oracle, BatchQueryEngine, DistanceOracle, OracleParams, WitnessPath};
+use psep_oracle::{
+    build_oracle, BatchQueryEngine, DistanceOracle, OracleParams, PortalEntry, WitnessPath,
+};
 use psep_routing::{RouteOutcome, Router, RoutingTables};
 
 // The error type moved to its own module; this re-export keeps the
@@ -63,7 +77,7 @@ pub use crate::error::ServiceError;
 pub const BUNDLE_MAGIC: &[u8; 8] = b"PSEPBNDL";
 
 /// Current bundle format version, written by [`LocationService::to_bytes`].
-pub const BUNDLE_VERSION: u64 = 3;
+pub const BUNDLE_VERSION: u64 = 4;
 
 /// Directory kind tag of the graph section.
 pub const SECTION_GRAPH: u32 = 1;
@@ -71,7 +85,8 @@ pub const SECTION_GRAPH: u32 = 1;
 pub const SECTION_TREE: u32 = 2;
 /// Directory kind tag of the raw (zero-copy) distance-labels section.
 pub const SECTION_LABELS: u32 = 3;
-/// Directory kind tag of the raw (zero-copy) routing-tables section.
+/// Directory kind tag of the raw (zero-copy) routing-tables section:
+/// the tables' records and children, keyed by the labels section's keys.
 pub const SECTION_TABLES: u32 = 4;
 /// Directory kind tag of the delta-compressed distance-labels section:
 /// varint/delta-coded keys and portals
@@ -334,7 +349,10 @@ impl<'a> LocationService<'a> {
     }
 
     /// Assembles a service from prebuilt parts, checking that every part
-    /// covers the same vertex set.
+    /// covers the same vertex set and that the oracle's labels and the
+    /// router's tables have the same entry offsets and keys (a bundle
+    /// stores them once; parts built over different decomposition trees
+    /// differ there).
     pub fn from_parts(
         graph: Graph,
         tree: DecompositionTree,
@@ -344,6 +362,10 @@ impl<'a> LocationService<'a> {
         let n = graph.num_nodes();
         if oracle.num_nodes() != n || router.tables().num_nodes() != n || tree.num_vertices() != n {
             return Err(WireError::Corrupt("bundle sections disagree on vertex count").into());
+        }
+        let label_keys = oracle.flat_labels().csr();
+        if !label_keys.same_keys(router.tables().flat().csr()) {
+            return Err(WireError::Corrupt("labels and tables disagree on their keys").into());
         }
         Ok(LocationService {
             graph: Arc::new(graph),
@@ -506,7 +528,7 @@ impl<'a> LocationService<'a> {
         Ok(self.router.try_route_many(pairs)?)
     }
 
-    /// Encodes the whole service as one `psep-bundle/v3` artifact with
+    /// Encodes the whole service as one `psep-bundle/v4` artifact with
     /// raw (zero-copy) label and table sections. Every section encoding
     /// is canonical, so `map_bytes(b).to_bytes() == b` bit-for-bit.
     pub fn to_bytes(&self) -> Vec<u8> {
@@ -522,7 +544,7 @@ impl<'a> LocationService<'a> {
         )
     }
 
-    /// Encodes the whole service as a `psep-bundle/v3` artifact whose
+    /// Encodes the whole service as a `psep-bundle/v4` artifact whose
     /// label and table sections are delta-compressed
     /// ([`SECTION_LABELS_COMPRESSED`] / [`SECTION_TABLES_COMPRESSED`]):
     /// keys and portal/table columns stored as varint deltas instead of
@@ -556,7 +578,7 @@ impl<'a> LocationService<'a> {
         ])
     }
 
-    /// Decodes a `psep-bundle/v3` artifact (raw or delta sections) into
+    /// Decodes a `psep-bundle/v4` artifact (raw or delta sections) into
     /// a service that owns all its arenas: [`Self::map_bytes`] followed
     /// by a copy of any borrowed arena.
     pub fn from_bytes(data: &[u8]) -> Result<Self, ServiceError> {
@@ -594,7 +616,8 @@ impl<'a> LocationService<'a> {
 
     /// The one open path behind [`Self::map_bytes`] and
     /// [`Self::from_bytes`]: validates the bundle, maps or decodes the
-    /// labels and tables, and cross-checks their vertex counts against
+    /// labels, then the tables over the labels' key columns, and
+    /// cross-checks the vertex count against
     /// the graph section's header — peeked without decoding (or
     /// allocating) the edge list, so a bundle whose sections disagree is
     /// rejected before any graph-sized work. Then decodes the graph and
@@ -602,9 +625,9 @@ impl<'a> LocationService<'a> {
     fn open(data: &'a [u8]) -> Result<Self, ServiceError> {
         let [graph, tree, labels, tables] = unseal_bundle(data)?;
         let oracle = decode_labels_section(labels)?;
-        let tables = decode_tables_section(tables)?;
+        let tables = decode_tables_section(tables, oracle.flat_labels().csr())?;
         let n = Cursor::new(graph.bytes).length(u32::MAX as usize)?;
-        if oracle.num_nodes() != n || tables.num_nodes() != n {
+        if oracle.num_nodes() != n {
             return Err(WireError::Corrupt("bundle sections disagree on vertex count").into());
         }
         let graph = Arc::new(decode_graph(graph.bytes)?);
@@ -646,12 +669,15 @@ fn decode_labels_section(sec: BundleSection<'_>) -> Result<DistanceOracle<'_>, S
 }
 
 /// Decodes the tables slot by its directory kind (see
-/// [`decode_labels_section`]).
-fn decode_tables_section(sec: BundleSection<'_>) -> Result<RoutingTables<'_>, ServiceError> {
+/// [`decode_labels_section`]) over the labels' key columns.
+fn decode_tables_section<'a>(
+    sec: BundleSection<'a>,
+    keys: &KeyedCsr<'a, PortalEntry>,
+) -> Result<RoutingTables<'a>, ServiceError> {
     let flat = if sec.kind == SECTION_TABLES_COMPRESSED {
-        psep_routing::wire::decode_tables(sec.bytes)?
+        psep_routing::wire::decode_tables(sec.bytes, keys)?
     } else {
-        psep_routing::wire::decode_tables_flat(sec.bytes)?
+        psep_routing::wire::decode_tables_flat(sec.bytes, keys)?
     };
     Ok(RoutingTables::from_flat(flat))
 }
@@ -907,6 +933,13 @@ mod tests {
         // aligned little-endian buffer => the arenas borrow in place
         assert!(mapped.is_borrowed());
         assert!(!svc.is_borrowed());
+        // the tables' entry offsets and keys are the labels' own columns,
+        // borrowed from the labels section
+        let label_keys = mapped.oracle().flat_labels().csr().as_parts();
+        let table_keys = mapped.router().tables().flat().csr().as_parts();
+        assert_eq!(table_keys.0.as_ptr(), label_keys.0.as_ptr());
+        assert_eq!(table_keys.1.as_ptr(), label_keys.1.as_ptr());
+        assert!(mapped.router().tables().is_borrowed());
         // re-encoding a mapped service reproduces the input bytes
         assert_eq!(mapped.to_bytes(), &buf[..]);
         for u in g.nodes() {
@@ -958,9 +991,9 @@ mod tests {
                 vec![SECTION_GRAPH, SECTION_TREE, labels, tables]
             );
         }
-        // the retired version-1 envelope (length-prefixed sections) and a
-        // version-2 word over the current layout are typed errors on
-        // every entry point
+        // the retired version-1 envelope (length-prefixed sections) and
+        // version-2 and version-3 words over the current layout are typed
+        // errors on every entry point
         let mut payload = Vec::new();
         put_varint(&mut payload, 1);
         for sec in bundle_sections(&svc.to_bytes()).unwrap().1 {
@@ -969,7 +1002,8 @@ mod tests {
         }
         let v1 = reseal(&payload);
         let v2 = tampered(&svc.to_bytes(), |p| p[0] = 2);
-        for (version, bytes) in [(1, v1), (2, v2)] {
+        let v3 = tampered(&svc.to_bytes(), |p| p[0] = 3);
+        for (version, bytes) in [(1, v1), (2, v2), (3, v3)] {
             let bytes = AlignedBytes::from_slice(&bytes);
             let unsupported = |r: Result<(), ServiceError>| match r {
                 Err(ServiceError::Wire(WireError::UnsupportedVersion(v))) => v == version,
@@ -1189,6 +1223,97 @@ mod tests {
             spliced,
             Err(ServiceError::Wire(WireError::Corrupt(_)))
         ));
+    }
+
+    /// An oracle and a router built over different decomposition trees
+    /// have different keys; a bundle stores one key column, so they
+    /// cannot be assembled into one service.
+    #[test]
+    fn parts_with_different_keys_are_rejected() {
+        let g = grids::grid2d(10, 10, 1);
+        let auto = DecompositionTree::build(&g, &AutoStrategy::default());
+        let cycles = DecompositionTree::build(&g, &psep_core::FundamentalCycleStrategy::default());
+        let oracle = build_oracle(&g, &auto, OracleParams::default());
+        let router = Router::new(&g, RoutingTables::build(&g, &cycles));
+        assert_eq!(oracle.num_nodes(), router.tables().num_nodes());
+        let spliced = LocationService::from_parts(g.clone(), auto.clone(), oracle.clone(), router);
+        assert!(matches!(
+            spliced,
+            Err(ServiceError::Wire(WireError::Corrupt(_)))
+        ));
+        let router = Router::new(&g, RoutingTables::build(&g, &auto));
+        assert!(LocationService::from_parts(g, auto, oracle, router).is_ok());
+    }
+
+    /// A tables section whose record or child-offset count disagrees with
+    /// the labels' entry count is a typed error from both loaders.
+    #[test]
+    fn tables_disagreeing_with_the_label_entry_count_are_rejected() {
+        let (_, svc) = service();
+        let entries = svc.oracle().flat_labels().num_entries();
+        let (raw, delta) = (svc.to_bytes(), svc.to_bytes_compressed());
+        let other = LocationService::build(&grids::grid2d(5, 6, 1), ServiceParams::default());
+        assert_ne!(other.oracle().flat_labels().num_entries(), entries);
+        let (_, r) = bundle_sections(&raw).unwrap();
+        let body = r[3].bytes;
+        // raw: C u64, E records of 48 bytes, E + 1 child offsets, pad, children
+        let offsets = 8 + 48 * entries;
+        let children = offsets + (4 * (entries + 1)).next_multiple_of(8);
+        let record_short = [&body[..offsets - 48], &body[offsets..]].concat();
+        let mut offset_short = body[..children - 8].to_vec();
+        if (entries + 1) % 2 == 0 {
+            // the dropped offset leaves four bytes to pad
+            offset_short.extend_from_slice(&[0; 4]);
+        }
+        offset_short.extend_from_slice(&body[children..]);
+        // delta: the child count, five record columns of E varints, the
+        // on-path records, E child counts, the children
+        let (_, d) = bundle_sections(&delta).unwrap();
+        let body_d = d[3].bytes;
+        // the body with the varint ending at column `end` of `skip`
+        // dropped
+        let varint_short = |skip: &dyn Fn(&mut Cursor)| {
+            let mut c = Cursor::new(body_d);
+            skip(&mut c);
+            let end = body_d.len() - c.remaining();
+            [&body_d[..end - 1], &body_d[end..]].concat()
+        };
+        let dist_short = varint_short(&|c| c.skip_varints(1 + entries).unwrap());
+        let child_count_short = varint_short(&|c| {
+            c.skip_varints(1 + 5 * entries).unwrap();
+            for _ in 0..entries {
+                if c.varint().unwrap() == 1 {
+                    c.skip_varints(3).unwrap();
+                }
+            }
+            c.skip_varints(entries).unwrap();
+        });
+        let (other_raw, other_delta) = (other.to_bytes(), other.to_bytes_compressed());
+        let (_, o) = bundle_sections(&other_raw).unwrap();
+        let (_, od) = bundle_sections(&other_delta).unwrap();
+        for (what, bytes, body) in [
+            ("raw, one record short", &raw, record_short),
+            ("raw, one child offset short", &raw, offset_short),
+            ("raw, another graph's tables", &raw, o[3].bytes.to_vec()),
+            ("delta, one dist short", &delta, dist_short),
+            ("delta, one child count short", &delta, child_count_short),
+            (
+                "delta, another graph's tables",
+                &delta,
+                od[3].bytes.to_vec(),
+            ),
+        ] {
+            let bad = with_section(bytes, 3, &body);
+            let typed = |r: Result<(), ServiceError>| {
+                matches!(r, Err(ServiceError::Wire(_) | ServiceError::Routing(_)))
+            };
+            assert!(typed(LocationService::from_bytes(&bad).map(drop)), "{what}");
+            let buf = AlignedBytes::from_slice(&bad);
+            assert!(
+                typed(LocationService::map_bytes(&buf).map(drop)),
+                "{what} (mapped)"
+            );
+        }
     }
 
     #[test]

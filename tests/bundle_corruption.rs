@@ -1,4 +1,4 @@
-//! Adversarial-bytes properties for `psep-bundle/v3`: any single-byte
+//! Adversarial-bytes properties for `psep-bundle/v4`: any single-byte
 //! corruption of a sealed bundle is rejected with a typed error, any
 //! truncation is rejected with a typed error, and arbitrary byte soup
 //! never panics either loader. Both decode paths are exercised —
@@ -296,16 +296,13 @@ fn column_boundary_shifts_are_typed_errors() {
     let cols = varint_columns(labels, 8, &[3, n, entries, entries, portals]);
     let mut damaged = vec![(2, "position", column_off_by_one(labels, cols[4].clone()))];
 
+    // the tables body stores no entry count, offsets or keys: the child
+    // count, then five record columns of the labels' entry count
     let tables = sections[3].bytes;
-    let [n, entries, _] = header(tables, 0);
-    let cols = varint_columns(
-        tables,
-        0,
-        &[3, n, entries, entries, entries, entries, entries, entries],
-    );
+    let cols = varint_columns(tables, 0, &[1, entries, entries, entries, entries, entries]);
     for (name, col) in ["dist", "entry_pos", "dfs", "span", "parent"]
         .into_iter()
-        .zip(&cols[3..])
+        .zip(&cols[1..])
     {
         damaged.push((3, name, column_off_by_one(tables, col.clone())));
     }

@@ -1,5 +1,5 @@
 //! Borrowed-vs-owned equivalence for the full service surface: a
-//! `LocationService` mapped zero-copy from an aligned `psep-bundle/v3`
+//! `LocationService` mapped zero-copy from an aligned `psep-bundle/v4`
 //! must answer `query`, `query_path`, and `route` bit-identically to
 //! the owned service it was serialized from — sequentially and through
 //! every batch engine at 1, 2, and 4 worker threads.
