@@ -131,7 +131,7 @@ pub fn dijkstra_to<G: GraphRef>(g: &G, source: NodeId, target: NodeId) -> Shorte
 /// (same deterministic smaller-id tie-breaking), and every run counts
 /// toward `graph.dijkstra.invocations` / `graph.dijkstra.edges_relaxed`
 /// exactly like the allocating entry points.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct DijkstraScratch {
     dist: Vec<Weight>,
     parent: Vec<Option<NodeId>>,
@@ -305,11 +305,6 @@ impl DijkstraScratch {
             .iter()
             .map(|&t| (NodeId(t), self.dist[t as usize]))
     }
-
-    /// The last run's reached set as an owned `(vertex, distance)` list.
-    pub fn reached_vec(&self) -> Vec<(NodeId, Weight)> {
-        self.reached().collect()
-    }
 }
 
 /// Exact distance between two vertices, or `None` if disconnected.
@@ -425,7 +420,7 @@ mod tests {
                     assert_eq!(scratch.dist(v), fresh.dist(v), "round {round} src {s}");
                     assert_eq!(scratch.parent(v), fresh.parent(v), "round {round} src {s}");
                 }
-                let mut reached: Vec<_> = scratch.reached_vec();
+                let mut reached: Vec<_> = scratch.reached().collect();
                 reached.sort_unstable();
                 let mut expect: Vec<_> = fresh
                     .reached_nodes()

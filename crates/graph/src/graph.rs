@@ -7,9 +7,7 @@ use std::fmt;
 /// Node ids are dense: a graph with `n` vertices uses ids `0..n`. The
 /// newtype keeps vertex indices from being confused with positions,
 /// counts, or weights in the higher layers.
-#[derive(
-    Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, serde::Serialize, serde::Deserialize,
-)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 #[repr(transparent)]
 pub struct NodeId(pub u32);
 
@@ -53,7 +51,7 @@ pub type Weight = u64;
 pub const INFINITY: Weight = Weight::MAX;
 
 /// A directed half-edge as stored in adjacency lists.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Edge {
     /// Target endpoint.
     pub to: NodeId,
@@ -79,7 +77,7 @@ pub struct Edge {
 /// assert_eq!(g.num_edges(), 2);
 /// assert_eq!(g.degree(NodeId(1)), 2);
 /// ```
-#[derive(Clone, Debug, Default, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct Graph {
     adj: Vec<Vec<Edge>>,
     num_edges: usize,

@@ -1,5 +1,5 @@
 //! The O(checksum) cold-start guarantee, stated as counters rather
-//! than wall clock: mapping an aligned `psep-bundle/v3` and serving
+//! than wall clock: mapping an aligned `psep-bundle/v4` and serving
 //! distance queries and routing labels out of it must perform zero
 //! per-entry decodes — every `*.wire.*_decoded` counter stays exactly
 //! where it was. Loading the delta-compressed bundle, whose label and
